@@ -246,12 +246,19 @@ class Schedule:
         if not m:
             raise GraphError(f"line {body_start}: bad header {header!r}")
         n, rounds = int(m.group(1)), int(m.group(2))
+        body = [
+            (i + 1, line)
+            for i in range(body_start, len(lines))
+            if (line := lines[i].split("#", 1)[0].strip())
+        ]
+        # each round needs its own line, so the body bounds the allocation
+        if rounds > len(body):
+            raise GraphError(
+                f"line {body_start}: missing rounds: header says"
+                f" rounds={rounds} but only {len(body)} round lines follow"
+            )
         snaps: list[Snapshot | None] = [None] * rounds
-        for i in range(body_start, len(lines)):
-            line = lines[i].split("#", 1)[0].strip()
-            if not line:
-                continue
-            lineno = i + 1
+        for lineno, line in body:
             m = re.fullmatch(r"r=(\d+):(.*)", line)
             if not m:
                 raise GraphError(f"line {lineno}: expected 'r=<r>: <edges>'")
@@ -270,9 +277,8 @@ class Schedule:
                 snaps[r] = Snapshot(n, edges)
             except GraphError as exc:
                 raise GraphError(f"line {lineno}: {exc}") from None
-        missing = [r for r, s in enumerate(snaps) if s is None]
-        if missing:
-            raise GraphError(f"missing rounds: {missing}")
+        # rounds <= len(body), and every body line filled a distinct round
+        # in range, so no round is missing
         return cls(snaps)
 
     @classmethod

@@ -7,6 +7,7 @@ requires to be empty.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from pathlib import Path
 
@@ -318,3 +319,19 @@ def test_c12_fixed_adaptive_and_oracle_runs_are_byte_identical():
         second = run_scenario(parse_scenario(text)).to_text()
         assert first == second
         assert len(first) > 200
+
+
+# SHA-256 of each C12_SCENARIOS trace: any change to round semantics,
+# adversary choices or trace rendering shows up here
+C12_TRACE_SHA256 = (
+    "db982a3730fbb409b59666c7a59a77b2c5b56dc82ff94254cba91986050b3cac",
+    "1b8037032d501b4d1dcd8cafbb59a413e4bdda23adb79b09efd1ca3e7ffc10cc",
+    "291cb30db26c4c18408116cc40cb8f5033133ef4df72324f53c613f70c6bb365",
+    "5a79ba1b39e864aa178c3029839bab896fdeb10a02a005e7cc6b9bdb058cbda9",
+)
+
+
+def test_c12_traces_match_golden_hashes():
+    for text, want in zip(C12_SCENARIOS, C12_TRACE_SHA256, strict=True):
+        trace = run_scenario(parse_scenario(text)).to_text()
+        assert hashlib.sha256(trace.encode()).hexdigest() == want, text

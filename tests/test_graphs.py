@@ -108,6 +108,14 @@ def test_schedule_parse_errors_carry_line_numbers():
         Schedule.from_text("nodes=2\n")
 
 
+def test_schedule_header_cannot_outgrow_its_body():
+    # the header alone must not size an allocation
+    with pytest.raises(GraphError, match="line 1: .*rounds=1000000000000"):
+        Schedule.from_text("n=4 rounds=1000000000000\nr=0: 0-1:0,0\n")
+    with pytest.raises(GraphError, match="line 3: .*only 1 round lines"):
+        Schedule.from_text("# comment\n\nn=2 rounds=2\nr=0:\n")
+
+
 def test_empty_rounds_allowed():
     sch = Schedule.from_text("n=3 rounds=2\nr=0:\nr=1: 0-1:0,0\n")
     assert sch.snapshot(0).pairs == frozenset()

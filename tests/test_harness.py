@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -256,6 +257,29 @@ def test_verify_rejects_structural_damage():
         verify_trace(text.replace("0-1:", "0~1:", 1))
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("edges: ", "edges: 0-1:0,x"),
+    ("edges: ", "edges: 0-0:0,1"),
+    ("pos: ", "pos: 0:1,,2"),
+    ("act: ", "act: 1:m"),
+    ("post: ", "post: x"),
+    ("comp: ", "comp: a,b"),
+    ("msgs: ", "msgs: x"),
+])
+def test_malformed_trace_fields_name_their_line(tmp_path, capsys, field, bad):
+    text = _clean_run().to_text()
+    lines = text.splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(field))
+    broken = _rewrite_first(text, field, lambda _: bad)
+    with pytest.raises(EngineError, match=f"^line {lineno}: "):
+        verify_trace(broken)
+    path = tmp_path / "broken.trace"
+    path.write_text(broken)
+    assert cli.main(["verify", str(path)], out=lambda *_: None) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: line {lineno}: ")
+
+
 def test_zero_hop_view_is_projection_of_one_hop():
     rng = random.Random("projection")
     for _ in range(40):
@@ -284,6 +308,30 @@ def test_demo_passes_and_prints_rows():
     lines.clear()
     assert harness.demo("dispersed_block", out=lines.append)
     assert lines[-1] == "demo dispersed_block: PASS"
+
+
+# SHA-256 of the standard output of ``dispersim demo all``
+DEMO_ALL_SHA256 = (
+    "8a5bfc79edeb870655c45eb08638480ad7160d588c6e0a2ea65aaee150e5e5a2"
+)
+
+
+@pytest.fixture(scope="module")
+def demo_all():
+    lines = []
+    code = cli.main(["demo", "all"], out=lines.append)
+    return code, "\n".join(lines) + "\n"
+
+
+def test_cli_demo_all_passes(demo_all):
+    code, text = demo_all
+    assert code == 0
+    assert "FAIL" not in text
+    assert text.count(": PASS\n") == len(harness.DEMOS)
+
+
+def test_cli_demo_all_matches_golden_hash(demo_all):
+    assert hashlib.sha256(demo_all[1].encode()).hexdigest() == DEMO_ALL_SHA256
 
 
 def test_demo_unknown_id():

@@ -30,6 +30,7 @@ from .engine import (
     Algorithm,
     AgentState,
     Broadcast,
+    Bundle,
     ComponentKnowledge,
     LocalView,
     STAY,
@@ -100,8 +101,25 @@ def disp_plan(ck: ComponentKnowledge) -> SlidingPlan | None:
     return SlidingPlan(tuple(moves))
 
 
+_UNPLANNED = object()
+
+
+def component_plan(msgs: tuple[Broadcast, ...]) -> SlidingPlan | None:
+    """The sliding plan of a broadcast bundle.
+
+    It is a pure function of the broadcasts, so a ``Bundle`` keeps it and
+    the agents that share the bundle plan once.
+    """
+    plan = getattr(msgs, "plan", _UNPLANNED)
+    if plan is _UNPLANNED:
+        plan = disp_plan(stitch_component(msgs))
+        if isinstance(msgs, Bundle):
+            msgs.plan = plan
+    return plan
+
+
 def _plan_action(agent: int, msgs: tuple[Broadcast, ...]) -> Action:
-    plan = disp_plan(stitch_component(msgs))
+    plan = component_plan(msgs)
     if plan is None:
         return STAY
     port = plan.port_for(agent)

@@ -13,9 +13,10 @@ Each round over the current snapshot:
    keeps occupying its node forever but stops broadcasting, receiving,
    stepping, and moving.
 
-Runs stop early once every agent has terminated.  Outcome rounds are
-measured on the configuration reached AFTER each round, so a run that is
-already dispersed and stays put reports dispersed_at = 0.
+``round_step`` performs steps 1-3 of one round; ``run`` applies the moves
+and records the round.  Runs stop early once every agent has terminated.
+Outcome rounds are measured on the configuration reached AFTER each round,
+so a run that is already dispersed and stays put reports dispersed_at = 0.
 """
 
 from __future__ import annotations
@@ -184,6 +185,17 @@ def node_views(
     return views
 
 
+class Bundle(tuple):
+    """The broadcasts that a group of agents hears together, by sender.
+
+    ``deliver`` hands every agent of a component (or, under ``f2f``, of a
+    node) the same Bundle object, so anything derived from the broadcasts
+    alone is computed once per Bundle and kept on it: the algorithms keep
+    their sliding plan in ``plan``.  The memo lives and dies with the
+    bundle.
+    """
+
+
 def deliver(
     snapshot: Snapshot,
     config: Configuration,
@@ -191,34 +203,41 @@ def deliver(
     *,
     visibility: str = "one",
     terminated: frozenset[int] | set[int] = frozenset(),
-) -> dict[int, tuple[Broadcast, ...]]:
+    views: Mapping[int, LocalView] | None = None,
+    comps: list[list[int]] | None = None,
+) -> dict[int, Bundle]:
     """Broadcasts each live agent receives this round, sorted by sender.
 
     Terminated agents neither broadcast nor receive, but they still appear
-    in views (they physically occupy their node).
+    in views (they physically occupy their node).  ``views`` and ``comps``
+    take this round's node views and components when the caller already
+    has them; otherwise they are computed here.
     """
     if mode not in COMMUNICATIONS:
         raise GraphError(f"unknown communication mode {mode!r}")
-    views = node_views(snapshot, config, visibility)
+    if views is None:
+        views = node_views(snapshot, config, visibility)
     node_casts: dict[int, list[Broadcast]] = {}
     for node, ids in config.at.items():
         node_casts[node] = [
             Broadcast(a, len(ids), views[node]) for a in ids if a not in terminated
         ]
-    inbox: dict[int, tuple[Broadcast, ...]] = {}
+    inbox: dict[int, Bundle] = {}
     if mode == "f2f":
         for node, casts in node_casts.items():
-            bundle = tuple(casts)
+            bundle = Bundle(casts)
             for a in config.ids_at(node):
                 if a not in terminated:
                     inbox[a] = bundle
     else:
-        for comp in components(snapshot):
+        if comps is None:
+            comps = components(snapshot)
+        for comp in comps:
             casts = []
             for node in comp:
                 casts.extend(node_casts.get(node, ()))
             casts.sort(key=lambda b: b.sender)
-            bundle = tuple(casts)
+            bundle = Bundle(casts)
             for node in comp:
                 for a in config.ids_at(node):
                     if a not in terminated:
@@ -310,6 +329,57 @@ def apply_actions(
     return Configuration(config.n, positions)
 
 
+@dataclass(frozen=True)
+class RoundStep:
+    """What the live agents do in one round on one snapshot."""
+
+    actions: dict[int, Action]
+    states: dict[int, AgentState]
+    components: list[list[int]]
+    messages: int
+
+
+def round_step(
+    snapshot: Snapshot,
+    config: Configuration,
+    states: Mapping[int, AgentState],
+    algorithm: Algorithm,
+    visibility: str,
+    communication: str,
+) -> RoundStep:
+    """Look, Broadcast and Compute for one round.
+
+    Components and node views are built once and shared by delivery and
+    every agent.  Returns each live agent's action and the states after
+    the round; the caller's ``states`` are left untouched.
+    """
+    comps = components(snapshot)
+    views = node_views(snapshot, config, visibility)
+    terminated = {a for a, st in states.items() if st.terminated}
+    inbox = deliver(
+        snapshot, config, communication, terminated=terminated,
+        views=views, comps=comps,
+    )
+    actions: dict[int, Action] = {}
+    new_states = dict(states)
+    for a in sorted(config.positions):
+        if a in terminated:
+            continue
+        action, state = algorithm.step(
+            states[a], views[config.positions[a]], inbox[a]
+        )
+        if state.terminated != action.terminate:
+            state = replace(state, terminated=action.terminate)
+        new_states[a] = state
+        actions[a] = action
+    return RoundStep(
+        actions=actions,
+        states=new_states,
+        components=comps,
+        messages=sum(len(bundle) for bundle in inbox.values()),
+    )
+
+
 def compute_preview(
     snapshot: Snapshot,
     config: Configuration,
@@ -320,22 +390,9 @@ def compute_preview(
 ) -> dict[int, Action]:
     """Side-effect-free compute phase: what every live agent would do on
     this snapshot.  States are not advanced."""
-    terminated = {a for a, st in states.items() if st.terminated}
-    inbox = deliver(
-        snapshot, config, communication, visibility=visibility,
-        terminated=terminated,
-    )
-    views = node_views(snapshot, config, visibility)
-    actions = {}
-    for a in sorted(config.positions):
-        if a in terminated:
-            continue
-        st = states[a]
-        action, _ = algorithm.step(
-            replace(st), views[config.positions[a]], inbox[a]
-        )
-        actions[a] = action
-    return actions
+    return round_step(
+        snapshot, config, states, algorithm, visibility, communication
+    ).actions
 
 
 @dataclass
@@ -464,10 +521,17 @@ def run(
         raise GraphError("schedule source must expose its node count n")
     config = Configuration(n, placement)
     states = {a: AgentState(id=a) for a in ids}
+    # the oracle's last preview as (snapshot, config, states, step); the
+    # round reuses the step when the adversary emits that very snapshot
+    preview = None
     if getattr(source, "needs_oracle", False) and getattr(source, "oracle", None) is None:
-        source.oracle = lambda snap, cfg, sts: compute_preview(
-            snap, cfg, sts, algorithm, visibility, communication
-        )
+        def oracle(snap, cfg, sts):
+            nonlocal preview
+            step = round_step(snap, cfg, sts, algorithm, visibility, communication)
+            preview = (snap, cfg, sts, step)
+            return dict(step.actions)
+
+        source.oracle = oracle
 
     visited = set(config.at)
     dispersed_at = None
@@ -482,32 +546,29 @@ def run(
             raise GraphError(
                 f"round {r}: snapshot has n={snapshot.n}, expected {config.n}"
             )
-        terminated = {a for a, st in states.items() if st.terminated}
-        inbox = deliver(
-            snapshot, config, communication, visibility=visibility,
-            terminated=terminated,
-        )
-        views = node_views(snapshot, config, visibility)
-        actions: dict[int, Action] = {}
-        for a in ids:
-            if a in terminated:
-                continue
-            action, new_state = algorithm.step(
-                states[a], views[config.positions[a]], inbox[a]
+        if (
+            preview is not None
+            and preview[0] is snapshot
+            and preview[1] is config
+            and preview[2] is states
+        ):
+            step = preview[3]
+        else:
+            step = round_step(
+                snapshot, config, states, algorithm, visibility, communication
             )
-            new_state.terminated = action.terminate
-            states[a] = new_state
-            actions[a] = action
-        after = apply_actions(snapshot, config, actions)
+        preview = None
+        states = step.states
+        after = apply_actions(snapshot, config, step.actions)
         records.append(
             RoundRecord(
                 r=r,
                 snapshot=snapshot,
                 before=dict(config.positions),
-                actions=actions,
+                actions=step.actions,
                 after=dict(after.positions),
-                components=components(snapshot),
-                messages=sum(len(v) for v in inbox.values()),
+                components=step.components,
+                messages=step.messages,
             )
         )
         config = after

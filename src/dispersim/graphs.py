@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 PROPERTIES = ("t_interval", "t_path", "connectivity_time")
 
@@ -84,7 +84,13 @@ class Snapshot:
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Snapshot":
         """Build a snapshot with canonical ports: each node numbers its
-        neighbors in ascending node order."""
+        neighbors in ascending node order.
+
+        The canonical layout is valid by construction, so it is built
+        directly rather than re-checked by ``__init__``.
+        """
+        if n < 1:
+            raise GraphError(f"snapshot needs at least one node, got n={n}")
         nbrs: dict[int, list[int]] = {v: [] for v in range(n)}
         seen = set()
         for u, v in pairs:
@@ -98,13 +104,20 @@ class Snapshot:
             seen.add(key)
             nbrs[u].append(v)
             nbrs[v].append(u)
-        port_of = {
-            v: {w: i for i, w in enumerate(sorted(ws))} for v, ws in nbrs.items()
-        }
-        edges = [
+        ports = {}
+        port_of = {}
+        for v, ws in nbrs.items():
+            ws.sort()
+            ports[v] = dict(enumerate(ws))
+            port_of[v] = {w: i for i, w in enumerate(ws)}
+        snap = cls.__new__(cls)
+        snap.n = n
+        snap.edges = tuple(
             Edge(u, v, port_of[u][v], port_of[v][u]) for u, v in sorted(seen)
-        ]
-        return cls(n, edges)
+        )
+        snap.pairs = frozenset(seen)
+        snap.ports = ports
+        return snap
 
     def degree(self, v: int) -> int:
         return len(self.ports[v])
@@ -297,9 +310,8 @@ class Schedule:
         return f"Schedule(n={self.n}, rounds={self.rounds})"
 
 
-def window_graph(schedule: Schedule, r: int, T: int, mode: str) -> Snapshot:
-    """Intersection or union of rounds r..r+T-1, ports dropped (the result
-    carries canonical ports over the combined edge set)."""
+def _window_pairs(schedule: Schedule, r: int, T: int, mode: str) -> set:
+    """Node pairs of the intersection or union of rounds r..r+T-1."""
     if mode not in ("intersection", "union"):
         raise GraphError(f"unknown window mode {mode!r}")
     if T < 1:
@@ -314,7 +326,13 @@ def window_graph(schedule: Schedule, r: int, T: int, mode: str) -> Snapshot:
             pairs &= schedule.snapshots[i].pairs
         else:
             pairs |= schedule.snapshots[i].pairs
-    return Snapshot.from_pairs(schedule.n, pairs)
+    return pairs
+
+
+def window_graph(schedule: Schedule, r: int, T: int, mode: str) -> Snapshot:
+    """Intersection or union of rounds r..r+T-1, ports dropped (the result
+    carries canonical ports over the combined edge set)."""
+    return Snapshot.from_pairs(schedule.n, _window_pairs(schedule, r, T, mode))
 
 
 @dataclass(frozen=True)
@@ -325,7 +343,12 @@ class ConnectivityReport:
     T: int
     holds: bool
     witness: tuple[int, tuple[int, int]] | None
-    dynamic_diameter: float
+    schedule: Schedule = field(repr=False, compare=False)
+
+    @property
+    def dynamic_diameter(self) -> float:
+        """Dynamic diameter of the checked schedule, computed on first use."""
+        return self.schedule.dynamic_diameter()
 
     def describe(self) -> str:
         verdict = "holds" if self.holds else "fails"
@@ -378,7 +401,7 @@ def check_property(schedule: Schedule, prop: str, T: int) -> ConnectivityReport:
         mode = "intersection" if prop == "t_interval" else "union"
         for r in range(schedule.rounds - T + 1):
             comps = _components_from_pairs(
-                n, window_graph(schedule, r, T, mode).pairs
+                n, _window_pairs(schedule, r, T, mode)
             )
             if len(comps) > 1:
                 witness = (r, (comps[0][0], comps[1][0]))
@@ -388,7 +411,7 @@ def check_property(schedule: Schedule, prop: str, T: int) -> ConnectivityReport:
         T=T,
         holds=witness is None,
         witness=witness,
-        dynamic_diameter=schedule.dynamic_diameter(),
+        schedule=schedule,
     )
 
 

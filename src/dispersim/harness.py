@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import adversary as adv_mod
 from .adversary import AdversaryError, gen_random_with_property, make_adversary
-from .algorithms import ALGORITHM_NAMES, disp_plan, make_algorithm
+from .algorithms import ALGORITHM_NAMES, component_plan, make_algorithm
 from .engine import (
     Action,
     Configuration,
@@ -27,7 +27,6 @@ from .engine import (
     RunResult,
     deliver,
     run,
-    stitch_component,
 )
 from .graphs import (
     Edge,
@@ -486,6 +485,7 @@ def verify_trace(text: str) -> TraceReport:
         inbox = deliver(
             tr.snapshot, config, header["communication"],
             visibility=header["visibility"], terminated=frozenset(terminated),
+            comps=comps,
         )
         expect_msgs = sum(len(bundle) for bundle in inbox.values())
         if tr.msgs != expect_msgs:
@@ -495,7 +495,7 @@ def verify_trace(text: str) -> TraceReport:
             by_comp: dict[int, object] = {}
             for a, bundle in inbox.items():
                 key = comp_of[tr.pos[a]]
-                plan = disp_plan(stitch_component(bundle))
+                plan = component_plan(bundle)
                 if key in by_comp:
                     if by_comp[key] != plan:
                         note(f"{where}: plan disagreement in component {key}")

@@ -17,9 +17,12 @@ from dispersim.engine import (
     compute_preview,
     deliver,
     node_views,
+    round_step,
     run,
     stitch_component,
 )
+from dispersim import algorithms, engine
+from dispersim.adversary import make_adversary
 from dispersim.algorithms import make_algorithm
 from dispersim.graphs import GraphError, Schedule, Snapshot
 
@@ -178,3 +181,93 @@ def test_identical_runs_are_byte_identical():
     a = run(sch, {1: 0, 2: 0, 3: 1}, make_algorithm("alg3"), max_rounds=18)
     b = run(sch, {1: 0, 2: 0, 3: 1}, make_algorithm("alg3"), max_rounds=18)
     assert a.to_text() == b.to_text()
+
+
+def test_round_step_leaves_caller_states_alone():
+    # alg2 returns the state it was given; terminating must not flip the
+    # caller's copy
+    s = path4()
+    config = Configuration(4, {1: 0, 2: 2})
+    states = {a: AgentState(id=a) for a in (1, 2)}
+    step = round_step(s, config, states, make_algorithm("alg2"), "one", "global")
+    assert all(act.terminate for act in step.actions.values())
+    assert all(st.terminated for st in step.states.values())
+    assert states == {a: AgentState(id=a) for a in (1, 2)}
+    assert step.components == [[0, 1, 2, 3]]
+    assert step.messages == 4
+
+
+def test_plan_is_stitched_once_per_component_per_round(monkeypatch):
+    stitched = []
+    original = algorithms.stitch_component
+
+    def counting(bundle):
+        stitched.append(bundle)  # keeps every bundle alive, so `is` is exact
+        return original(bundle)
+
+    monkeypatch.setattr(algorithms, "stitch_component", counting)
+    n, k, T = 8, 6, 3
+    adv = make_adversary("ct_dispersion", n, k=k, T=T)
+    res = run(adv, {a: 0 for a in range(1, k + 1)},
+              make_algorithm("alg1_implicit"), max_rounds=20 * k * T, T=T)
+    assert stitched
+    assert len(stitched) <= sum(len(rec.components) for rec in res.records)
+    for i, bundle in enumerate(stitched):
+        assert all(bundle is not other for other in stitched[:i])
+
+
+class _Reemit:
+    """Wraps an oracle adversary and re-emits each snapshot as a new but
+    equal object, so the run cannot reuse the oracle's preview."""
+
+    needs_oracle = True
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n = inner.n
+        self.oracle = None
+
+    def next_snapshot(self, r, config, states):
+        self.inner.oracle = self.oracle
+        snap = self.inner.next_snapshot(r, config, states)
+        return Snapshot(snap.n, snap.edges)
+
+
+@pytest.mark.parametrize("variant, alg, placement, visibility, communication", [
+    ("comm", "alg3", {a: 0 for a in range(1, 7)}, "one", "f2f"),
+    ("visibility", "alg1_implicit", {a: 0 for a in range(1, 7)}, "zero",
+     "global"),
+    ("dispersed", "greedy_port0", {a: a for a in range(1, 7)}, "zero",
+     "global"),
+])
+def test_oracle_reuse_does_not_change_sorted_path_traces(
+    monkeypatch, variant, alg, placement, visibility, communication
+):
+    steps = []
+    original = engine.round_step
+
+    def counting(*args):
+        steps.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(engine, "round_step", counting)
+    texts = []
+    for wrap in (False, True):
+        steps.clear()
+        adv = make_adversary("sorted_path", 7, variant=variant)
+        res = run(_Reemit(adv) if wrap else adv, placement,
+                  make_algorithm(alg), visibility=visibility,
+                  communication=communication, max_rounds=40)
+        texts.append(res.to_text())
+        # every round previews one layout; the plain run computes the round
+        # again only when the adversary emitted another layout, the wrapped
+        # run always does
+        calls = iter(steps)
+        recomputed = 0
+        for rec in res.records:
+            if next(calls) is not rec.snapshot:
+                assert next(calls) is rec.snapshot
+                recomputed += 1
+        assert next(calls, None) is None
+        assert recomputed == res.rounds if wrap else recomputed < res.rounds
+    assert texts[0] == texts[1]

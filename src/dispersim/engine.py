@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .graphs import GraphError, Schedule, Snapshot, components
 
@@ -186,14 +186,9 @@ def node_views(
 
 
 class Bundle(tuple):
-    """The broadcasts that a group of agents hears together, by sender.
-
-    ``deliver`` hands every agent of a component (or, under ``f2f``, of a
-    node) the same Bundle object, so anything derived from the broadcasts
-    alone is computed once per Bundle and kept on it: the algorithms keep
-    their sliding plan in ``plan``.  The memo lives and dies with the
-    bundle.
-    """
+    """Broadcasts heard together, by sender.  ``deliver`` hands every agent
+    of a component (of a node, under ``f2f``) the same Bundle, so the
+    algorithms keep the bundle's sliding plan on it as ``plan``."""
 
 
 def deliver(
@@ -329,8 +324,7 @@ def apply_actions(
     return Configuration(config.n, positions)
 
 
-@dataclass(frozen=True)
-class RoundStep:
+class RoundStep(NamedTuple):
     """What the live agents do in one round on one snapshot."""
 
     actions: dict[int, Action]
@@ -372,12 +366,8 @@ def round_step(
             state = replace(state, terminated=action.terminate)
         new_states[a] = state
         actions[a] = action
-    return RoundStep(
-        actions=actions,
-        states=new_states,
-        components=comps,
-        messages=sum(len(bundle) for bundle in inbox.values()),
-    )
+    messages = sum(len(bundle) for bundle in inbox.values())
+    return RoundStep(actions, new_states, comps, messages)
 
 
 def compute_preview(

@@ -104,19 +104,15 @@ class Snapshot:
             seen.add(key)
             nbrs[u].append(v)
             nbrs[v].append(u)
-        ports = {}
-        port_of = {}
-        for v, ws in nbrs.items():
-            ws.sort()
-            ports[v] = dict(enumerate(ws))
-            port_of[v] = {w: i for i, w in enumerate(ws)}
+        port_of = {
+            v: {w: i for i, w in enumerate(sorted(ws))} for v, ws in nbrs.items()
+        }
         snap = cls.__new__(cls)
-        snap.n = n
+        snap.n, snap.pairs = n, frozenset(seen)
         snap.edges = tuple(
             Edge(u, v, port_of[u][v], port_of[v][u]) for u, v in sorted(seen)
         )
-        snap.pairs = frozenset(seen)
-        snap.ports = ports
+        snap.ports = {v: {i: w for w, i in pw.items()} for v, pw in port_of.items()}
         return snap
 
     def degree(self, v: int) -> int:

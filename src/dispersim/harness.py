@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import adversary as adv_mod
 from .adversary import AdversaryError, gen_random_with_property, make_adversary
@@ -296,8 +297,7 @@ class TraceReport:
         return not self.violations
 
 
-@dataclass
-class _TraceRound:
+class _TraceRound(NamedTuple):
     r: int
     snapshot: Snapshot
     pos: dict[int, int]

@@ -71,6 +71,27 @@ def test_from_pairs_canonical_ports():
     assert s.neighbor(1, 0) == 0
 
 
+def test_from_pairs_builds_what_validation_accepts():
+    # from_pairs skips __init__; the validating constructor is the reference
+    rng = random.Random("from-pairs")
+    for _ in range(200):
+        n = rng.randrange(1, 9)
+        fast = Snapshot.from_pairs(n, random_pairs(rng, n, rng.random()))
+        checked = Snapshot(n, fast.edges)
+        assert (fast.n, fast.edges, fast.pairs) == (
+            checked.n, checked.edges, checked.pairs)
+        assert fast.ports == checked.ports
+
+
+def test_from_pairs_keeps_its_own_errors():
+    with pytest.raises(GraphError, match="at least one node"):
+        Snapshot.from_pairs(0, [])
+    with pytest.raises(GraphError, match="out of range"):
+        Snapshot.from_pairs(3, [(0, 3)])
+    with pytest.raises(GraphError, match="self-loop"):
+        Snapshot.from_pairs(3, [(1, 1)])
+
+
 def test_single_node_graph_is_connected():
     s = Snapshot.from_pairs(1, [])
     assert components(s) == [[0]]
@@ -151,6 +172,15 @@ def test_tpath_reference_trace():
     assert minimal_T(sch, "t_interval") is None
     assert minimal_T(sch, "connectivity_time") == 2
     assert rep2.dynamic_diameter == math.inf
+
+
+def test_dynamic_diameter_is_computed_on_access():
+    path = Snapshot.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
+    sch = Schedule([path, path])
+    report = check_property(sch, "t_interval", 1)
+    assert sch._diameter_cache is None
+    assert report.describe() == "t_interval at T=1: holds; dynamic diameter 3"
+    assert report.dynamic_diameter == 3
 
 
 def test_ctime_reference_trace():

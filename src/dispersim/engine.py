@@ -345,7 +345,8 @@ def round_step(
 
     Components and node views are built once and shared by delivery and
     every agent.  Returns each live agent's action and the states after
-    the round; the caller's ``states`` are left untouched.
+    the round; steps are pure, so the caller's ``states`` are left
+    untouched.
     """
     comps = components(snapshot)
     views = node_views(snapshot, config, visibility)

@@ -19,7 +19,6 @@ from .harness import (
     parse_scenario,
     run_scenario,
     sweep,
-    verify_result,
     verify_trace,
 )
 

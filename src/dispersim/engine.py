@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .graphs import GraphError, Schedule, Snapshot, components
+from .graphs import GraphError, Schedule, Snapshot, components, format_edges
 
 VISIBILITIES = ("zero", "one")
 COMMUNICATIONS = ("global", "f2f")
@@ -54,10 +54,6 @@ class LocalView:
     colocated: tuple[int, ...]
     per_port: tuple[PortView, ...] | None
 
-    @property
-    def ports(self) -> tuple[int, ...]:
-        return tuple(range(self.degree))
-
     def hole_ports(self) -> tuple[int, ...]:
         """Ports leading to unoccupied neighbors (1-hop visibility only)."""
         if self.per_port is None:
@@ -70,6 +66,9 @@ class Broadcast:
     sender: int
     count: int
     view: LocalView
+
+
+_ACTION_CODE = re.compile(r"(s|m(\d+))(!?)")
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ class Action:
 
     @classmethod
     def from_code(cls, code: str) -> "Action":
-        m = re.fullmatch(r"(s|m(\d+))(!?)", code)
+        m = _ACTION_CODE.fullmatch(code)
         if not m:
             raise EngineError(f"bad action code {code!r}")
         port = None if m.group(1) == "s" else int(m.group(2))
@@ -123,10 +122,6 @@ class Configuration:
                 raise GraphError(f"agent {a} placed on node {node}, n={n}")
             at.setdefault(node, []).append(a)
         self.at = {node: tuple(ids) for node, ids in at.items()}
-
-    @property
-    def k(self) -> int:
-        return len(self.positions)
 
     def ids_at(self, node: int) -> tuple[int, ...]:
         return self.at.get(node, ())
@@ -199,14 +194,12 @@ def deliver(
     visibility: str = "one",
     terminated: frozenset[int] | set[int] = frozenset(),
     views: Mapping[int, LocalView] | None = None,
-    comps: list[list[int]] | None = None,
 ) -> dict[int, Bundle]:
     """Broadcasts each live agent receives this round, sorted by sender.
 
     Terminated agents neither broadcast nor receive, but they still appear
-    in views (they physically occupy their node).  ``views`` and ``comps``
-    take this round's node views and components when the caller already
-    has them; otherwise they are computed here.
+    in views (they physically occupy their node).  ``views`` takes this
+    round's node views when the caller already has them.
     """
     if mode not in COMMUNICATIONS:
         raise GraphError(f"unknown communication mode {mode!r}")
@@ -225,9 +218,7 @@ def deliver(
                 if a not in terminated:
                     inbox[a] = bundle
     else:
-        if comps is None:
-            comps = components(snapshot)
-        for comp in comps:
+        for comp in components(snapshot):
             casts = []
             for node in comp:
                 casts.extend(node_casts.get(node, ()))
@@ -352,8 +343,7 @@ def round_step(
     views = node_views(snapshot, config, visibility)
     terminated = {a for a, st in states.items() if st.terminated}
     inbox = deliver(
-        snapshot, config, communication, terminated=terminated,
-        views=views, comps=comps,
+        snapshot, config, communication, terminated=terminated, views=views
     )
     actions: dict[int, Action] = {}
     new_states = dict(states)
@@ -435,13 +425,7 @@ class RunResult:
         ]
         for rec in self.records:
             lines.append(f"round r={rec.r}")
-            lines.append(
-                "edges:"
-                + "".join(
-                    f" {e.u}-{e.v}:{e.port_u},{e.port_v}"
-                    for e in rec.snapshot.edges
-                )
-            )
+            lines.append("edges:" + format_edges(rec.snapshot))
             lines.append("pos: " + fmt_placement(rec.before))
             lines.append(
                 "act: "

@@ -45,7 +45,7 @@ class Snapshot:
     a permutation of 0..deg-1.
     """
 
-    __slots__ = ("n", "edges", "pairs", "ports")
+    __slots__ = ("n", "edges", "pairs", "ports", "comps")
 
     def __init__(self, n: int, edges) -> None:
         if n < 1:
@@ -80,6 +80,7 @@ class Snapshot:
         self.edges = tuple(normalized)
         self.pairs = frozenset(pairs)
         self.ports = ports
+        self.comps = None
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Snapshot":
@@ -108,7 +109,7 @@ class Snapshot:
             v: {w: i for i, w in enumerate(sorted(ws))} for v, ws in nbrs.items()
         }
         snap = cls.__new__(cls)
-        snap.n, snap.pairs = n, frozenset(seen)
+        snap.n, snap.pairs, snap.comps = n, frozenset(seen), None
         snap.edges = tuple(
             Edge(u, v, port_of[u][v], port_of[v][u]) for u, v in sorted(seen)
         )
@@ -168,8 +169,32 @@ def _components_from_pairs(n: int, pairs) -> list[list[int]]:
 
 
 def components(snapshot: Snapshot) -> list[list[int]]:
-    """Connected components, each sorted, ordered by least member."""
-    return _components_from_pairs(snapshot.n, snapshot.pairs)
+    """Connected components, each sorted, ordered by least member.  They
+    are computed once per snapshot and shared: callers must not mutate them."""
+    if snapshot.comps is None:
+        snapshot.comps = _components_from_pairs(snapshot.n, snapshot.pairs)
+    return snapshot.comps
+
+
+_EDGE_TOKEN = re.compile(r"(\d+)-(\d+):(\d+),(\d+)")
+
+
+def parse_edges(field: str) -> list[Edge]:
+    """Edges of whitespace-separated ``u-v:pu,pv`` tokens."""
+    edges = []
+    for tok in field.split():
+        m = _EDGE_TOKEN.fullmatch(tok)
+        if not m:
+            raise GraphError(f"bad edge token {tok!r}")
+        edges.append(Edge(*map(int, m.groups())))
+    return edges
+
+
+def format_edges(snapshot: Snapshot) -> str:
+    """The snapshot's edges as ``u-v:pu,pv`` tokens, each after a space."""
+    return "".join(
+        f" {e.u}-{e.v}:{e.port_u},{e.port_v}" for e in snapshot.edges
+    )
 
 
 def _diameter(n: int, pairs) -> float:
@@ -231,10 +256,7 @@ class Schedule:
     def to_text(self) -> str:
         lines = [f"n={self.n} rounds={self.rounds}"]
         for r, s in enumerate(self.snapshots):
-            parts = [
-                f"{e.u}-{e.v}:{e.port_u},{e.port_v}" for e in s.edges
-            ]
-            lines.append(f"r={r}:" + ("" if not parts else " " + " ".join(parts)))
+            lines.append(f"r={r}:" + format_edges(s))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -276,14 +298,8 @@ class Schedule:
                 raise GraphError(f"line {lineno}: round {r} outside 0..{rounds - 1}")
             if snaps[r] is not None:
                 raise GraphError(f"line {lineno}: round {r} listed twice")
-            edges = []
-            for tok in m.group(2).split():
-                em = re.fullmatch(r"(\d+)-(\d+):(\d+),(\d+)", tok)
-                if not em:
-                    raise GraphError(f"line {lineno}: bad edge token {tok!r}")
-                edges.append(Edge(*(int(g) for g in em.groups())))
             try:
-                snaps[r] = Snapshot(n, edges)
+                snaps[r] = Snapshot(n, parse_edges(m.group(2)))
             except GraphError as exc:
                 raise GraphError(f"line {lineno}: {exc}") from None
         # rounds <= len(body), and every body line filled a distinct round

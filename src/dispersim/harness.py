@@ -2,10 +2,13 @@
 
 A scenario is a small key=value text file naming a schedule source, an
 algorithm, a placement, and budgets.  Runs produce line-oriented traces;
-``verify_trace`` re-checks a trace from its text alone: conservation,
-move legality, component partitions, message counts, termination
-monotonicity, multinode monotonicity, plan agreement, and per-window hole
-progress, recomputing every outcome round.
+``verify_trace`` re-checks a trace from its text alone.  It replays every
+round through ``engine.round_step`` with the algorithm the header names,
+so the recorded actions, component partitions and message counts must be
+exactly what that algorithm does on the recorded snapshots and positions.
+It also checks conservation, move legality, termination monotonicity,
+multinode monotonicity and per-window hole progress, and recomputes every
+outcome round.
 
 ``demo`` packages the executable claims: each registered id runs a small
 grid and reports the measured bound next to the claimed one.
@@ -20,23 +23,17 @@ from typing import NamedTuple
 
 from . import adversary as adv_mod
 from .adversary import AdversaryError, gen_random_with_property, make_adversary
-from .algorithms import ALGORITHM_NAMES, component_plan, make_algorithm
+from .algorithms import ALGORITHM_NAMES, make_algorithm
 from .engine import (
     Action,
+    AgentState,
     Configuration,
     EngineError,
     RunResult,
-    deliver,
+    round_step,
     run,
 )
-from .graphs import (
-    Edge,
-    GraphError,
-    Schedule,
-    Snapshot,
-    check_property,
-    components,
-)
+from .graphs import GraphError, Schedule, Snapshot, check_property, parse_edges
 
 SCHEDULE_KINDS = (
     "file",
@@ -51,6 +48,13 @@ PLACEMENTS = ("colocated", "dispersed", "spread", "random", "explicit")
 # algorithms whose traces must keep multinode counts non-increasing and
 # fill a hole within every complete T-window that starts with a multinode
 COOPERATIVE = ("disp", "alg1_explicit", "alg1_implicit", "alg2", "alg3")
+
+# "node:id,id,...", one group of a placement
+_PLACEMENT_TOKEN = re.compile(r"(\d+):(\d+(?:,\d+)*)")
+_ACTION_TOKEN = re.compile(r"(\d+):(\S+)")
+_ROUND_LINE = re.compile(r"round r=(\d+)")
+_COMP_FIELD = re.compile(r"\d+(?:,\d+)*(?:\|\d+(?:,\d+)*)*")
+_MSGS_FIELD = re.compile(r"\d+")
 
 
 class ScenarioError(ValueError):
@@ -189,7 +193,7 @@ def build_placement(sc: Scenario) -> dict[int, int]:
     # explicit:node:ids;node:ids
     placement: dict[int, int] = {}
     for part in arg.split(";"):
-        m = re.fullmatch(r"(\d+):(\d+(?:,\d+)*)", part)
+        m = _PLACEMENT_TOKEN.fullmatch(part)
         if not m:
             raise ScenarioError(f"bad explicit placement part {part!r}")
         node = int(m.group(1))
@@ -310,7 +314,7 @@ class _TraceRound(NamedTuple):
 def _parse_placement(text: str, lineno: int) -> dict[int, int]:
     placement: dict[int, int] = {}
     for tok in text.split():
-        m = re.fullmatch(r"(\d+):(\d+(?:,\d+)*)", tok)
+        m = _PLACEMENT_TOKEN.fullmatch(tok)
         if not m:
             raise EngineError(f"line {lineno}: bad placement token {tok!r}")
         node = int(m.group(1))
@@ -322,7 +326,7 @@ def _parse_placement(text: str, lineno: int) -> dict[int, int]:
 def _parse_comp(text: str, lineno: int) -> list[list[int]]:
     if not text:
         return []
-    if not re.fullmatch(r"\d+(?:,\d+)*(?:\|\d+(?:,\d+)*)*", text):
+    if not _COMP_FIELD.fullmatch(text):
         raise EngineError(f"line {lineno}: bad comp field {text!r}")
     return [[int(x) for x in part.split(",")] for part in text.split("|")]
 
@@ -352,7 +356,7 @@ def parse_trace(text: str):
     while i < len(lines) and lines[i].startswith("round "):
         if i + 6 >= len(lines):
             raise EngineError(f"truncated round block at line {i + 1}")
-        rm = re.fullmatch(r"round r=(\d+)", lines[i])
+        rm = _ROUND_LINE.fullmatch(lines[i])
         if not rm:
             raise EngineError(f"line {i + 1}: bad round line")
         r = int(rm.group(1))
@@ -366,26 +370,20 @@ def parse_trace(text: str):
                 raise EngineError(f"line {i + offset}: expected {want}")
             fields[want[:-1]] = line[len(want):].strip()
             at[want[:-1]] = i + offset
-        edges = []
-        for tok in fields["edges"].split():
-            em = re.fullmatch(r"(\d+)-(\d+):(\d+),(\d+)", tok)
-            if not em:
-                raise EngineError(f"line {at['edges']}: bad edge token {tok!r}")
-            edges.append(Edge(*(int(g) for g in em.groups())))
         try:
-            snapshot = Snapshot(n, edges)
+            snapshot = Snapshot(n, parse_edges(fields["edges"]))
         except GraphError as exc:
             raise EngineError(f"line {at['edges']}: {exc}") from None
         actions = {}
         for tok in fields["act"].split():
-            am = re.fullmatch(r"(\d+):(\S+)", tok)
+            am = _ACTION_TOKEN.fullmatch(tok)
             if not am:
                 raise EngineError(f"line {at['act']}: bad action token {tok!r}")
             try:
                 actions[int(am.group(1))] = Action.from_code(am.group(2))
             except EngineError as exc:
                 raise EngineError(f"line {at['act']}: {exc}") from None
-        if not re.fullmatch(r"\d+", fields["msgs"]):
+        if not _MSGS_FIELD.fullmatch(fields["msgs"]):
             raise EngineError(
                 f"line {at['msgs']}: bad msgs field {fields['msgs']!r}"
             )
@@ -421,25 +419,30 @@ def parse_trace(text: str):
     return header, rounds, trailer
 
 
-def _multinode_count(n: int, pos: dict[int, int]) -> int:
-    return len(Configuration(n, pos).multinodes())
-
-
 def _hole_count(n: int, pos: dict[int, int]) -> int:
     return n - len(set(pos.values()))
 
 
 def verify_trace(text: str) -> TraceReport:
-    """Re-derive everything a trace claims, from the trace text alone."""
+    """Re-derive everything a trace claims, from the trace text alone.
+    Each round is replayed through ``round_step`` on the recorded snapshot
+    and positions, carrying the replayed agent states forward."""
     header, rounds, trailer = parse_trace(text)
     n, k = header["n"], header["k"]
     algorithm = header["algorithm"]
+    try:
+        alg = make_algorithm(algorithm, T=header["T"])
+    except ValueError as exc:
+        raise EngineError(f"line 1: {exc}") from None
     violations: list[str] = []
     note = violations.append
 
     all_ids = set(range(1, k + 1))
+    states = {a: AgentState(id=a) for a in all_ids}
     terminated: set[int] = set()
     visited: set[int] = set(rounds[0].pos.values()) if rounds else set()
+    # multinodes at the start of each round
+    multis: list[int] = []
     dispersed_at = None
     explored_at = None
     all_terminated_at = None
@@ -477,40 +480,35 @@ def verify_trace(text: str) -> TraceReport:
         for a in terminated:
             if tr.post.get(a) != tr.pos.get(a):
                 note(f"{where}: terminated agent {a} moved")
-        comps = components(tr.snapshot)
-        if tr.comp != comps:
-            note(f"{where}: component partition mismatch")
-        comp_of = {node: c[0] for c in comps for node in c}
         config = Configuration(n, tr.pos)
-        inbox = deliver(
-            tr.snapshot, config, header["communication"],
-            visibility=header["visibility"], terminated=frozenset(terminated),
-            comps=comps,
-        )
-        expect_msgs = sum(len(bundle) for bundle in inbox.values())
-        if tr.msgs != expect_msgs:
-            note(f"{where}: msgs={tr.msgs}, recomputed {expect_msgs}")
+        if tr.pos.keys() <= all_ids:
+            step = round_step(
+                tr.snapshot, config, states, alg,
+                header["visibility"], header["communication"],
+            )
+            states = step.states
+            for a in sorted(tr.actions.keys() | step.actions.keys()):
+                got, want = tr.actions.get(a), step.actions.get(a)
+                if got != want:
+                    note(f"{where}: agent {a} recorded"
+                         f" {got.code() if got else '-'}, {algorithm}"
+                         f" computes {want.code() if want else '-'}")
+            if tr.comp != step.components:
+                note(f"{where}: component partition mismatch")
+            if tr.msgs != step.messages:
+                note(f"{where}: msgs={tr.msgs}, recomputed {step.messages}")
         max_messages = max(max_messages, tr.msgs)
-        if header["communication"] == "global" and algorithm in COOPERATIVE:
-            by_comp: dict[int, object] = {}
-            for a, bundle in inbox.items():
-                key = comp_of[tr.pos[a]]
-                plan = component_plan(bundle)
-                if key in by_comp:
-                    if by_comp[key] != plan:
-                        note(f"{where}: plan disagreement in component {key}")
-                else:
-                    by_comp[key] = plan
+        post_config = Configuration(n, tr.post)
+        multis.append(len(config.multinodes()))
         # cooperative moves never create new multinodes; terminal moves may
         # legally stack agents into the same hole, so skip rounds that
         # contain a terminate action
         terminating_now = any(act.terminate for act in tr.actions.values())
         if algorithm in COOPERATIVE and not terminating_now:
-            if _multinode_count(n, tr.post) > _multinode_count(n, tr.pos):
+            if len(post_config.multinodes()) > multis[-1]:
                 note(f"{where}: multinode count increased")
         terminated |= {a for a, act in tr.actions.items() if act.terminate}
         visited |= set(tr.post.values())
-        post_config = Configuration(n, tr.post)
         if dispersed_at is None and post_config.is_dispersed():
             dispersed_at = tr.r
         if explored_at is None and len(visited) == n:
@@ -537,7 +535,7 @@ def verify_trace(text: str) -> TraceReport:
                 seen |= set(tr.post.values())
                 seen_by_round.append(len(seen))
             for r in range(len(rounds) - T + 1):
-                if _multinode_count(n, rounds[r].pos) == 0:
+                if multis[r] == 0:
                     continue
                 before = _hole_count(n, rounds[r].pos)
                 after = _hole_count(n, rounds[r + T - 1].post)
@@ -571,7 +569,7 @@ def verify_trace(text: str) -> TraceReport:
         explored_at=explored_at,
         all_terminated_at=all_terminated_at,
         budget_exhausted=trailer["budget_exhausted"],
-        final_multinodes=_multinode_count(n, final_pos) if final_pos else 0,
+        final_multinodes=len(post_config.multinodes()) if final_pos else 0,
         holes_start=_hole_count(n, rounds[0].pos) if rounds else n,
         holes_end=_hole_count(n, final_pos) if final_pos else n,
         max_messages=max_messages,

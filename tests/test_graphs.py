@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from dispersim import graphs
 from dispersim.graphs import (
     Edge,
     GraphError,
@@ -15,7 +16,9 @@ from dispersim.graphs import (
     Snapshot,
     check_property,
     components,
+    format_edges,
     minimal_T,
+    parse_edges,
     window_graph,
 )
 
@@ -105,6 +108,20 @@ def test_components_ordering():
     assert components(s) == [[0], [1, 5], [2, 4], [3]]
 
 
+def test_components_are_computed_once_per_snapshot(monkeypatch):
+    calls = []
+    real = graphs._components_from_pairs
+    monkeypatch.setattr(graphs, "_components_from_pairs",
+                        lambda n, pairs: calls.append(n) or real(n, pairs))
+    sch = random_schedule(random.Random(3), 5, 8)
+    minimal_T(sch, "t_path")
+    minimal_T(sch, "t_path")
+    assert len(calls) == sch.rounds
+    first = sch.snapshots[0]
+    assert components(first) is components(first)
+    assert Snapshot(5, first.edges).comps is None
+
+
 # --- schedule file round-trip ---
 
 
@@ -116,6 +133,15 @@ def test_schedule_text_round_trip(tmp_path):
     again = Schedule.load(path)
     assert again == sch
     assert again.to_text() == sch.to_text()
+
+
+def test_edge_codec_round_trip():
+    s = Snapshot.from_pairs(4, [(0, 1), (1, 2), (3, 0)])
+    assert format_edges(s) == " 0-1:0,0 0-3:1,0 1-2:1,0"
+    assert Snapshot(4, parse_edges(format_edges(s))) == s
+    assert parse_edges("") == []
+    with pytest.raises(GraphError, match="^bad edge token '0-1:0'$"):
+        parse_edges("0-1:0")
 
 
 def test_schedule_parse_errors_carry_line_numbers():

@@ -280,6 +280,61 @@ def test_malformed_trace_fields_name_their_line(tmp_path, capsys, field, bad):
     assert len(err) == 1 and err[0].startswith(f"error: line {lineno}: ")
 
 
+@pytest.mark.parametrize("old, new", [
+    ("algorithm=alg1_explicit", "algorithm=alg9"),
+    (" T=2 ", " T=- "),
+])
+def test_unreplayable_trace_header_names_line_1(tmp_path, capsys, old, new):
+    broken = _tamper(_clean_run().to_text(), old, new)
+    with pytest.raises(EngineError, match="^line 1: "):
+        verify_trace(broken)
+    path = tmp_path / "broken.trace"
+    path.write_text(broken)
+    assert cli.main(["verify", str(path)], out=lambda *_: None) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 1: ")
+
+
+def test_verify_reports_pos_agent_outside_1_to_k():
+    text = _rewrite_first(_clean_run().to_text(), "pos: ", lambda l: l + " 4:9")
+    report = verify_trace(text)
+    assert "round 0: pos does not cover agents 1..4" in report.violations
+
+
+def _forge_action(text, r, agent, code):
+    """Change one agent's action in round r, moving it in post to match."""
+    tr = harness.parse_trace(text)[1][r]
+    port = harness.Action.from_code(code).port
+    post = dict(tr.post)
+    post[agent] = tr.pos[agent] if port is None else tr.snapshot.neighbor(
+        tr.pos[agent], port)
+    groups: dict[int, list[int]] = {}
+    for a in sorted(post):
+        groups.setdefault(post[a], []).append(a)
+    lines = text.splitlines()
+    i = lines.index(f"round r={r}")
+    lines[i + 3] = "act: " + " ".join(
+        f"{a}:{code if a == agent else tr.actions[a].code()}"
+        for a in sorted(tr.actions)
+    )
+    lines[i + 4] = "post: " + " ".join(
+        f"{node}:{','.join(map(str, ids))}" for node, ids in sorted(groups.items())
+    )
+    return "\n".join(lines) + "\n"
+
+
+def test_verify_catches_forged_legal_action():
+    sc = parse_scenario(
+        "n = 8\nk = 7\nschedule = random:t_path\nT = 2\n"
+        "algorithm = alg3\nseed = 5\nmax_rounds = 30\n"
+    )
+    text = run_scenario(sc).to_text()
+    assert harness.parse_trace(text)[1][29].actions[4].code() == "m0"
+    assert verify_trace(text).ok
+    report = verify_trace(_forge_action(text, 29, 4, "s"))
+    assert any(v.startswith("round 29: agent 4 ") for v in report.violations)
+
+
 def test_zero_hop_view_is_projection_of_one_hop():
     rng = random.Random("projection")
     for _ in range(40):

@@ -23,7 +23,7 @@ Registered names:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .engine import (
     Action,
@@ -136,11 +136,11 @@ def _make_alg1(T: int, explicit: bool) -> Algorithm:
 
     def step(state: AgentState, view: LocalView, msgs):
         if _hears_multinode(msgs):
-            return _plan_action(state.id, msgs), replace(state, t=0)
-        t = state.t + 1
-        if explicit and t >= T:
-            return Action(terminate=True), replace(state, t=t)
-        return STAY, replace(state, t=t)
+            action, t = _plan_action(state.id, msgs), 0
+        else:
+            t = state.t + 1
+            action = Action(terminate=True) if explicit and t >= T else STAY
+        return action, AgentState(state.id, t, state.terminated)
 
     return Algorithm("alg1_explicit" if explicit else "alg1_implicit", step)
 

@@ -22,7 +22,7 @@ so a run that is already dispersed and stays put reports dispersed_at = 0.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .graphs import GraphError, Schedule, Snapshot, components, format_edges
@@ -354,7 +354,7 @@ def round_step(
             states[a], views[config.positions[a]], inbox[a]
         )
         if state.terminated != action.terminate:
-            state = replace(state, terminated=action.terminate)
+            state = AgentState(state.id, state.t, action.terminate)
         new_states[a] = state
         actions[a] = action
     messages = sum(len(bundle) for bundle in inbox.values())

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 PROPERTIES = ("t_interval", "t_path", "connectivity_time")
 
@@ -37,12 +38,16 @@ class Edge:
     port_v: int
 
 
+_ENDPOINTS = attrgetter("u", "v")
+
+
 class Snapshot:
     """One round of a dynamic graph: a simple port-labeled graph on n nodes.
 
     Validates on construction that endpoints are in range, there are no
     self-loops or duplicate edges, and the ports at every node are exactly
-    a permutation of 0..deg-1.
+    a permutation of 0..deg-1.  ``ports`` maps only the nodes that have
+    edges; the methods treat any other node as having degree 0.
     """
 
     __slots__ = ("n", "edges", "pairs", "ports", "comps")
@@ -52,27 +57,33 @@ class Snapshot:
             raise GraphError(f"snapshot needs at least one node, got n={n}")
         normalized = []
         for e in edges:
-            u, v, pu, pv = e.u, e.v, e.port_u, e.port_v
+            u, v = e.u, e.v
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge {u}-{v} out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at node {u}")
             if u > v:
-                u, v, pu, pv = v, u, pv, pu
-            normalized.append(Edge(u, v, pu, pv))
-        normalized.sort(key=lambda e: (e.u, e.v))
+                e = Edge(v, u, e.port_v, e.port_u)
+            normalized.append(e)
+        normalized.sort(key=_ENDPOINTS)
         pairs = set()
-        ports: dict[int, dict[int, int]] = {v: {} for v in range(n)}
+        # only nodes with edges get a port map, so memory follows the edges
+        ports: dict[int, dict[int, int]] = {}
         for e in normalized:
             if (e.u, e.v) in pairs:
                 raise GraphError(f"duplicate edge {e.u}-{e.v}")
             pairs.add((e.u, e.v))
             for a, pa, b in ((e.u, e.port_u, e.v), (e.v, e.port_v, e.u)):
-                if pa in ports[a]:
+                pmap = ports.get(a)
+                if pmap is None:
+                    pmap = ports[a] = {}
+                elif pa in pmap:
                     raise GraphError(f"node {a} uses port {pa} twice")
-                ports[a][pa] = b
-        for v, pmap in ports.items():
-            if pmap and sorted(pmap) != list(range(len(pmap))):
+                pmap[pa] = b
+        for v in sorted(ports):
+            pmap = ports[v]
+            # the ports at v are distinct, so these bounds make them 0..d-1
+            if min(pmap) != 0 or max(pmap) != len(pmap) - 1:
                 raise GraphError(
                     f"node {v} ports {sorted(pmap)} are not 0..{len(pmap) - 1}"
                 )
@@ -92,7 +103,7 @@ class Snapshot:
         """
         if n < 1:
             raise GraphError(f"snapshot needs at least one node, got n={n}")
-        nbrs: dict[int, list[int]] = {v: [] for v in range(n)}
+        nbrs: dict[int, list[int]] = {}
         seen = set()
         for u, v in pairs:
             if not (0 <= u < n and 0 <= v < n):
@@ -103,8 +114,8 @@ class Snapshot:
             if key in seen:
                 continue
             seen.add(key)
-            nbrs[u].append(v)
-            nbrs[v].append(u)
+            nbrs.setdefault(u, []).append(v)
+            nbrs.setdefault(v, []).append(u)
         port_of = {
             v: {w: i for i, w in enumerate(sorted(ws))} for v, ws in nbrs.items()
         }
@@ -117,7 +128,8 @@ class Snapshot:
         return snap
 
     def degree(self, v: int) -> int:
-        return len(self.ports[v])
+        pmap = self.ports.get(v)
+        return 0 if pmap is None else len(pmap)
 
     def neighbor(self, v: int, port: int) -> int:
         """Node reached from v through the given port."""
@@ -128,7 +140,8 @@ class Snapshot:
 
     def port_items(self, v: int):
         """(port, neighbor) pairs at v in ascending port order."""
-        return sorted(self.ports[v].items())
+        pmap = self.ports.get(v)
+        return [] if pmap is None else sorted(pmap.items())
 
     def __eq__(self, other) -> bool:
         return (
@@ -195,6 +208,28 @@ def format_edges(snapshot: Snapshot) -> str:
     return "".join(
         f" {e.u}-{e.v}:{e.port_u},{e.port_v}" for e in snapshot.edges
     )
+
+
+class ParseCache(dict):
+    """``parse(text)`` of each distinct text, parsed at its first lookup.
+
+    Equal texts share one result, which callers must not mutate.  A text
+    that fails to parse is not stored, so every lookup of it raises.
+    """
+
+    def __init__(self, parse) -> None:
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text):
+        value = self[text] = self.parse(text)
+        return value
+
+
+def snapshot_cache(n: int) -> ParseCache:
+    """One validated Snapshot on n nodes per distinct edge-token text, so
+    rounds that repeat a graph share its Snapshot and its components."""
+    return ParseCache(lambda text: Snapshot(n, parse_edges(text)))
 
 
 def _diameter(n: int, pairs) -> float:
@@ -289,6 +324,7 @@ class Schedule:
                 f" rounds={rounds} but only {len(body)} round lines follow"
             )
         snaps: list[Snapshot | None] = [None] * rounds
+        parsed = snapshot_cache(n)
         for lineno, line in body:
             m = re.fullmatch(r"r=(\d+):(.*)", line)
             if not m:
@@ -299,7 +335,7 @@ class Schedule:
             if snaps[r] is not None:
                 raise GraphError(f"line {lineno}: round {r} listed twice")
             try:
-                snaps[r] = Snapshot(n, parse_edges(m.group(2)))
+                snaps[r] = parsed[m.group(2)]
             except GraphError as exc:
                 raise GraphError(f"line {lineno}: {exc}") from None
         # rounds <= len(body), and every body line filled a distinct round

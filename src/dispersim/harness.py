@@ -33,7 +33,14 @@ from .engine import (
     round_step,
     run,
 )
-from .graphs import GraphError, Schedule, Snapshot, check_property, parse_edges
+from .graphs import (
+    GraphError,
+    ParseCache,
+    Schedule,
+    Snapshot,
+    check_property,
+    snapshot_cache,
+)
 
 SCHEDULE_KINDS = (
     "file",
@@ -51,10 +58,8 @@ COOPERATIVE = ("disp", "alg1_explicit", "alg1_implicit", "alg2", "alg3")
 
 # "node:id,id,...", one group of a placement
 _PLACEMENT_TOKEN = re.compile(r"(\d+):(\d+(?:,\d+)*)")
-_ACTION_TOKEN = re.compile(r"(\d+):(\S+)")
 _ROUND_LINE = re.compile(r"round r=(\d+)")
 _COMP_FIELD = re.compile(r"\d+(?:,\d+)*(?:\|\d+(?:,\d+)*)*")
-_MSGS_FIELD = re.compile(r"\d+")
 
 
 class ScenarioError(ValueError):
@@ -311,27 +316,66 @@ class _TraceRound(NamedTuple):
     msgs: int
 
 
-def _parse_placement(text: str, lineno: int) -> dict[int, int]:
+def _parse_placement(text: str, n: int) -> dict[int, int]:
     placement: dict[int, int] = {}
     for tok in text.split():
-        m = _PLACEMENT_TOKEN.fullmatch(tok)
-        if not m:
-            raise EngineError(f"line {lineno}: bad placement token {tok!r}")
-        node = int(m.group(1))
-        for a in (int(x) for x in m.group(2).split(",")):
-            placement[a] = node
+        node, sep, ids = tok.partition(":")
+        agents = ids.split(",")
+        # isdecimal accepts exactly what the regex \d+ matches; int() alone
+        # would also take "+1", " 1" and "1_0"
+        if not (sep and node.isdecimal() and all(a.isdecimal() for a in agents)):
+            raise EngineError(f"bad placement token {tok!r}")
+        node = int(node)
+        for a in agents:
+            placement[int(a)] = node
+    if placement and max(placement.values()) >= n:
+        a = min(a for a, v in placement.items() if v >= n)
+        raise EngineError(f"agent {a} placed on node {placement[a]}, n={n}")
     return placement
 
 
-def _parse_comp(text: str, lineno: int) -> list[list[int]]:
+def _parse_actions(text: str, codes: ParseCache) -> dict[int, Action]:
+    actions = {}
+    for tok in text.split():
+        agent, sep, code = tok.partition(":")
+        if not (sep and agent.isdecimal() and code):
+            raise EngineError(f"bad action token {tok!r}")
+        actions[int(agent)] = codes[code]
+    return actions
+
+
+def _parse_comp(text: str) -> list[list[int]]:
     if not text:
         return []
     if not _COMP_FIELD.fullmatch(text):
-        raise EngineError(f"line {lineno}: bad comp field {text!r}")
+        raise EngineError(f"bad comp field {text!r}")
     return [[int(x) for x in part.split(",")] for part in text.split("|")]
 
 
+def _parse_msgs(text: str) -> int:
+    if not text.isdecimal():
+        raise EngineError(f"bad msgs field {text!r}")
+    return int(text)
+
+
+# a round block's field lines, in line order and in _TraceRound order
+_FIELDS = ("edges:", "pos:", "act:", "post:", "comp:", "msgs:")
+# the order in which they are parsed, which decides the error reported for
+# a block with more than one malformed field
+_PARSE_ORDER = tuple(
+    _FIELDS.index(f) for f in ("edges:", "act:", "msgs:", "pos:", "post:", "comp:")
+)
+
+
 def parse_trace(text: str):
+    """Header, rounds and trailer of a trace.
+
+    Each distinct field text is parsed once and its value shared by every
+    line that repeats it: rounds on the same graph share one Snapshot, and
+    a ``pos:`` that repeats the previous ``post:`` is the same dict.  A
+    malformed text raises at its first line.  Shared values must not be
+    mutated.
+    """
     lines = text.splitlines()
     if not lines:
         raise EngineError("empty trace")
@@ -351,6 +395,16 @@ def parse_trace(text: str):
         "communication": m.group(6),
     }
     n = header["n"]
+    codes = ParseCache(Action.from_code)
+    placements = ParseCache(lambda text: _parse_placement(text, n))
+    parsers = (
+        snapshot_cache(n),
+        placements,
+        ParseCache(lambda text: _parse_actions(text, codes)),
+        placements,
+        ParseCache(_parse_comp),
+        ParseCache(_parse_msgs),
+    )
     rounds: list[_TraceRound] = []
     i = 1
     while i < len(lines) and lines[i].startswith("round "):
@@ -359,45 +413,19 @@ def parse_trace(text: str):
         rm = _ROUND_LINE.fullmatch(lines[i])
         if not rm:
             raise EngineError(f"line {i + 1}: bad round line")
-        r = int(rm.group(1))
-        # 1-based line number of each field of the block
-        fields, at = {}, {}
-        for offset, want in enumerate(
-            ("edges:", "pos:", "act:", "post:", "comp:", "msgs:"), start=2
-        ):
-            line = lines[i + offset - 1]
+        texts = []
+        for f, want in enumerate(_FIELDS):
+            line = lines[i + 1 + f]
             if not line.startswith(want):
-                raise EngineError(f"line {i + offset}: expected {want}")
-            fields[want[:-1]] = line[len(want):].strip()
-            at[want[:-1]] = i + offset
-        try:
-            snapshot = Snapshot(n, parse_edges(fields["edges"]))
-        except GraphError as exc:
-            raise EngineError(f"line {at['edges']}: {exc}") from None
-        actions = {}
-        for tok in fields["act"].split():
-            am = _ACTION_TOKEN.fullmatch(tok)
-            if not am:
-                raise EngineError(f"line {at['act']}: bad action token {tok!r}")
+                raise EngineError(f"line {i + 2 + f}: expected {want}")
+            texts.append(line[len(want):].strip())
+        values = [None] * len(_FIELDS)
+        for f in _PARSE_ORDER:
             try:
-                actions[int(am.group(1))] = Action.from_code(am.group(2))
-            except EngineError as exc:
-                raise EngineError(f"line {at['act']}: {exc}") from None
-        if not _MSGS_FIELD.fullmatch(fields["msgs"]):
-            raise EngineError(
-                f"line {at['msgs']}: bad msgs field {fields['msgs']!r}"
-            )
-        rounds.append(
-            _TraceRound(
-                r=r,
-                snapshot=snapshot,
-                pos=_parse_placement(fields["pos"], at["pos"]),
-                actions=actions,
-                post=_parse_placement(fields["post"], at["post"]),
-                comp=_parse_comp(fields["comp"], at["comp"]),
-                msgs=int(fields["msgs"]),
-            )
-        )
+                values[f] = parsers[f][texts[f]]
+            except (GraphError, EngineError) as exc:
+                raise EngineError(f"line {i + 2 + f}: {exc}") from None
+        rounds.append(_TraceRound(int(rm.group(1)), *values))
         i += 7
     if i >= len(lines) or not lines[i].startswith("end "):
         raise EngineError("trace missing end line")
@@ -480,7 +508,12 @@ def verify_trace(text: str) -> TraceReport:
         for a in terminated:
             if tr.post.get(a) != tr.pos.get(a):
                 note(f"{where}: terminated agent {a} moved")
-        config = Configuration(n, tr.pos)
+        # parse_trace shares the dict of a pos: line that repeats the
+        # previous post:, so that round's configuration carries over
+        if idx > 0 and tr.pos is rounds[idx - 1].post:
+            config = post_config
+        else:
+            config = Configuration(n, tr.pos)
         if tr.pos.keys() <= all_ids:
             step = round_step(
                 tr.snapshot, config, states, alg,

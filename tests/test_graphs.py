@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,46 @@ def test_schedule_header_cannot_outgrow_its_body():
         Schedule.from_text("n=4 rounds=1000000000000\nr=0: 0-1:0,0\n")
     with pytest.raises(GraphError, match="line 3: .*only 1 round lines"):
         Schedule.from_text("# comment\n\nn=2 rounds=2\nr=0:\n")
+
+
+def test_repeated_round_lines_share_one_snapshot():
+    text = ("n=4 rounds=4\nr=0: 0-1:0,0\nr=1: 1-2:0,0\n"
+            "r=2: 0-1:0,0\nr=3: 0-1:0,0\n")
+    sch = Schedule.from_text(text)
+    assert sch.snapshot(0) is sch.snapshot(2) is sch.snapshot(3)
+    assert sch.snapshot(0) is not sch.snapshot(1)
+    for text in [text] + [p.read_text() for p in sorted(DATA.glob("*.sched"))]:
+        rows = [line.split(":", 1)[1] for line in text.splitlines()
+                if line.startswith("r=")]
+        sch = Schedule.from_text(text)
+        fresh = Schedule(Snapshot(sch.n, parse_edges(row)) for row in rows)
+        assert sch == fresh and sch.to_text() == fresh.to_text()
+    # a bad line that repeats is reported where it first appears
+    with pytest.raises(GraphError, match="^line 3: node 1 ports"):
+        Schedule.from_text("n=3 rounds=3\nr=0:\nr=1: 0-1:0,1\nr=2: 0-1:0,1\n")
+
+
+def test_port_maps_only_for_nodes_with_edges():
+    for s in (Snapshot(5, parse_edges("1-0:0,0")),
+              Snapshot.from_pairs(5, [(1, 0)])):
+        assert set(s.ports) == {0, 1}
+        assert s.degree(3) == 0 and s.port_items(3) == []
+        with pytest.raises(GraphError, match="^node 3 has no port 0$"):
+            s.neighbor(3, 0)
+    # ports are checked node by node in ascending order, whatever the
+    # order in which the edges reach them
+    with pytest.raises(GraphError, match=r"^node 1 ports \[1\] are not 0..0$"):
+        Snapshot(6, [Edge(0, 5, 0, 1), Edge(1, 2, 1, 0)])
+
+
+def test_schedule_memory_follows_its_text_not_its_header():
+    tracemalloc.start()
+    try:
+        Schedule.from_text("n=100000 rounds=2\nr=0:\nr=1:\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_empty_rounds_allowed():

@@ -1,11 +1,12 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from dispersim.engine import Configuration, EngineError, node_views, run
 from dispersim.algorithms import make_algorithm
-from dispersim.adversary import gen_random_with_property
+from dispersim.adversary import gen_random_with_property, make_adversary
 from dispersim.graphs import Schedule, Snapshot
 from dispersim.harness import (
     ScenarioError,
@@ -17,6 +18,8 @@ from dispersim.harness import (
     verify_trace,
 )
 from dispersim import cli, harness
+
+import oracles
 
 
 BASE = """\
@@ -265,6 +268,8 @@ def test_verify_rejects_structural_damage():
     ("post: ", "post: x"),
     ("comp: ", "comp: a,b"),
     ("msgs: ", "msgs: x"),
+    ("pos: ", "pos: 9:1,2,3,4"),
+    ("post: ", "post: 0:1,2 7:3,4"),
 ])
 def test_malformed_trace_fields_name_their_line(tmp_path, capsys, field, bad):
     text = _clean_run().to_text()
@@ -278,6 +283,63 @@ def test_malformed_trace_fields_name_their_line(tmp_path, capsys, field, bad):
     assert cli.main(["verify", str(path)], out=lambda *_: None) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: line {lineno}: ")
+
+
+def _field_lines(text, field):
+    """(line number, line) of every line of one field, in trace order."""
+    return [(i, line) for i, line in enumerate(text.splitlines(), 1)
+            if line.startswith(field)]
+
+
+def test_trace_node_out_of_range_names_its_line_and_agent():
+    text = _clean_run().to_text()
+    lineno = _field_lines(text, "post: ")[0][0]
+    broken = _rewrite_first(text, "post: ", lambda _: "post: 0:2 7:3,1 1:4")
+    with pytest.raises(
+        EngineError, match=f"^line {lineno}: agent 1 placed on node 7, n=5$"
+    ):
+        verify_trace(broken)
+
+
+def _repeating_trace():
+    """A trace whose adversary keeps returning to the same few graphs."""
+    return run(make_adversary("ct_dispersion", 4, k=3, T=2),
+               {1: 0, 2: 0, 3: 0}, make_algorithm("alg1_implicit"),
+               max_rounds=12, T=2).to_text()
+
+
+def test_parse_trace_shares_each_distinct_field_value():
+    text = _repeating_trace()
+    _, rounds, _ = harness.parse_trace(text)
+    edges = [line for _, line in _field_lines(text, "edges:")]
+    assert len(set(edges)) < len(edges)
+    for r, tr in enumerate(rounds):
+        assert tr.snapshot is rounds[edges.index(edges[r])].snapshot
+    assert len({id(tr.snapshot) for tr in rounds}) == len(set(edges))
+    for prev, tr in zip(rounds, rounds[1:]):
+        assert tr.pos is prev.post
+    assert oracles.parse_trace_reference(text) == harness.parse_trace(text)
+
+
+def test_repeated_malformed_line_is_reported_at_its_first_line():
+    text = _repeating_trace()
+    lines = _field_lines(text, "edges:")
+    counts = Counter(line for _, line in lines)
+    first, repeated = next((i, l) for i, l in lines if counts[l] > 1)
+    broken = text.replace(repeated + "\n", repeated + " 9-9:0,0\n")
+    with pytest.raises(EngineError, match=f"^line {first}: edge 9-9 out of range"):
+        verify_trace(broken)
+
+
+def test_pos_differing_from_previous_post_is_still_reported():
+    text = _clean_run().to_text()
+    lines = text.splitlines()
+    i = lines.index("round r=1")
+    assert lines[i + 2] == lines[i - 3].replace("post:", "pos:", 1)
+    lines[i + 2] = "pos: 0:2 1:3 2:4 3:1"
+    assert lines[i + 2] != lines[i - 3].replace("post:", "pos:", 1)
+    report = verify_trace("\n".join(lines) + "\n")
+    assert "round 1: pos does not match previous post" in report.violations
 
 
 @pytest.mark.parametrize("old, new", [

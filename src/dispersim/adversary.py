@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 
 from .engine import apply_actions
-from .graphs import Edge, GraphError, Schedule, Snapshot
+from .graphs import Edge, GraphError, Memo, Schedule, Snapshot
 
 
 class AdversaryError(ValueError):
@@ -29,20 +29,22 @@ class AdversaryError(ValueError):
 # --- fixed reference traces ---
 
 
+def _periodic(pats, rounds: int) -> Schedule:
+    """4-node schedule repeating ``pats``; each pattern is one Snapshot."""
+    snaps = [Snapshot.from_pairs(4, pairs) for pairs in pats]
+    return Schedule(snaps[r % len(snaps)] for r in range(rounds))
+
+
 def tpath_demo_schedule(rounds: int = 9) -> Schedule:
     """4-node periodic trace: T-Path holds first at T=3, interval never."""
     pats = [{(0, 1), (0, 2)}, {(0, 1), (1, 3)}, {(0, 2), (2, 3)}]
-    return Schedule(
-        Snapshot.from_pairs(4, pats[r % 3]) for r in range(rounds)
-    )
+    return _periodic(pats, rounds)
 
 
 def ctime_demo_schedule(rounds: int = 9) -> Schedule:
     """4-node periodic trace: connectivity time 3, no finite T-Path T."""
     pats = [{(0, 1), (0, 2)}, {(0, 1), (0, 2)}, {(1, 3), (2, 3)}]
-    return Schedule(
-        Snapshot.from_pairs(4, pats[r % 3]) for r in range(rounds)
-    )
+    return _periodic(pats, rounds)
 
 
 def perpetual_demo_schedule(rounds: int = 18) -> Schedule:
@@ -57,9 +59,7 @@ def perpetual_demo_schedule(rounds: int = 18) -> Schedule:
         {(0, 3), (1, 2)},
         {(1, 2), (1, 3)},
     ]
-    return Schedule(
-        Snapshot.from_pairs(4, pats[r % 6]) for r in range(rounds)
-    )
+    return _periodic(pats, rounds)
 
 
 # --- seeded random generator with a guaranteed property ---
@@ -135,7 +135,9 @@ class Adversary:
     """Base: deterministic function of the configuration history.
 
     Subclasses implement _emit(r, config, states).  Rounds must be queried
-    in order, once each, which run() does.
+    in order, once each, which run() does.  A graph the adversary emits
+    again is the same Snapshot object, so its components are computed
+    once and the round memo finds it by identity.
     """
 
     kind = "adversary"
@@ -147,6 +149,11 @@ class Adversary:
         self.n = n
         self.oracle = None
         self._next_r = 0
+        self._graphs = Memo(lambda pairs: Snapshot.from_pairs(n, pairs))
+
+    def _graph(self, pairs) -> Snapshot:
+        """``Snapshot.from_pairs`` on n nodes, one object per pair set."""
+        return self._graphs[frozenset(pairs)]
 
     def next_snapshot(self, r: int, config, states=None) -> Snapshot:
         if r != self._next_r:
@@ -192,7 +199,7 @@ class KtLower(Adversary):
         pairs = _star(occupied) | _star(rest)
         if rest and r > 0 and r % (self.T - 1) == 0:
             pairs.add((min(occupied), min(rest)))
-        return Snapshot.from_pairs(self.n, pairs)
+        return self._graph(pairs)
 
 
 class CtDispersion(Adversary):
@@ -216,7 +223,7 @@ class CtDispersion(Adversary):
             )
         self.k = k
         self.T = T
-        self._pairs: set[tuple[int, int]] | None = None
+        self._phase_graph: Snapshot | None = None
 
     def _emit(self, r, config, states) -> Snapshot:
         span = self.T - 1
@@ -236,7 +243,7 @@ class CtDispersion(Adversary):
                     )
                 side = holes[:p]
                 rest = [v for v in range(self.n) if v not in side]
-                self._pairs = _star(side) | _star(rest)
+                self._phase_graph = self._graph(_star(side) | _star(rest))
             else:
                 multis = config.multinodes()
                 if not multis:
@@ -244,8 +251,10 @@ class CtDispersion(Adversary):
                         "ct_dispersion lost its multinode; cannot continue"
                     )
                 v = multis[0]
-                self._pairs = _star([u for u in range(self.n) if u != v])
-        return Snapshot.from_pairs(self.n, self._pairs)
+                self._phase_graph = self._graph(
+                    _star([u for u in range(self.n) if u != v])
+                )
+        return self._phase_graph
 
 
 class ExplorationStar(Adversary):
@@ -280,7 +289,7 @@ class ExplorationStar(Adversary):
         pairs = _star(star_nodes)
         pairs.add((min(star_nodes), v))
         pairs.add((v, self.target))
-        return Snapshot.from_pairs(self.n, pairs)
+        return self._graph(pairs)
 
 
 class TwoStarsTime(Adversary):
@@ -320,7 +329,7 @@ class TwoStarsTime(Adversary):
         pairs = _star(sorted(self._visited)) | _star(unvisited)
         if unvisited and self._bridge_round(r):
             pairs.add((min(self._visited), min(unvisited)))
-        return Snapshot.from_pairs(self.n, pairs)
+        return self._graph(pairs)
 
 
 class CtExploration(Adversary):
@@ -382,7 +391,7 @@ class CtExploration(Adversary):
         else:
             pairs = _star(star_nodes)
             pairs.add((x, y))
-        return Snapshot.from_pairs(self.n, pairs)
+        return self._graph(pairs)
 
 
 class SortedPath(Adversary):
@@ -412,9 +421,11 @@ class SortedPath(Adversary):
             raise AdversaryError(f"sorted_path {variant} needs n >= 7")
         self.variant = variant
         self.target: int | None = None
+        # one snapshot per (layout builder, path order)
+        self._layouts = Memo(lambda key: key[0](key[1]))
 
     @staticmethod
-    def _path(order: list[int]) -> Snapshot:
+    def _path(order) -> Snapshot:
         n = len(order)
         edges = []
         for i in range(n - 1):
@@ -424,10 +435,10 @@ class SortedPath(Adversary):
         return Snapshot(n, edges)
 
     @staticmethod
-    def _swapped(order: list[int]) -> Snapshot:
+    def _swapped(order) -> Snapshot:
         # path w1~w4~w3~w2~w5~w6~...~wn; only w1,w2,w4,w5 rewire,
         # every node keeps its degree and w3 keeps ports AND neighbors
-        w = [None] + order  # 1-based
+        w = [None, *order]  # 1-based
         n = len(order)
         edges = [
             Edge(w[1], w[4], 0, 1),
@@ -440,7 +451,7 @@ class SortedPath(Adversary):
         return Snapshot(n, edges)
 
     @staticmethod
-    def _flipped_w2(order: list[int]) -> Snapshot:
+    def _flipped_w2(order) -> Snapshot:
         # straight path, but w2 swaps its two port labels
         n = len(order)
         edges = [Edge(order[0], order[1], 0, 1)]
@@ -481,12 +492,12 @@ class SortedPath(Adversary):
                 order = [hole] + [
                     config.positions[a] for a in sorted(config.positions)
                 ]
-                straight = self._path(order)
+                straight = self._layouts[self._path, tuple(order)]
                 preview = self.oracle(straight, config, states)
                 w2_ids = config.ids_at(order[1])
                 mover = preview.get(w2_ids[0]) if w2_ids else None
                 if mover is not None and mover.port == 0:
-                    return self._flipped_w2(order)
+                    return self._layouts[self._flipped_w2, tuple(order)]
                 return straight
             return self._attack(config, states)
         if r == 0:
@@ -503,11 +514,11 @@ class SortedPath(Adversary):
 
     def _attack(self, config, states) -> Snapshot:
         order = self._sorted_order(config)
-        straight = self._path(order)
+        straight = self._layouts[self._path, tuple(order)]
         preview = self.oracle(straight, config, states)
         end = apply_actions(straight, config, preview)
         if end.is_dispersed() and self.n >= 7:
-            return self._swapped(order)
+            return self._layouts[self._swapped, tuple(order)]
         return straight
 
 

@@ -25,7 +25,14 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .graphs import GraphError, Schedule, Snapshot, components, format_edges
+from .graphs import (
+    GraphError,
+    Schedule,
+    Snapshot,
+    components,
+    format_edges,
+    parse_int,
+)
 
 VISIBILITIES = ("zero", "one")
 COMMUNICATIONS = ("global", "f2f")
@@ -91,7 +98,10 @@ class Action:
         m = _ACTION_CODE.fullmatch(code)
         if not m:
             raise EngineError(f"bad action code {code!r}")
-        port = None if m.group(1) == "s" else int(m.group(2))
+        try:
+            port = None if m.group(1) == "s" else parse_int(m.group(2))
+        except GraphError as exc:
+            raise EngineError(f"bad action code: {exc}") from None
         return cls(port=port, terminate=bool(m.group(3)))
 
 
@@ -331,6 +341,7 @@ def round_step(
     algorithm: Algorithm,
     visibility: str,
     communication: str,
+    memo: dict | None = None,
 ) -> RoundStep:
     """Look, Broadcast and Compute for one round.
 
@@ -338,7 +349,31 @@ def round_step(
     every agent.  Returns each live agent's action and the states after
     the round; steps are pure, so the caller's ``states`` are left
     untouched.
+
+    ``memo`` is a dict that one caller keeps for one algorithm,
+    visibility and communication.  It maps the round's inputs (snapshot,
+    positions and agent states, each in its order) to their step, so a
+    round that repeats an earlier one returns the earlier step itself:
+    its dicts and lists are shared and must not be mutated.
     """
+    if memo is None:
+        return _step(snapshot, config, states, algorithm, visibility,
+                     communication)
+    key = (
+        snapshot,
+        tuple(config.positions.items()),
+        tuple((a, st.id, st.t, st.terminated) for a, st in states.items()),
+    )
+    step = memo.get(key)
+    if step is None:
+        step = memo[key] = _step(
+            snapshot, config, states, algorithm, visibility, communication
+        )
+    return step
+
+
+def _step(snapshot, config, states, algorithm, visibility, communication):
+    """``round_step`` without a memo."""
     comps = components(snapshot)
     views = node_views(snapshot, config, visibility)
     terminated = {a for a, st in states.items() if st.terminated}
@@ -410,6 +445,21 @@ class RunResult:
         return Schedule(rec.snapshot for rec in self.records)
 
     def to_text(self) -> str:
+        # each distinct graph, placement, action set and partition is
+        # formatted once.  Steps of repeated rounds share their actions and
+        # components, so those are told apart by identity; the records hold
+        # them, so no id is reused while this runs.
+        edge_texts: dict[Snapshot, str] = {}
+        placement_texts: dict[tuple, str] = {}
+        action_texts: dict[int, str] = {}
+        comp_texts: dict[int, str] = {}
+
+        def once(texts: dict, key, render, value) -> str:
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = render(value)
+            return text
+
         def fmt_placement(pos: dict[int, int]) -> str:
             at: dict[int, list[int]] = {}
             for a in sorted(pos):
@@ -418,6 +468,12 @@ class RunResult:
                 f"{node}:{','.join(map(str, ids))}" for node, ids in sorted(at.items())
             )
 
+        def fmt_actions(actions: dict[int, Action]) -> str:
+            return " ".join(f"{a}:{actions[a].code()}" for a in sorted(actions))
+
+        def fmt_comps(comps: list[list[int]]) -> str:
+            return "|".join(",".join(map(str, c)) for c in comps)
+
         lines = [
             f"trace v=1 n={self.n} k={self.k} T={self.T if self.T else '-'}"
             f" algorithm={self.algorithm} visibility={self.visibility}"
@@ -425,18 +481,18 @@ class RunResult:
         ]
         for rec in self.records:
             lines.append(f"round r={rec.r}")
-            lines.append("edges:" + format_edges(rec.snapshot))
-            lines.append("pos: " + fmt_placement(rec.before))
-            lines.append(
-                "act: "
-                + " ".join(
-                    f"{a}:{rec.actions[a].code()}" for a in sorted(rec.actions)
-                )
-            )
-            lines.append("post: " + fmt_placement(rec.after))
-            lines.append(
-                "comp: " + "|".join(",".join(map(str, c)) for c in rec.components)
-            )
+            lines.append("edges:" + once(
+                edge_texts, rec.snapshot, format_edges, rec.snapshot))
+            lines.append("pos: " + once(
+                placement_texts, tuple(rec.before.items()), fmt_placement,
+                rec.before))
+            lines.append("act: " + once(
+                action_texts, id(rec.actions), fmt_actions, rec.actions))
+            lines.append("post: " + once(
+                placement_texts, tuple(rec.after.items()), fmt_placement,
+                rec.after))
+            lines.append("comp: " + once(
+                comp_texts, id(rec.components), fmt_comps, rec.components))
             lines.append(f"msgs: {rec.messages}")
         out = lambda v: "-" if v is None else str(v)
         lines.append(
@@ -496,13 +552,21 @@ def run(
         raise GraphError("schedule source must expose its node count n")
     config = Configuration(n, placement)
     states = {a: AgentState(id=a) for a in ids}
+    # every step of this run, by its inputs: the adversaries repeat their
+    # graphs, so rounds repeat, and the oracle's previews share the memo.
+    # A step's inputs fix where its moves lead, so the configuration after
+    # it is kept by the step's id (the memo keeps every step alive).
+    memo: dict = {}
+    afters: dict[int, Configuration] = {}
     # the oracle's last preview as (snapshot, config, states, step); the
     # round reuses the step when the adversary emits that very snapshot
     preview = None
     if getattr(source, "needs_oracle", False) and getattr(source, "oracle", None) is None:
         def oracle(snap, cfg, sts):
             nonlocal preview
-            step = round_step(snap, cfg, sts, algorithm, visibility, communication)
+            step = round_step(
+                snap, cfg, sts, algorithm, visibility, communication, memo
+            )
             preview = (snap, cfg, sts, step)
             return dict(step.actions)
 
@@ -530,11 +594,16 @@ def run(
             step = preview[3]
         else:
             step = round_step(
-                snapshot, config, states, algorithm, visibility, communication
+                snapshot, config, states, algorithm, visibility, communication,
+                memo,
             )
         preview = None
         states = step.states
-        after = apply_actions(snapshot, config, step.actions)
+        after = afters.get(id(step))
+        if after is None:
+            after = afters[id(step)] = apply_actions(
+                snapshot, config, step.actions
+            )
         records.append(
             RoundRecord(
                 r=r,

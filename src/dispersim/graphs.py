@@ -39,6 +39,7 @@ class Edge:
 
 
 _ENDPOINTS = attrgetter("u", "v")
+_PAIRS = attrgetter("pairs")
 
 
 class Snapshot:
@@ -151,7 +152,9 @@ class Snapshot:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        # equal snapshots have equal pairs, and a frozenset hashes in C and
+        # keeps its hash, so the round memo never hashes every Edge
+        return hash((self.n, self.pairs))
 
     def __repr__(self) -> str:
         return f"Snapshot(n={self.n}, edges={len(self.edges)})"
@@ -189,6 +192,19 @@ def components(snapshot: Snapshot) -> list[list[int]]:
     return snapshot.comps
 
 
+def parse_int(digits: str) -> int:
+    """The value of a field already checked to be decimal digits.
+
+    ``int`` refuses a field longer than the interpreter's digit limit
+    (4,300 by default) with a bare ValueError; that is malformed input
+    like any other, so it raises GraphError.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        raise GraphError(f"number of {len(digits)} digits is too long") from None
+
+
 _EDGE_TOKEN = re.compile(r"(\d+)-(\d+):(\d+),(\d+)")
 
 
@@ -199,7 +215,7 @@ def parse_edges(field: str) -> list[Edge]:
         m = _EDGE_TOKEN.fullmatch(tok)
         if not m:
             raise GraphError(f"bad edge token {tok!r}")
-        edges.append(Edge(*map(int, m.groups())))
+        edges.append(Edge(*map(parse_int, m.groups())))
     return edges
 
 
@@ -210,26 +226,27 @@ def format_edges(snapshot: Snapshot) -> str:
     )
 
 
-class ParseCache(dict):
-    """``parse(text)`` of each distinct text, parsed at its first lookup.
+class Memo(dict):
+    """``compute(key)`` of each distinct key, computed at its first lookup.
 
-    Equal texts share one result, which callers must not mutate.  A text
-    that fails to parse is not stored, so every lookup of it raises.
+    Equal keys share one result, which callers must not mutate.  A key
+    whose computation raises is not stored, so every lookup of it raises.
+    The parsers use it for field texts, the adversaries for their graphs.
     """
 
-    def __init__(self, parse) -> None:
+    def __init__(self, compute) -> None:
         super().__init__()
-        self.parse = parse
+        self.compute = compute
 
-    def __missing__(self, text):
-        value = self[text] = self.parse(text)
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
         return value
 
 
-def snapshot_cache(n: int) -> ParseCache:
+def snapshot_cache(n: int) -> Memo:
     """One validated Snapshot on n nodes per distinct edge-token text, so
     rounds that repeat a graph share its Snapshot and its components."""
-    return ParseCache(lambda text: Snapshot(n, parse_edges(text)))
+    return Memo(lambda text: Snapshot(n, parse_edges(text)))
 
 
 def _diameter(n: int, pairs) -> float:
@@ -311,7 +328,10 @@ class Schedule:
         m = re.fullmatch(r"n=(\d+) rounds=(\d+)", header)
         if not m:
             raise GraphError(f"line {body_start}: bad header {header!r}")
-        n, rounds = int(m.group(1)), int(m.group(2))
+        try:
+            n, rounds = parse_int(m.group(1)), parse_int(m.group(2))
+        except GraphError as exc:
+            raise GraphError(f"line {body_start}: {exc}") from None
         body = [
             (i + 1, line)
             for i in range(body_start, len(lines))
@@ -329,7 +349,10 @@ class Schedule:
             m = re.fullmatch(r"r=(\d+):(.*)", line)
             if not m:
                 raise GraphError(f"line {lineno}: expected 'r=<r>: <edges>'")
-            r = int(m.group(1))
+            try:
+                r = parse_int(m.group(1))
+            except GraphError as exc:
+                raise GraphError(f"line {lineno}: {exc}") from None
             if not 0 <= r < rounds:
                 raise GraphError(f"line {lineno}: round {r} outside 0..{rounds - 1}")
             if snaps[r] is not None:
@@ -424,36 +447,55 @@ def check_property(schedule: Schedule, prop: str, T: int) -> ConnectivityReport:
             f"insufficient trace: T={T} but only {schedule.rounds} rounds"
         )
     n = schedule.n
-    witness = None
     if prop == "t_path":
-        # label[r][v] = least member of v's component at round r
-        labels = []
-        for s in schedule.snapshots:
-            lab = [0] * n
-            for comp in components(s):
-                for v in comp:
-                    lab[v] = comp[0]
-            labels.append(lab)
-        for r in range(schedule.rounds - T + 1):
-            win = labels[r : r + T]
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if not any(lab[u] == lab[v] for lab in win):
-                        witness = (r, (u, v))
-                        break
-                if witness:
-                    break
-            if witness:
-                break
+        # rows[id][v] = bitmask of v's component, built on first use; a
+        # window holds when every node's OR over it covers all n nodes
+        rows: dict[int, list[int]] = {}
+        full = (1 << n) - 1
+
+        def split(snaps):
+            reach = None
+            for i, s in dict(zip(map(id, snaps), snaps)).items():
+                row = rows.get(i)
+                if row is None:
+                    row = rows[i] = [0] * n
+                    for comp in components(s):
+                        mask = sum(1 << v for v in comp)
+                        for v in comp:
+                            row[v] = mask
+                reach = row if reach is None else [
+                    a | b for a, b in zip(reach, row)
+                ]
+            if reach.count(full) == n:
+                return None
+            # the least node that misses anyone misses only greater nodes
+            # (a lesser one would miss it back); report its least miss
+            u = next(u for u, mask in enumerate(reach) if mask != full)
+            missing = full & ~reach[u]
+            return u, (missing & -missing).bit_length() - 1
     else:
-        mode = "intersection" if prop == "t_interval" else "union"
-        for r in range(schedule.rounds - T + 1):
-            comps = _components_from_pairs(
-                n, _window_pairs(schedule, r, T, mode)
-            )
-            if len(comps) > 1:
-                witness = (r, (comps[0][0], comps[1][0]))
-                break
+        combine = frozenset.intersection if prop == "t_interval" else frozenset.union
+
+        def split(snaps):
+            comps = _components_from_pairs(n, combine(*map(_PAIRS, snaps)))
+            return (comps[0][0], comps[1][0]) if len(comps) > 1 else None
+
+    # union, intersection and a pair's meeting in some round all ignore
+    # repeats and order, so a window's verdict depends only on the set of
+    # its snapshots, and a set that held once holds again
+    witness = None
+    held = set()
+    for r in range(schedule.rounds - T + 1):
+        snaps = schedule.snapshots[r : r + T]
+        # until a window holds there is nothing to look up
+        key = frozenset(map(id, snaps)) if held else None
+        if key in held:
+            continue
+        pair = split(snaps)
+        if pair is not None:
+            witness = (r, pair)
+            break
+        held.add(key or frozenset(map(id, snaps)))
     return ConnectivityReport(
         property=prop,
         T=T,

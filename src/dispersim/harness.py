@@ -35,10 +35,11 @@ from .engine import (
 )
 from .graphs import (
     GraphError,
-    ParseCache,
+    Memo,
     Schedule,
     Snapshot,
     check_property,
+    parse_int,
     snapshot_cache,
 )
 
@@ -325,22 +326,22 @@ def _parse_placement(text: str, n: int) -> dict[int, int]:
         # would also take "+1", " 1" and "1_0"
         if not (sep and node.isdecimal() and all(a.isdecimal() for a in agents)):
             raise EngineError(f"bad placement token {tok!r}")
-        node = int(node)
+        node = parse_int(node)
         for a in agents:
-            placement[int(a)] = node
+            placement[parse_int(a)] = node
     if placement and max(placement.values()) >= n:
         a = min(a for a, v in placement.items() if v >= n)
         raise EngineError(f"agent {a} placed on node {placement[a]}, n={n}")
     return placement
 
 
-def _parse_actions(text: str, codes: ParseCache) -> dict[int, Action]:
+def _parse_actions(text: str, codes: Memo) -> dict[int, Action]:
     actions = {}
     for tok in text.split():
         agent, sep, code = tok.partition(":")
         if not (sep and agent.isdecimal() and code):
             raise EngineError(f"bad action token {tok!r}")
-        actions[int(agent)] = codes[code]
+        actions[parse_int(agent)] = codes[code]
     return actions
 
 
@@ -349,13 +350,13 @@ def _parse_comp(text: str) -> list[list[int]]:
         return []
     if not _COMP_FIELD.fullmatch(text):
         raise EngineError(f"bad comp field {text!r}")
-    return [[int(x) for x in part.split(",")] for part in text.split("|")]
+    return [[parse_int(x) for x in part.split(",")] for part in text.split("|")]
 
 
 def _parse_msgs(text: str) -> int:
     if not text.isdecimal():
         raise EngineError(f"bad msgs field {text!r}")
-    return int(text)
+    return parse_int(text)
 
 
 # a round block's field lines, in line order and in _TraceRound order
@@ -386,24 +387,27 @@ def parse_trace(text: str):
     )
     if not m:
         raise EngineError(f"bad trace header: {lines[0]!r}")
-    header = {
-        "n": int(m.group(1)),
-        "k": int(m.group(2)),
-        "T": None if m.group(3) == "-" else int(m.group(3)),
-        "algorithm": m.group(4),
-        "visibility": m.group(5),
-        "communication": m.group(6),
-    }
+    try:
+        header = {
+            "n": parse_int(m.group(1)),
+            "k": parse_int(m.group(2)),
+            "T": None if m.group(3) == "-" else parse_int(m.group(3)),
+            "algorithm": m.group(4),
+            "visibility": m.group(5),
+            "communication": m.group(6),
+        }
+    except GraphError as exc:
+        raise EngineError(f"line 1: {exc}") from None
     n = header["n"]
-    codes = ParseCache(Action.from_code)
-    placements = ParseCache(lambda text: _parse_placement(text, n))
+    codes = Memo(Action.from_code)
+    placements = Memo(lambda text: _parse_placement(text, n))
     parsers = (
         snapshot_cache(n),
         placements,
-        ParseCache(lambda text: _parse_actions(text, codes)),
+        Memo(lambda text: _parse_actions(text, codes)),
         placements,
-        ParseCache(_parse_comp),
-        ParseCache(_parse_msgs),
+        Memo(_parse_comp),
+        Memo(_parse_msgs),
     )
     rounds: list[_TraceRound] = []
     i = 1
@@ -413,6 +417,10 @@ def parse_trace(text: str):
         rm = _ROUND_LINE.fullmatch(lines[i])
         if not rm:
             raise EngineError(f"line {i + 1}: bad round line")
+        try:
+            r = parse_int(rm.group(1))
+        except GraphError as exc:
+            raise EngineError(f"line {i + 1}: {exc}") from None
         texts = []
         for f, want in enumerate(_FIELDS):
             line = lines[i + 1 + f]
@@ -425,7 +433,7 @@ def parse_trace(text: str):
                 values[f] = parsers[f][texts[f]]
             except (GraphError, EngineError) as exc:
                 raise EngineError(f"line {i + 2 + f}: {exc}") from None
-        rounds.append(_TraceRound(int(rm.group(1)), *values))
+        rounds.append(_TraceRound(r, *values))
         i += 7
     if i >= len(lines) or not lines[i].startswith("end "):
         raise EngineError("trace missing end line")
@@ -436,14 +444,17 @@ def parse_trace(text: str):
     )
     if not em:
         raise EngineError(f"bad end line: {lines[i]!r}")
-    opt = lambda s: None if s == "-" else int(s)
-    trailer = {
-        "rounds": int(em.group(1)),
-        "dispersed_at": opt(em.group(2)),
-        "explored_at": opt(em.group(3)),
-        "all_terminated_at": opt(em.group(4)),
-        "budget_exhausted": em.group(5) == "1",
-    }
+    opt = lambda s: None if s == "-" else parse_int(s)
+    try:
+        trailer = {
+            "rounds": parse_int(em.group(1)),
+            "dispersed_at": opt(em.group(2)),
+            "explored_at": opt(em.group(3)),
+            "all_terminated_at": opt(em.group(4)),
+            "budget_exhausted": em.group(5) == "1",
+        }
+    except GraphError as exc:
+        raise EngineError(f"line {i + 1}: {exc}") from None
     return header, rounds, trailer
 
 
@@ -467,6 +478,18 @@ def verify_trace(text: str) -> TraceReport:
 
     all_ids = set(range(1, k + 1))
     states = {a: AgentState(id=a) for a in all_ids}
+    # the replay's steps by their inputs, as in run: repeated rounds are
+    # computed once
+    memo: dict = {}
+    # parse_trace shares equal placements, so one Configuration per dict;
+    # rounds keeps every dict alive, so its id is its own
+    configs: dict[int, Configuration] = {}
+
+    def configuration(pos: dict[int, int]) -> Configuration:
+        config = configs.get(id(pos))
+        if config is None:
+            config = configs[id(pos)] = Configuration(n, pos)
+        return config
     terminated: set[int] = set()
     visited: set[int] = set(rounds[0].pos.values()) if rounds else set()
     # multinodes at the start of each round
@@ -508,16 +531,11 @@ def verify_trace(text: str) -> TraceReport:
         for a in terminated:
             if tr.post.get(a) != tr.pos.get(a):
                 note(f"{where}: terminated agent {a} moved")
-        # parse_trace shares the dict of a pos: line that repeats the
-        # previous post:, so that round's configuration carries over
-        if idx > 0 and tr.pos is rounds[idx - 1].post:
-            config = post_config
-        else:
-            config = Configuration(n, tr.pos)
+        config = configuration(tr.pos)
         if tr.pos.keys() <= all_ids:
             step = round_step(
                 tr.snapshot, config, states, alg,
-                header["visibility"], header["communication"],
+                header["visibility"], header["communication"], memo,
             )
             states = step.states
             for a in sorted(tr.actions.keys() | step.actions.keys()):
@@ -531,7 +549,7 @@ def verify_trace(text: str) -> TraceReport:
             if tr.msgs != step.messages:
                 note(f"{where}: msgs={tr.msgs}, recomputed {step.messages}")
         max_messages = max(max_messages, tr.msgs)
-        post_config = Configuration(n, tr.post)
+        post_config = configuration(tr.post)
         multis.append(len(config.multinodes()))
         # cooperative moves never create new multinodes; terminal moves may
         # legally stack agents into the same hole, so skip rounds that

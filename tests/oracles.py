@@ -1,17 +1,26 @@
 """Brute-force reference implementations used only by tests.
 
 Deliberately naive and structurally different from the package code:
-reachability via boolean matrix closure, partitions as frozensets, and a
-trace parser that matches every token with its own regex and builds a
-fresh Snapshot for every round.
+reachability via boolean matrix closure, partitions as frozensets, a
+``t_path`` check over every node pair of every window, a trace parser that
+matches every token with its own regex and builds a fresh Snapshot for
+every round, and a run loop that computes every round afresh.
 """
 
 from __future__ import annotations
 
 import re
 
-from dispersim.engine import Action, EngineError
-from dispersim.graphs import GraphError, Snapshot, parse_edges
+from dispersim.engine import (
+    Action,
+    AgentState,
+    Configuration,
+    EngineError,
+    ScheduleSource,
+    apply_actions,
+    round_step,
+)
+from dispersim.graphs import GraphError, Schedule, Snapshot, components, parse_edges
 
 
 def reach_matrix(n, pairs):
@@ -77,6 +86,97 @@ def oracle_holds(n, pair_sets, prop, T):
         else:
             raise AssertionError(prop)
     return True
+
+
+def t_path_witness(schedule, T):
+    """First failing window of ``t_path`` at T and the least pair it splits,
+    or None: the pair loop over per-round component labels."""
+    n = schedule.n
+    labels = []
+    for s in schedule.snapshots:
+        lab = [0] * n
+        for comp in components(s):
+            for v in comp:
+                lab[v] = comp[0]
+        labels.append(lab)
+    for r in range(schedule.rounds - T + 1):
+        win = labels[r : r + T]
+        for u in range(n):
+            for v in range(u + 1, n):
+                if not any(lab[u] == lab[v] for lab in win):
+                    return (r, (u, v))
+    return None
+
+
+# --- runs ---
+
+
+def run_text(source, placement, algorithm, *, visibility="one",
+             communication="global", max_rounds, T=None):
+    """Trace text of a run in which nothing is shared between rounds: every
+    round, and every oracle preview, calls ``round_step`` without a memo on
+    a fresh copy of the snapshot, and every line is formatted on its own."""
+    if isinstance(source, Schedule):
+        source = ScheduleSource(source)
+
+    def fresh(snap):
+        return Snapshot(snap.n, snap.edges)
+
+    if getattr(source, "needs_oracle", False):
+        source.oracle = lambda snap, cfg, sts: dict(round_step(
+            fresh(snap), cfg, sts, algorithm, visibility, communication
+        ).actions)
+
+    def placement_text(pos):
+        return " ".join(
+            f"{node}:{','.join(str(a) for a in sorted(pos) if pos[a] == node)}"
+            for node in sorted(set(pos.values()))
+        )
+
+    config = Configuration(source.n, placement)
+    states = {a: AgentState(id=a) for a in sorted(placement)}
+    lines = [
+        f"trace v=1 n={source.n} k={len(placement)} T={T if T else '-'}"
+        f" algorithm={algorithm.name} visibility={visibility}"
+        f" communication={communication}"
+    ]
+    visited = set(config.positions.values())
+    dispersed = explored = terminated = None
+    rounds = 0
+    for r in range(max_rounds):
+        snap = fresh(source.next_snapshot(r, config, states))
+        step = round_step(snap, config, states, algorithm, visibility,
+                          communication)
+        after = apply_actions(snap, config, step.actions)
+        lines += [
+            f"round r={r}",
+            "edges:" + "".join(f" {e.u}-{e.v}:{e.port_u},{e.port_v}"
+                               for e in snap.edges),
+            "pos: " + placement_text(config.positions),
+            "act: " + " ".join(f"{a}:{step.actions[a].code()}"
+                               for a in sorted(step.actions)),
+            "post: " + placement_text(after.positions),
+            "comp: " + "|".join(",".join(str(v) for v in c)
+                                for c in step.components),
+            f"msgs: {step.messages}",
+        ]
+        rounds += 1
+        config, states = after, step.states
+        visited |= set(config.positions.values())
+        if dispersed is None and len(set(config.positions.values())) == len(placement):
+            dispersed = r
+        if explored is None and len(visited) == source.n:
+            explored = r
+        if all(st.terminated for st in states.values()):
+            terminated = r
+            break
+    out = lambda v: "-" if v is None else str(v)
+    lines.append(
+        f"end rounds={rounds} dispersed_at={out(dispersed)}"
+        f" explored_at={out(explored)} all_terminated_at={out(terminated)}"
+        f" budget_exhausted={int(terminated is None)}"
+    )
+    return "\n".join(lines) + "\n"
 
 
 # --- trace text ---

@@ -324,3 +324,32 @@ def test_adaptive_replays_are_byte_identical():
                    max_rounds=40).to_text()
 
     assert go_oracle() == go_oracle()
+
+
+# --- interned snapshots ---
+
+
+@pytest.mark.parametrize("kind, kwargs, placement, alg", [
+    ("ct_dispersion", dict(k=4, T=3), colocated(4), "alg1_implicit"),
+    ("kt_lower", dict(k=4, T=3), colocated(4), "alg1_explicit"),
+    ("ct_exploration", dict(k=3, T=3), colocated(3), "alg3"),
+    ("sorted_path", dict(variant="comm"), colocated(6), "alg3"),
+    ("sorted_path", dict(variant="dispersed"), {a: a for a in range(1, 7)},
+     "greedy_port0"),
+])
+def test_adversary_emits_a_repeated_graph_as_one_snapshot(kind, kwargs,
+                                                          placement, alg):
+    adv = make_adversary(kind, 7, **kwargs)
+    res = run(adv, placement, make_algorithm(alg, T=kwargs.get("T")),
+              communication="f2f" if kind == "sorted_path" else "global",
+              max_rounds=30, T=kwargs.get("T"))
+    snaps = [rec.snapshot for rec in res.records]
+    distinct = set(snaps)
+    assert len(distinct) < len(snaps)
+    # equal graphs are one object
+    assert len({id(s) for s in snaps}) == len(distinct)
+
+
+def test_reference_schedules_share_one_snapshot_per_pattern():
+    sch = perpetual_demo_schedule(18)
+    assert all(sch.snapshots[r] is sch.snapshots[r % 6] for r in range(18))

@@ -22,9 +22,11 @@ from dispersim.engine import (
     stitch_component,
 )
 from dispersim import algorithms, engine
-from dispersim.adversary import make_adversary
-from dispersim.algorithms import make_algorithm
+from dispersim.adversary import gen_random_with_property, make_adversary
+from dispersim.algorithms import ALGORITHM_NAMES, make_algorithm
 from dispersim.graphs import GraphError, Schedule, Snapshot
+
+import oracles
 
 DATA = Path(__file__).parent / "data"
 
@@ -271,3 +273,74 @@ def test_oracle_reuse_does_not_change_sorted_path_traces(
         assert next(calls, None) is None
         assert recomputed == res.rounds if wrap else recomputed < res.rounds
     assert texts[0] == texts[1]
+
+
+# --- the round memo ---
+
+
+def test_round_memo_returns_the_step_of_equal_inputs():
+    alg = make_algorithm("alg3")
+    memo: dict = {}
+    args = (path4(), Configuration(4, {1: 0, 2: 0}),
+            {a: AgentState(id=a) for a in (1, 2)}, alg, "one", "global")
+    step = round_step(*args, memo)
+    assert round_step(*args, memo) is step
+    # equal inputs in new objects find the same step
+    again = (Snapshot.from_pairs(4, [(0, 1), (1, 2), (2, 3)]),
+             Configuration(4, {1: 0, 2: 0}),
+             {a: AgentState(id=a) for a in (1, 2)}, alg, "one", "global")
+    assert round_step(*again, memo) is step
+    # a different state, or the same placement in another order, is a miss
+    other = (args[0], args[1], {1: AgentState(1, t=1), 2: AgentState(2)},
+             alg, "one", "global")
+    assert round_step(*other, memo) is not step
+    swapped = (args[0], Configuration(4, {2: 0, 1: 0}), args[2], alg, "one",
+               "global")
+    assert round_step(*swapped, memo) is not step
+    assert len(memo) == 3
+    assert round_step(*args) == step
+
+
+# every source repeats graphs and placements; agents in dispersed_n start
+# one per node behind the hole at node 0
+MEMO_SOURCES = {
+    "ct_dispersion": (lambda: make_adversary("ct_dispersion", 6, k=4, T=3),
+                      {a: 0 for a in range(1, 5)}, 30),
+    "sorted_path:comm": (lambda: make_adversary("sorted_path", 7,
+                                                variant="comm"),
+                         {a: 0 for a in range(1, 7)}, 24),
+    "sorted_path:visibility": (lambda: make_adversary("sorted_path", 7,
+                                                      variant="visibility"),
+                               {a: 0 for a in range(1, 7)}, 24),
+    "sorted_path:dispersed": (lambda: make_adversary("sorted_path", 7,
+                                                     variant="dispersed"),
+                              {a: a for a in range(1, 7)}, 24),
+    "random:t_path": (lambda: gen_random_with_property(3, 7, "t_path", 3,
+                                                       0.15, 24),
+                      {a: 0 for a in range(1, 6)}, 24),
+}
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (GraphError, EngineError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("source", sorted(MEMO_SOURCES))
+def test_round_memo_cannot_be_observed(source):
+    make_source, placement, rounds = MEMO_SOURCES[source]
+    for name in ALGORITHM_NAMES:
+        for visibility in ("zero", "one"):
+            for communication in ("global", "f2f"):
+                kwargs = dict(visibility=visibility,
+                              communication=communication,
+                              max_rounds=rounds, T=3)
+                got = _outcome(lambda: run(
+                    make_source(), placement,
+                    make_algorithm(name, T=3), **kwargs).to_text())
+                want = _outcome(lambda: oracles.run_text(
+                    make_source(), placement,
+                    make_algorithm(name, T=3), **kwargs))
+                assert got == want, (source, name, visibility, communication)

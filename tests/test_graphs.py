@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from dispersim import graphs
+from dispersim import cli, graphs
 from dispersim.graphs import (
     Edge,
     GraphError,
@@ -156,6 +157,24 @@ def test_schedule_parse_errors_carry_line_numbers():
         Schedule.from_text("nodes=2\n")
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("n=3 rounds=1\nr=0: " + "1" * 5000 + "-0:0,0\n", 2),
+    ("n=" + "1" * 5000 + " rounds=1\nr=0:\n", 1),
+    ("n=3 rounds=1\nr=" + "1" * 5000 + ":\n", 2),
+], ids=["edge", "header", "round"])
+def test_overlong_schedule_numbers_name_their_line(tmp_path, capsys, text,
+                                                   lineno):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python converts integers of any length")
+    with pytest.raises(GraphError, match=f"^line {lineno}: .*5000 digits"):
+        Schedule.from_text(text)
+    path = tmp_path / "long.sched"
+    path.write_text(text)
+    assert cli.main(["classify", str(path)], out=lambda *_: None) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: line {lineno}: ")
+
+
 def test_schedule_header_cannot_outgrow_its_body():
     # the header alone must not size an allocation
     with pytest.raises(GraphError, match="line 1: .*rounds=1000000000000"):
@@ -294,6 +313,45 @@ def test_checkers_match_oracle_spot():
                 got = check_property(sch, prop, T).holds
                 want = oracles.oracle_holds(n, pair_sets, prop, T)
                 assert got == want, (n, rounds, prop, T, pair_sets)
+
+
+def test_snapshot_hash_follows_equality_without_hashing_edges(monkeypatch):
+    def unhashable(edge):
+        raise AssertionError("hashed an Edge")
+
+    monkeypatch.setattr(Edge, "__hash__", unhashable)
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randint(1, 7)
+        fast = Snapshot.from_pairs(n, random_pairs(rng, n, rng.random()))
+        slow = Snapshot(n, fast.edges)
+        assert fast == slow and hash(fast) == hash(slow)
+    # the same pairs with other ports: equal hashes, yet distinct keys
+    path = Snapshot(3, [Edge(0, 1, 0, 0), Edge(1, 2, 1, 0)])
+    flipped = Snapshot(3, [Edge(0, 1, 0, 1), Edge(1, 2, 0, 0)])
+    assert path != flipped and hash(path) == hash(flipped)
+    assert len({path: 1, flipped: 2, Snapshot(3, path.edges): 3}) == 2
+
+
+def _periodic_schedule(rng, n, rounds):
+    """A random schedule that cycles through a few random graphs."""
+    graphs = [Snapshot.from_pairs(n, random_pairs(rng, n, rng.uniform(0.1, 0.6)))
+              for _ in range(rng.randint(1, 4))]
+    return Schedule(rng.choice(graphs) for _ in range(rounds))
+
+
+def test_t_path_witness_matches_the_pair_loop():
+    rng = random.Random(20261018)
+    for i in range(300):
+        n = rng.randint(1, 9)
+        rounds = rng.randint(1, 12)
+        make = random_schedule if i % 2 else _periodic_schedule
+        sch = make(rng, n, rounds)
+        for T in range(1, rounds + 1):
+            report = check_property(sch, "t_path", T)
+            want = oracles.t_path_witness(sch, T)
+            assert report.witness == want, (n, rounds, T)
+            assert report.holds == (want is None)
 
 
 def test_components_match_oracle_partition():

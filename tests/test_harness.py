@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -395,6 +396,60 @@ def test_verify_catches_forged_legal_action():
     assert verify_trace(text).ok
     report = verify_trace(_forge_action(text, 29, 4, "s"))
     assert any(v.startswith("round 29: agent 4 ") for v in report.violations)
+
+
+def test_forged_action_on_a_repeated_round_is_reported(monkeypatch):
+    # alg3 keeps no state, so a round whose graph and positions repeat an
+    # earlier round's is a memo hit in the replay
+    text = run(make_adversary("ct_dispersion", 6, k=4, T=3),
+               {a: 0 for a in range(1, 5)}, make_algorithm("alg3"),
+               max_rounds=30, T=3).to_text()
+    rounds = harness.parse_trace(text)[1]
+    r = max(i for i, tr in enumerate(rounds) if any(
+        prev.snapshot is tr.snapshot and prev.pos == tr.pos
+        for prev in rounds[:i]
+    ) and any(act.port is not None for act in tr.actions.values()))
+    agent, act = next((a, act) for a, act in sorted(rounds[r].actions.items())
+                      if act.port is not None)
+    hits = []
+    original = harness.round_step
+
+    def recording(*args):
+        size = len(args[6])
+        step = original(*args)
+        hits.append(len(args[6]) == size)
+        return step
+
+    monkeypatch.setattr(harness, "round_step", recording)
+    assert verify_trace(text).ok
+    assert hits[r]
+    hits.clear()
+    report = verify_trace(_forge_action(text, r, agent, "s"))
+    assert hits[r]
+    assert (f"round {r}: agent {agent} recorded s, alg3 computes"
+            f" {act.code()}") in report.violations
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("pos: ", "pos: " + "1" * 5000 + ":1,2,3,4"),
+    ("act: ", "act: 1:m" + "1" * 5000 + " 2:s 3:s 4:s"),
+    ("comp: ", "comp: " + "1" * 5000),
+    ("msgs: ", "msgs: " + "1" * 5000),
+    ("round ", "round r=" + "1" * 5000),
+], ids=["pos", "act", "comp", "msgs", "round"])
+def test_overlong_trace_numbers_name_their_line(tmp_path, capsys, field, bad):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python converts integers of any length")
+    text = _clean_run().to_text()
+    lineno = _field_lines(text, field)[0][0]
+    broken = _rewrite_first(text, field, lambda _: bad)
+    with pytest.raises(EngineError, match=f"^line {lineno}: .*5000 digits"):
+        verify_trace(broken)
+    path = tmp_path / "broken.trace"
+    path.write_text(broken)
+    assert cli.main(["verify", str(path)], out=lambda *_: None) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: line {lineno}: ")
 
 
 def test_zero_hop_view_is_projection_of_one_hop():

@@ -354,22 +354,39 @@ def round_step(
     visibility and communication.  It maps the round's inputs (snapshot,
     positions and agent states, each in its order) to their step, so a
     round that repeats an earlier one returns the earlier step itself:
-    its dicts and lists are shared and must not be mutated.
+    its dicts and lists are shared and must not be mutated.  A graph's
+    first round is kept with its configuration and states themselves, and
+    keyed only when the graph comes again, so a run whose graphs never
+    repeat builds no key; those inputs must not be mutated either.
     """
     if memo is None:
         return _step(snapshot, config, states, algorithm, visibility,
                      communication)
-    key = (
-        snapshot,
-        tuple(config.positions.items()),
-        tuple((a, st.id, st.t, st.terminated) for a, st in states.items()),
-    )
-    step = memo.get(key)
+    steps = memo.get(snapshot)
+    if steps is None:
+        step = _step(snapshot, config, states, algorithm, visibility,
+                     communication)
+        memo[snapshot] = (config, states, step)
+        return step
+    if type(steps) is tuple:
+        first_config, first_states, first = steps
+        steps = memo[snapshot] = {_inputs(first_config, first_states): first}
+    key = _inputs(config, states)
+    step = steps.get(key)
     if step is None:
-        step = memo[key] = _step(
+        step = steps[key] = _step(
             snapshot, config, states, algorithm, visibility, communication
         )
     return step
+
+
+def _inputs(config: Configuration, states: Mapping[int, AgentState]) -> tuple:
+    """Memo key of a round on a given graph: positions and agent states,
+    each in its order."""
+    return (
+        tuple(config.positions.items()),
+        tuple((a, st.id, st.t, st.terminated) for a, st in states.items()),
+    )
 
 
 def _step(snapshot, config, states, algorithm, visibility, communication):
@@ -445,34 +462,24 @@ class RunResult:
         return Schedule(rec.snapshot for rec in self.records)
 
     def to_text(self) -> str:
-        # each distinct graph, placement, action set and partition is
-        # formatted once.  Steps of repeated rounds share their actions and
-        # components, so those are told apart by identity; the records hold
-        # them, so no id is reused while this runs.
-        edge_texts: dict[Snapshot, str] = {}
+        # a record's components are its snapshot's, so the edges: and comp:
+        # lines are formatted once per distinct graph, and pos: and post:
+        # once per distinct placement
+        graph_texts: dict[Snapshot, tuple[str, str]] = {}
         placement_texts: dict[tuple, str] = {}
-        action_texts: dict[int, str] = {}
-        comp_texts: dict[int, str] = {}
-
-        def once(texts: dict, key, render, value) -> str:
-            text = texts.get(key)
-            if text is None:
-                text = texts[key] = render(value)
-            return text
 
         def fmt_placement(pos: dict[int, int]) -> str:
-            at: dict[int, list[int]] = {}
-            for a in sorted(pos):
-                at.setdefault(pos[a], []).append(a)
-            return " ".join(
-                f"{node}:{','.join(map(str, ids))}" for node, ids in sorted(at.items())
-            )
-
-        def fmt_actions(actions: dict[int, Action]) -> str:
-            return " ".join(f"{a}:{actions[a].code()}" for a in sorted(actions))
-
-        def fmt_comps(comps: list[list[int]]) -> str:
-            return "|".join(",".join(map(str, c)) for c in comps)
+            key = tuple(pos.items())
+            text = placement_texts.get(key)
+            if text is None:
+                at: dict[int, list[int]] = {}
+                for a in sorted(pos):
+                    at.setdefault(pos[a], []).append(a)
+                text = placement_texts[key] = " ".join(
+                    f"{node}:{','.join(map(str, ids))}"
+                    for node, ids in sorted(at.items())
+                )
+            return text
 
         lines = [
             f"trace v=1 n={self.n} k={self.k} T={self.T if self.T else '-'}"
@@ -480,19 +487,24 @@ class RunResult:
             f" communication={self.communication}"
         ]
         for rec in self.records:
+            graph = graph_texts.get(rec.snapshot)
+            if graph is None:
+                graph = graph_texts[rec.snapshot] = (
+                    "edges:" + format_edges(rec.snapshot),
+                    "comp: "
+                    + "|".join(",".join(map(str, c)) for c in rec.components),
+                )
             lines.append(f"round r={rec.r}")
-            lines.append("edges:" + once(
-                edge_texts, rec.snapshot, format_edges, rec.snapshot))
-            lines.append("pos: " + once(
-                placement_texts, tuple(rec.before.items()), fmt_placement,
-                rec.before))
-            lines.append("act: " + once(
-                action_texts, id(rec.actions), fmt_actions, rec.actions))
-            lines.append("post: " + once(
-                placement_texts, tuple(rec.after.items()), fmt_placement,
-                rec.after))
-            lines.append("comp: " + once(
-                comp_texts, id(rec.components), fmt_comps, rec.components))
+            lines.append(graph[0])
+            lines.append("pos: " + fmt_placement(rec.before))
+            lines.append(
+                "act: "
+                + " ".join(
+                    f"{a}:{rec.actions[a].code()}" for a in sorted(rec.actions)
+                )
+            )
+            lines.append("post: " + fmt_placement(rec.after))
+            lines.append(graph[1])
             lines.append(f"msgs: {rec.messages}")
         out = lambda v: "-" if v is None else str(v)
         lines.append(

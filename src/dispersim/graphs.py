@@ -432,6 +432,10 @@ class ConnectivityReport:
         return out
 
 
+def _mask(nodes) -> int:
+    return sum(1 << v for v in nodes)
+
+
 def check_property(schedule: Schedule, prop: str, T: int) -> ConnectivityReport:
     """Check one window property over all complete windows of the trace.
 
@@ -448,31 +452,45 @@ def check_property(schedule: Schedule, prop: str, T: int) -> ConnectivityReport:
         )
     n = schedule.n
     if prop == "t_path":
-        # rows[id][v] = bitmask of v's component, built on first use; a
-        # window holds when every node's OR over it covers all n nodes
-        rows: dict[int, list[int]] = {}
         full = (1 << n) - 1
+        # per distinct snapshot: its components, each node's component and
+        # each component's node bitmask.  A mask is kept only where it costs
+        # no more than a list of its members (64 bits a member), so a table
+        # stays O(n); a sparser one is rebuilt where it is used
+        tables: dict[int, tuple] = {}
+
+        def table(s):
+            t = tables.get(id(s))
+            if t is None:
+                comps = components(s)
+                label = [0] * n
+                masks = []
+                for i, comp in enumerate(comps):
+                    for v in comp:
+                        label[v] = i
+                    masks.append(
+                        _mask(comp) if comp[-1] < 64 * len(comp) else None
+                    )
+                t = tables[id(s)] = (comps, label, masks)
+            return t
 
         def split(snaps):
-            reach = None
-            for i, s in dict(zip(map(id, snaps), snaps)).items():
-                row = rows.get(i)
-                if row is None:
-                    row = rows[i] = [0] * n
-                    for comp in components(s):
-                        mask = sum(1 << v for v in comp)
-                        for v in comp:
-                            row[v] = mask
-                reach = row if reach is None else [
-                    a | b for a, b in zip(reach, row)
-                ]
-            if reach.count(full) == n:
-                return None
-            # the least node that misses anyone misses only greater nodes
-            # (a lesser one would miss it back); report its least miss
-            u = next(u for u, mask in enumerate(reach) if mask != full)
-            missing = full & ~reach[u]
-            return u, (missing & -missing).bit_length() - 1
+            ts = [table(s) for s in dict(zip(map(id, snaps), snaps)).values()]
+            if any(len(comps) == 1 for comps, _, _ in ts):
+                return None  # a connected round joins every pair
+            for u in range(n):
+                reach = 0
+                for comps, label, masks in ts:
+                    i = label[u]
+                    mask = masks[i]
+                    reach |= _mask(comps[i]) if mask is None else mask
+                if reach != full:
+                    # the first node to miss anyone misses only greater
+                    # nodes (a lesser one would miss it back); report its
+                    # least miss
+                    missing = full & ~reach
+                    return u, (missing & -missing).bit_length() - 1
+            return None
     else:
         combine = frozenset.intersection if prop == "t_interval" else frozenset.union
 
@@ -482,12 +500,13 @@ def check_property(schedule: Schedule, prop: str, T: int) -> ConnectivityReport:
 
     # union, intersection and a pair's meeting in some round all ignore
     # repeats and order, so a window's verdict depends only on the set of
-    # its snapshots, and a set that held once holds again
+    # its snapshots, and a set that held once holds again.  Keys are built
+    # only once a window has held: most minimal_T steps fail at the first
+    # window, and a key costs O(T)
     witness = None
-    held = set()
+    held: set[frozenset] = set()
     for r in range(schedule.rounds - T + 1):
         snaps = schedule.snapshots[r : r + T]
-        # until a window holds there is nothing to look up
         key = frozenset(map(id, snaps)) if held else None
         if key in held:
             continue

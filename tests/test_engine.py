@@ -297,8 +297,26 @@ def test_round_memo_returns_the_step_of_equal_inputs():
     swapped = (args[0], Configuration(4, {2: 0, 1: 0}), args[2], alg, "one",
                "global")
     assert round_step(*swapped, memo) is not step
-    assert len(memo) == 3
+    # one graph, three distinct rounds on it
+    assert len(memo) == 1 and len(memo[args[0]]) == 3
     assert round_step(*args) == step
+
+
+def test_round_memo_builds_no_key_when_no_graph_repeats(monkeypatch):
+    sched = gen_random_with_property(5, 12, "t_path", 3, 0.2, 30)
+    assert len(set(sched.snapshots)) == sched.rounds
+    keys = []
+    inputs = engine._inputs
+    monkeypatch.setattr(engine, "_inputs",
+                        lambda *args: keys.append(1) or inputs(*args))
+    run(sched, {a: 0 for a in range(1, 7)}, make_algorithm("alg1_implicit"),
+        max_rounds=30)
+    assert keys == []
+    # a graph that comes again keys its first round and the new one
+    again = Schedule([sched.snapshot(0), sched.snapshot(1), sched.snapshot(0)])
+    run(again, {a: 0 for a in range(1, 7)}, make_algorithm("alg1_implicit"),
+        max_rounds=3)
+    assert len(keys) == 2
 
 
 # every source repeats graphs and placements; agents in dispersed_n start

@@ -354,6 +354,53 @@ def test_t_path_witness_matches_the_pair_loop():
             assert report.holds == (want is None)
 
 
+def _tree_without(rng, n, alone):
+    """A random tree on every node but ``alone``, which has no edge."""
+    rest = [v for v in range(n) if v != alone]
+    rng.shuffle(rest)
+    return [(rest[i], rng.choice(rest[:i])) for i in range(1, len(rest))]
+
+
+def test_t_path_witness_matches_the_pair_loop_beyond_64_nodes():
+    # a component whose greatest node is 64 times its size or more has no
+    # kept mask: nodes above 63 alone, and pairs above 127 spread thin.
+    # Node x is alone in one tree, x + n/2 in another, and only the thin
+    # pairs join the two, so windows hold without a connected round
+    rng = random.Random(7)
+    for i in range(60):
+        n = rng.randint(64, 200)
+        x = rng.randrange(n // 2)
+        snaps = [
+            Snapshot.from_pairs(n, pairs) for pairs in (
+                _tree_without(rng, n, x),
+                _tree_without(rng, n, x + n // 2),
+                [(v, v + n // 2) for v in range(n // 2)],
+                random_pairs(rng, n, 0.01),
+            )
+        ]
+        rounds = rng.randint(2, 7)
+        sch = Schedule(rng.choice(snaps) for _ in range(rounds))
+        for T in range(1, rounds + 1):
+            report = check_property(sch, "t_path", T)
+            want = oracles.t_path_witness(sch, T)
+            assert report.witness == want, (i, n, rounds, T)
+            assert report.holds == (want is None)
+
+
+def test_t_path_memory_follows_the_components_not_n_squared():
+    # one n-bit mask per node would take n * n / 16 bytes: 625 MB here
+    sch = Schedule.from_text("n=100000 rounds=1\nr=0:\n")
+    tracemalloc.start()
+    try:
+        report = check_property(sch, "t_path", 1)
+        assert minimal_T(sch, "t_path") is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.witness == (0, (0, 1))
+    assert peak < 40_000_000
+
+
 def test_components_match_oracle_partition():
     rng = random.Random(99)
     for _ in range(200):

@@ -11,9 +11,11 @@ import sys
 
 from .adversary import AdversaryError
 from .engine import EngineError
-from .graphs import PROPERTIES, GraphError, Schedule, check_property, minimal_T
+from .graphs import (
+    PROPERTIES, GraphError, Schedule, check_property, minimal_T, read_text,
+)
 from .harness import (
-    DEMOS,
+    CLAIMS,
     ScenarioError,
     demo,
     parse_scenario,
@@ -21,14 +23,6 @@ from .harness import (
     sweep,
     verify_trace,
 )
-
-
-def _read(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read {path}: {exc}") from exc
 
 
 def _report(report, out) -> int:
@@ -43,7 +37,7 @@ def _report(report, out) -> int:
 
 
 def _cmd_run(args, out) -> int:
-    sc = parse_scenario(_read(args.scenario))
+    sc = parse_scenario(read_text(args.scenario))
     result = run_scenario(sc)
     text = result.to_text()
     if args.trace_out:
@@ -54,11 +48,11 @@ def _cmd_run(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    return _report(verify_trace(_read(args.trace)), out)
+    return _report(verify_trace(read_text(args.trace)), out)
 
 
 def _cmd_demo(args, out) -> int:
-    ids = tuple(DEMOS) if args.id == "all" else (args.id,)
+    ids = tuple(CLAIMS) if args.id == "all" else (args.id,)
     ok = True
     for demo_id in ids:
         ok &= demo(demo_id, out=out)
@@ -79,21 +73,18 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _cmd_sweep(args, out) -> int:
-    _, violations = sweep(_read(args.template), _parse_seeds(args.seeds), out=out)
+    _, violations = sweep(read_text(args.template), _parse_seeds(args.seeds), out=out)
     return 1 if violations else 0
 
 
 def _cmd_classify(args, out) -> int:
     schedule = Schedule.load(args.schedule)
-    if args.property is None:
-        for prop in PROPERTIES:
+    if args.property is None or args.T is None:
+        # without a property every minimal T is reported and the exit is 0
+        for prop in (args.property,) if args.property else PROPERTIES:
             best = minimal_T(schedule, prop)
             out(f"{prop}: minimal T = {best if best is not None else 'none'}")
-        return 0
-    if args.T is None:
-        best = minimal_T(schedule, args.property)
-        out(f"{args.property}: minimal T = {best if best is not None else 'none'}")
-        return 0 if best is not None else 1
+        return 0 if args.property is None or best is not None else 1
     report = check_property(schedule, args.property, args.T)
     out(report.describe())
     return 0 if report.holds else 1
@@ -117,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("demo", help="run an executable claim")
-    p.add_argument("id", choices=tuple(DEMOS) + ("all",))
+    p.add_argument("id", choices=tuple(CLAIMS) + ("all",))
     p.set_defaults(func=_cmd_demo)
 
     p = sub.add_parser("sweep", help="run a scenario template across seeds")

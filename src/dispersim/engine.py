@@ -356,8 +356,9 @@ def round_step(
     round that repeats an earlier one returns the earlier step itself:
     its dicts and lists are shared and must not be mutated.  A graph's
     first round is kept with its configuration and states themselves, and
-    keyed only when the graph comes again, so a run whose graphs never
-    repeat builds no key; those inputs must not be mutated either.
+    keyed only when the graph comes again with other inputs, so a run
+    whose graphs never repeat, and a round that follows its own preview,
+    build no key; those inputs must not be mutated either.
     """
     if memo is None:
         return _step(snapshot, config, states, algorithm, visibility,
@@ -370,6 +371,8 @@ def round_step(
         return step
     if type(steps) is tuple:
         first_config, first_states, first = steps
+        if first_config is config and first_states is states:
+            return first
         steps = memo[snapshot] = {_inputs(first_config, first_states): first}
     key = _inputs(config, states)
     step = steps.get(key)
@@ -565,29 +568,19 @@ def run(
     config = Configuration(n, placement)
     states = {a: AgentState(id=a) for a in ids}
     # every step of this run, by its inputs: the adversaries repeat their
-    # graphs, so rounds repeat, and the oracle's previews share the memo.
-    # A step's inputs fix where its moves lead, so the configuration after
-    # it is kept by the step's id (the memo keeps every step alive).
+    # graphs, so rounds repeat, and the oracle's previews share the memo, so
+    # a round that follows its preview is served from it.  A step's inputs
+    # fix where its moves lead, so the configuration after it is kept by
+    # the step's id (the memo keeps every step alive).
     memo: dict = {}
     afters: dict[int, Configuration] = {}
-    # the oracle's last preview as (snapshot, config, states, step); the
-    # round reuses the step when the adversary emits that very snapshot
-    preview = None
     if getattr(source, "needs_oracle", False) and getattr(source, "oracle", None) is None:
-        def oracle(snap, cfg, sts):
-            nonlocal preview
-            step = round_step(
-                snap, cfg, sts, algorithm, visibility, communication, memo
-            )
-            preview = (snap, cfg, sts, step)
-            return dict(step.actions)
-
-        source.oracle = oracle
+        source.oracle = lambda snap, cfg, sts: dict(round_step(
+            snap, cfg, sts, algorithm, visibility, communication, memo
+        ).actions)
 
     visited = set(config.at)
-    dispersed_at = None
-    explored_at = None
-    all_terminated_at = None
+    dispersed_at = explored_at = all_terminated_at = None
     records: list[RoundRecord] = []
     budget_exhausted = True
 
@@ -597,19 +590,10 @@ def run(
             raise GraphError(
                 f"round {r}: snapshot has n={snapshot.n}, expected {config.n}"
             )
-        if (
-            preview is not None
-            and preview[0] is snapshot
-            and preview[1] is config
-            and preview[2] is states
-        ):
-            step = preview[3]
-        else:
-            step = round_step(
-                snapshot, config, states, algorithm, visibility, communication,
-                memo,
-            )
-        preview = None
+        step = round_step(
+            snapshot, config, states, algorithm, visibility, communication,
+            memo,
+        )
         states = step.states
         after = afters.get(id(step))
         if after is None:

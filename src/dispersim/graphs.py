@@ -192,6 +192,15 @@ def components(snapshot: Snapshot) -> list[list[int]]:
     return snapshot.comps
 
 
+def read_text(path) -> str:
+    """A file's text; an unreadable file is malformed input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise GraphError(f"cannot read {path}: {exc}") from None
+
+
 def parse_int(digits: str) -> int:
     """The value of a field already checked to be decimal digits.
 
@@ -367,12 +376,7 @@ class Schedule:
 
     @classmethod
     def load(cls, path) -> "Schedule":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
-
-    def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
+        return cls.from_text(read_text(path))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Schedule) and self.snapshots == other.snapshots
@@ -525,8 +529,13 @@ def check_property(schedule: Schedule, prop: str, T: int) -> ConnectivityReport:
 
 
 def minimal_T(schedule: Schedule, prop: str) -> int | None:
-    """Least T in 1..rounds at which the property holds, or None."""
-    for T in range(1, schedule.rounds + 1):
+    """Least T in 1..rounds at which the property holds, or None.
+
+    A T-window's intersection lies inside every shorter window's, so
+    ``t_interval`` holds at some T only if it holds at 1.
+    """
+    Ts = range(1, schedule.rounds + 1)
+    for T in Ts[:1] if prop == "t_interval" else Ts:
         if check_property(schedule, prop, T).holds:
             return T
     return None

@@ -1,4 +1,4 @@
-"""Scenarios, trace verification, demo claims, and parameter sweeps.
+"""Scenarios, trace verification, executable claims, and parameter sweeps.
 
 A scenario is a small key=value text file naming a schedule source, an
 algorithm, a placement, and budgets.  Runs produce line-oriented traces;
@@ -10,16 +10,19 @@ It also checks conservation, move legality, termination monotonicity,
 multinode monotonicity and per-window hole progress, and recomputes every
 outcome round.
 
-``demo`` packages the executable claims: each registered id runs a small
-grid and reports the measured bound next to the claimed one.
+``CLAIMS`` holds the executable claims as data: each names an adversary,
+the runs that exhibit its bound and the predicate a run must meet.
+``run_claim`` makes one run of a claim; ``demo`` runs a claim's small grid
+and reports the measured bound next to the claimed one, and the acceptance
+tests run the same claims on larger grids.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 from . import adversary as adv_mod
 from .adversary import AdversaryError, gen_random_with_property, make_adversary
@@ -106,10 +109,7 @@ def parse_scenario(text: str) -> Scenario:
         where = f"line {lines[key]}: " if key in lines else ""
         raise ScenarioError(f"{where}{msg}")
 
-    known = {
-        "n", "k", "schedule", "algorithm", "max_rounds", "T", "visibility",
-        "communication", "placement", "seed", "density", "dispersed_known",
-    }
+    known = {f.name for f in fields(Scenario)}
     for key in values:
         if key not in known:
             fail(key, f"unknown key {key!r}")
@@ -176,8 +176,15 @@ def parse_scenario(text: str) -> Scenario:
 
 def build_placement(sc: Scenario) -> dict[int, int]:
     kind, _, arg = sc.placement.partition(":")
+
+    def number(default: int) -> int:
+        try:
+            return int(arg) if arg else default
+        except ValueError:
+            raise ScenarioError(f"bad {kind} placement {arg!r}") from None
+
     if kind == "colocated":
-        node = int(arg) if arg else 0
+        node = number(0)
         if not 0 <= node < sc.n:
             raise ScenarioError(f"colocated node {node} outside 0..{sc.n - 1}")
         return {a: node for a in range(1, sc.k + 1)}
@@ -186,7 +193,7 @@ def build_placement(sc: Scenario) -> dict[int, int]:
             raise ScenarioError("dispersed placement needs k <= n")
         return {a: a - 1 for a in range(1, sc.k + 1)}
     if kind == "spread":
-        holes = int(arg) if arg else 1
+        holes = number(1)
         if not 1 <= holes < sc.n:
             raise ScenarioError(f"spread holes {holes} outside 1..{sc.n - 1}")
         slots = sc.n - holes
@@ -202,8 +209,8 @@ def build_placement(sc: Scenario) -> dict[int, int]:
         m = _PLACEMENT_TOKEN.fullmatch(part)
         if not m:
             raise ScenarioError(f"bad explicit placement part {part!r}")
-        node = int(m.group(1))
-        for a in (int(x) for x in m.group(2).split(",")):
+        node = parse_int(m.group(1))
+        for a in map(parse_int, m.group(2).split(",")):
             if a in placement:
                 raise ScenarioError(f"agent {a} placed twice")
             placement[a] = node
@@ -271,30 +278,15 @@ class RunMetrics:
     max_messages: int
 
     def lines(self) -> list[str]:
-        out = lambda v: "-" if v is None else str(v)
-        return [
-            f"n={self.n}",
-            f"k={self.k}",
-            f"rounds={self.rounds}",
-            f"algorithm={self.algorithm}",
-            f"dispersed_at={out(self.dispersed_at)}",
-            f"explored_at={out(self.explored_at)}",
-            f"all_terminated_at={out(self.all_terminated_at)}",
-            f"budget_exhausted={int(self.budget_exhausted)}",
-            f"final_multinodes={self.final_multinodes}",
-            f"holes_start={self.holes_start}",
-            f"holes_end={self.holes_end}",
-            f"max_messages={self.max_messages}",
-        ]
+        """``name=value`` per field in order: None is "-", a bool 0 or 1."""
+        def text(v):
+            return "-" if v is None else str(int(v) if type(v) is bool else v)
+        return [f"{f.name}={text(getattr(self, f.name))}" for f in fields(self)]
 
     def table(self) -> str:
-        rows = [line.replace("=", "  ", 1) for line in self.lines()]
-        width = max(len(r.split("  ")[0]) for r in rows)
-        pretty = []
-        for line in self.lines():
-            key, value = line.split("=", 1)
-            pretty.append(f"  {key.ljust(width)}  {value}")
-        return "\n".join(pretty)
+        pairs = [line.split("=", 1) for line in self.lines()]
+        width = max(len(key) for key, _ in pairs)
+        return "\n".join(f"  {key.ljust(width)}  {value}" for key, value in pairs)
 
 
 @dataclass
@@ -327,8 +319,10 @@ def _parse_placement(text: str, n: int) -> dict[int, int]:
         if not (sep and node.isdecimal() and all(a.isdecimal() for a in agents)):
             raise EngineError(f"bad placement token {tok!r}")
         node = parse_int(node)
-        for a in agents:
-            placement[parse_int(a)] = node
+        for a in map(parse_int, agents):
+            if a in placement:
+                raise EngineError(f"agent {a} listed twice")
+            placement[a] = node
     if placement and max(placement.values()) >= n:
         a = min(a for a, v in placement.items() if v >= n)
         raise EngineError(f"agent {a} placed on node {placement[a]}, n={n}")
@@ -341,7 +335,10 @@ def _parse_actions(text: str, codes: Memo) -> dict[int, Action]:
         agent, sep, code = tok.partition(":")
         if not (sep and agent.isdecimal() and code):
             raise EngineError(f"bad action token {tok!r}")
-        actions[parse_int(agent)] = codes[code]
+        a = parse_int(agent)
+        if a in actions:
+            raise EngineError(f"agent {a} listed twice")
+        actions[a] = codes[code]
     return actions
 
 
@@ -494,9 +491,7 @@ def verify_trace(text: str) -> TraceReport:
     visited: set[int] = set(rounds[0].pos.values()) if rounds else set()
     # multinodes at the start of each round
     multis: list[int] = []
-    dispersed_at = None
-    explored_at = None
-    all_terminated_at = None
+    dispersed_at = explored_at = all_terminated_at = None
     max_messages = 0
 
     for idx, tr in enumerate(rounds):
@@ -632,211 +627,199 @@ def verify_result(result: RunResult) -> TraceReport:
     return verify_trace(result.to_text())
 
 
-# --- demos: executable claims ---
+# --- claims: each claimed bound as data ---
 
 
-def _never_visits(res: RunResult, target: int) -> bool:
-    visited = set(res.records[0].before.values()) if res.records else set()
-    for rec in res.records:
-        visited.update(rec.after.values())
-    return target not in visited
+class Row(NamedTuple):
+    """One run of a claim.  ``T`` goes to the algorithm, the adversary and
+    the run; ``placement`` and ``rounds`` override the claim's own."""
+
+    n: int
+    k: int
+    alg: str
+    T: int | None = None
+    placement: str | None = None
+    rounds: int | None = None
 
 
-def _row(out, cells) -> None:
-    out("  " + "  ".join(str(c) for c in cells))
+# the start node of agent a; "shifted" leaves node 0 the only hole
+PLACEMENT_OF = {"colocated": lambda a: 0, "dispersed": lambda a: a - 1,
+                "shifted": lambda a: a}
 
 
-def demo_kt_lower(out) -> bool:
-    out("dispersion on T-Path graphs needs at least (k-1)(T-1) rounds")
-    ok = True
-    for k in (3, 5, 8):
-        for T in (2, 4):
-            n = k + 2
-            bound = (k - 1) * (T - 1)
-            adv = make_adversary("kt_lower", n, k=k, T=T)
-            res = run(adv, {a: 0 for a in range(1, k + 1)},
-                      make_algorithm("alg1_explicit", T=T),
-                      max_rounds=bound + T + 2, T=T)
-            prop = check_property(res.schedule_prefix(), "t_path", T).holds
-            good = (res.dispersed_at is not None
-                    and res.dispersed_at >= bound and prop)
-            ok &= good
-            _row(out, [f"k={k}", f"T={T}", f"dispersed_at={res.dispersed_at}",
-                       f"bound={bound}", f"t_path@{T}={prop}",
-                       "PASS" if good else "FAIL"])
-    return ok
+@dataclass(frozen=True)
+class Claim:
+    """A claimed bound and the adversarial runs that exhibit it.
+
+    A row passes when the run's graphs keep ``prop`` at the row's T (at 1
+    when it has none), the adversary's target, if it has one, is never
+    visited, and ``holds(result, bound)`` is true.  ``fmt`` renders a row
+    from its Row and ClaimRun fields.
+    """
+
+    id: str
+    statement: str
+    rows: tuple[Row, ...]
+    adversary: str
+    budget: Callable[[Row], int]
+    fmt: str
+    holds: Callable[[RunResult, int | None], bool] = lambda res, bound: True
+    variant: str | None = None
+    placement: str = "colocated"
+    visibility: str = "one"
+    communication: str = "global"
+    prop: str | None = None
+    bound: Callable[[Row], int] | None = None
 
 
-def demo_ct_dispersion(out) -> bool:
-    out("no algorithm disperses on Connectivity Time graphs")
-    ok = True
-    for n, k, T in ((4, 3, 2), (6, 4, 3), (8, 8, 3)):
-        budget = 20 * k * T
-        adv = make_adversary("ct_dispersion", n, k=k, T=T)
-        res = run(adv, {a: 0 for a in range(1, k + 1)},
-                  make_algorithm("alg1_implicit"), max_rounds=budget, T=T)
-        prop = check_property(res.schedule_prefix(), "connectivity_time", T).holds
-        good = res.dispersed_at is None and prop
-        ok &= good
-        _row(out, [f"n={n}", f"k={k}", f"T={T}", f"rounds={res.rounds}",
-                   f"dispersed_at={res.dispersed_at}", f"ct@{T}={prop}",
-                   "PASS" if good else "FAIL"])
-    return ok
+class ClaimRun(NamedTuple):
+    result: RunResult
+    bound: int | None
+    # None when the adversary protects no target
+    target_visited: bool | None
+    # "no_window" when the run is shorter than the window; None without prop
+    prop: bool | str | None
+    ok: bool
 
 
-def demo_exp_n_minus_2(out) -> bool:
-    out("n-2 agents cannot explore even 1-interval connected graphs")
-    ok = True
-    for n in (5, 8, 12):
-        k = n - 2
-        for alg in ("alg3", "alg2"):
-            adv = make_adversary("exploration_star", n, k=k)
-            res = run(adv, {a: a - 1 for a in range(1, k + 1)},
-                      make_algorithm(alg), max_rounds=50 * n)
-            prop = check_property(res.schedule_prefix(), "t_interval", 1).holds
-            good = _never_visits(res, n - 1) and prop
-            ok &= good
-            _row(out, [f"n={n}", f"k={k}", alg, f"rounds={res.rounds}",
-                       f"target_visited={not _never_visits(res, n - 1)}",
-                       f"1_interval={prop}", "PASS" if good else "FAIL"])
-    return ok
+def run_claim(claim: Claim, row: Row) -> ClaimRun:
+    """One run of a claim's row, judged as ``demo`` reports it."""
+    adv = make_adversary(claim.adversary, row.n, k=row.k, T=row.T,
+                         variant=claim.variant)
+    start = PLACEMENT_OF[row.placement or claim.placement]
+    res = run(adv, {a: start(a) for a in range(1, row.k + 1)},
+              make_algorithm(row.alg, T=row.T), visibility=claim.visibility,
+              communication=claim.communication,
+              max_rounds=row.rounds or claim.budget(row), T=row.T)
+    seen = set(res.records[0].before.values())
+    seen.update(*(rec.after.values() for rec in res.records))
+    target = getattr(adv, "target", None)
+    visited = None if target is None else target in seen
+    T = row.T or 1
+    prop = None if claim.prop is None else "no_window"
+    if claim.prop is not None and res.rounds >= T:
+        prop = check_property(res.schedule_prefix(), claim.prop, T).holds
+    bound = claim.bound(row) if claim.bound else None
+    ok = prop is not False and not visited and claim.holds(res, bound)
+    return ClaimRun(res, bound, visited, prop, ok)
 
 
-def demo_path_comm(out) -> bool:
-    out("n-1 agents with face-to-face communication cannot explore")
-    ok = True
-    for n in (7, 9):
-        for alg in ("alg3", "alg2"):
-            adv = make_adversary("sorted_path", n, variant="comm")
-            res = run(adv, {a: 0 for a in range(1, n)},
-                      make_algorithm(alg), visibility="one",
-                      communication="f2f", max_rounds=60 * n)
-            prop = check_property(res.schedule_prefix(), "t_interval", 1).holds
-            good = _never_visits(res, n - 1) and prop
-            ok &= good
-            _row(out, [f"n={n}", f"k={n - 1}", alg,
-                       f"target_visited={not _never_visits(res, n - 1)}",
-                       f"1_interval={prop}", "PASS" if good else "FAIL"])
-    return ok
-
-
-def demo_path_visibility(out) -> bool:
-    out("without 1-hop visibility agents cannot explore")
-    ok = True
-    for n in (7, 9):
-        for alg in ("alg3", "alg1_implicit", "greedy_port0"):
-            adv = make_adversary("sorted_path", n, variant="visibility")
-            res = run(adv, {a: 0 for a in range(1, n)},
-                      make_algorithm(alg), visibility="zero",
-                      communication="global", max_rounds=60 * n)
-            prop = check_property(res.schedule_prefix(), "t_interval", 1).holds
-            good = _never_visits(res, n - 1) and prop
-            ok &= good
-            _row(out, [f"n={n}", f"k={n - 1}", alg,
-                       f"target_visited={not _never_visits(res, n - 1)}",
-                       f"1_interval={prop}", "PASS" if good else "FAIL"])
-    return ok
-
-
-def demo_dispersed_block(out) -> bool:
-    out("a blind mover from a dispersed start never completes exploration")
-    ok = True
-    for n in (5, 8):
-        placement = {a: a for a in range(1, n)}  # node 0 stays the hole
-        adv = make_adversary("sorted_path", n, variant="dispersed")
-        res = run(adv, placement, make_algorithm("greedy_port0"),
-                  visibility="zero", max_rounds=100)
-        good = _never_visits(res, 0) and res.explored_at is None
-        ok &= good
-        _row(out, [f"n={n}", f"k={n - 1}", "greedy_port0",
-                   f"rounds={res.rounds}",
-                   f"hole_visited={not _never_visits(res, 0)}",
-                   "PASS" if good else "FAIL"])
-    return ok
-
-
-def demo_time_1int(out) -> bool:
-    out("exploring 1-interval connected graphs takes at least n-2 rounds")
-    ok = True
-    for n in (6, 10, 14):
-        k = n - 1
-        adv = make_adversary("two_stars_time", n)
-        res = run(adv, {a: 0 for a in range(1, k + 1)},
-                  make_algorithm("alg2"), max_rounds=2 * n)
-        prop = check_property(res.schedule_prefix(), "t_interval", 1).holds
-        good = (res.explored_at is not None
-                and n - 2 <= res.explored_at <= 2 * n
-                and res.all_terminated_at is not None and prop)
-        ok &= good
-        _row(out, [f"n={n}", f"k={k}", f"explored_at={res.explored_at}",
-                   f"bound>={n - 2}", f"1_interval={prop}",
-                   "PASS" if good else "FAIL"])
-    return ok
-
-
-def demo_time_tpath(out) -> bool:
-    out("exploring T-Path graphs takes at least (n-2)(T-1) rounds")
-    ok = True
-    for n in (6, 9):
-        for T in (2, 4):
-            k = n - 1
-            adv = make_adversary("two_stars_time_tpath", n, T=T)
-            res = run(adv, {a: 0 for a in range(1, k + 1)},
-                      make_algorithm("alg3"), max_rounds=(n + 1) * T, T=T)
-            prop = check_property(res.schedule_prefix(), "t_path", T).holds
-            bound = (n - 2) * (T - 1)
-            good = (res.explored_at is not None
-                    and bound <= res.explored_at <= (n + 1) * T and prop)
-            ok &= good
-            _row(out, [f"n={n}", f"T={T}", f"explored_at={res.explored_at}",
-                       f"bound>={bound}", f"t_path@{T}={prop}",
-                       "PASS" if good else "FAIL"])
-    return ok
-
-
-def demo_ct_exploration(out) -> bool:
-    out("no agent team explores Connectivity Time graphs")
-    ok = True
-    for n, T in ((6, 2), (9, 3)):
-        k = n - 2
-        for alg in ("alg3", "alg2"):
-            adv = make_adversary("ct_exploration", n, k=k, T=T)
-            res = run(adv, {a: a - 1 for a in range(1, k + 1)},
-                      make_algorithm(alg), max_rounds=50 * n * T, T=T)
-            # alg2 may terminate before T rounds; a shorter trace has no
-            # complete window, so only the target decides its row
-            prop = "no_window"
-            if res.rounds >= T:
-                prop = check_property(
-                    res.schedule_prefix(), "connectivity_time", T
-                ).holds
-            good = _never_visits(res, n - 1) and prop is not False
-            ok &= good
-            _row(out, [f"n={n}", f"T={T}", alg,
-                       f"target_visited={not _never_visits(res, n - 1)}",
-                       f"ct@{T}={prop}", "PASS" if good else "FAIL"])
-    return ok
-
-
-DEMOS = {
-    "kt_lower": demo_kt_lower,
-    "ct_dispersion": demo_ct_dispersion,
-    "exp_n_minus_2": demo_exp_n_minus_2,
-    "path_comm": demo_path_comm,
-    "path_visibility": demo_path_visibility,
-    "dispersed_block": demo_dispersed_block,
-    "time_1int": demo_time_1int,
-    "time_tpath": demo_time_tpath,
-    "ct_exploration": demo_ct_exploration,
-}
+CLAIMS = {claim.id: claim for claim in (
+    Claim(
+        "kt_lower",
+        "dispersion on T-Path graphs needs at least (k-1)(T-1) rounds",
+        tuple(Row(k + 2, k, "alg1_explicit", T)
+              for k in (3, 5, 8) for T in (2, 4)),
+        "kt_lower", prop="t_path", bound=lambda w: (w.k - 1) * (w.T - 1),
+        budget=lambda w: (w.k - 1) * (w.T - 1) + w.T + 2,
+        holds=lambda res, bound: (
+            res.dispersed_at is not None and res.dispersed_at >= bound
+        ),
+        fmt="k={k}  T={T}  dispersed_at={result.dispersed_at}  bound={bound}"
+            "  t_path@{T}={prop}",
+    ),
+    Claim(
+        "ct_dispersion", "no algorithm disperses on Connectivity Time graphs",
+        tuple(Row(n, k, "alg1_implicit", T)
+              for n, k, T in ((4, 3, 2), (6, 4, 3), (8, 8, 3))),
+        "ct_dispersion", prop="connectivity_time",
+        budget=lambda w: 20 * w.k * w.T,
+        holds=lambda res, bound: res.dispersed_at is None,
+        fmt="n={n}  k={k}  T={T}  rounds={result.rounds}"
+            "  dispersed_at={result.dispersed_at}  ct@{T}={prop}",
+    ),
+    Claim(
+        "exp_n_minus_2",
+        "n-2 agents cannot explore even 1-interval connected graphs",
+        tuple(Row(n, n - 2, alg)
+              for n in (5, 8, 12) for alg in ("alg3", "alg2")),
+        "exploration_star", placement="dispersed", prop="t_interval",
+        budget=lambda w: 50 * w.n,
+        fmt="n={n}  k={k}  {alg}  rounds={result.rounds}"
+            "  target_visited={target_visited}  1_interval={prop}",
+    ),
+    Claim(
+        "path_comm",
+        "n-1 agents with face-to-face communication cannot explore",
+        tuple(Row(n, n - 1, alg) for n in (7, 9) for alg in ("alg3", "alg2")),
+        "sorted_path", variant="comm", communication="f2f", prop="t_interval",
+        budget=lambda w: 60 * w.n,
+        fmt="n={n}  k={k}  {alg}  target_visited={target_visited}"
+            "  1_interval={prop}",
+    ),
+    Claim(
+        "path_visibility", "without 1-hop visibility agents cannot explore",
+        tuple(Row(n, n - 1, alg) for n in (7, 9)
+              for alg in ("alg3", "alg1_implicit", "greedy_port0")),
+        "sorted_path", variant="visibility", visibility="zero",
+        prop="t_interval", budget=lambda w: 60 * w.n,
+        fmt="n={n}  k={k}  {alg}  target_visited={target_visited}"
+            "  1_interval={prop}",
+    ),
+    Claim(
+        "dispersed_block",
+        "a blind mover from a dispersed start never completes exploration",
+        tuple(Row(n, n - 1, "greedy_port0") for n in (5, 8)),
+        "sorted_path", variant="dispersed", placement="shifted",
+        visibility="zero", budget=lambda w: 100,
+        holds=lambda res, bound: res.explored_at is None,
+        fmt="n={n}  k={k}  {alg}  rounds={result.rounds}"
+            "  hole_visited={target_visited}",
+    ),
+    Claim(
+        "time_1int",
+        "exploring 1-interval connected graphs takes at least n-2 rounds",
+        tuple(Row(n, n - 1, "alg2") for n in (6, 10, 14)),
+        "two_stars_time", prop="t_interval", bound=lambda w: w.n - 2,
+        budget=lambda w: 2 * w.n,
+        holds=lambda res, bound: (
+            res.explored_at is not None
+            and bound <= res.explored_at <= 2 * res.n
+            and res.all_terminated_at is not None
+        ),
+        fmt="n={n}  k={k}  explored_at={result.explored_at}  bound>={bound}"
+            "  1_interval={prop}",
+    ),
+    Claim(
+        "time_tpath",
+        "exploring T-Path graphs takes at least (n-2)(T-1) rounds",
+        tuple(Row(n, n - 1, "alg3", T) for n in (6, 9) for T in (2, 4)),
+        "two_stars_time_tpath", prop="t_path",
+        bound=lambda w: (w.n - 2) * (w.T - 1),
+        budget=lambda w: (w.n + 1) * w.T,
+        holds=lambda res, bound: (
+            res.explored_at is not None
+            and bound <= res.explored_at <= (res.n + 1) * res.T
+        ),
+        fmt="n={n}  T={T}  explored_at={result.explored_at}  bound>={bound}"
+            "  t_path@{T}={prop}",
+    ),
+    Claim(
+        "ct_exploration", "no agent team explores Connectivity Time graphs",
+        tuple(Row(n, n - 2, alg, T) for n, T in ((6, 2), (9, 3))
+              for alg in ("alg3", "alg2")),
+        # alg2 may terminate before T rounds; a shorter trace has no
+        # complete window, so only the target decides its row
+        "ct_exploration", placement="dispersed", prop="connectivity_time",
+        budget=lambda w: 50 * w.n * w.T,
+        fmt="n={n}  T={T}  {alg}  target_visited={target_visited}"
+            "  ct@{T}={prop}",
+    ),
+)}
 
 
 def demo(demo_id: str, out=print) -> bool:
-    if demo_id not in DEMOS:
-        raise ScenarioError(
-            f"unknown demo {demo_id!r}; known: {tuple(DEMOS)}"
-        )
-    ok = DEMOS[demo_id](out)
+    """Run a claim's rows, one line each, and report whether all pass."""
+    claim = CLAIMS.get(demo_id)
+    if claim is None:
+        raise ScenarioError(f"unknown demo {demo_id!r}; known: {tuple(CLAIMS)}")
+    out(claim.statement)
+    ok = True
+    for row in claim.rows:
+        got = run_claim(claim, row)
+        ok &= got.ok
+        cells = claim.fmt.format(**row._asdict(), **got._asdict())
+        out(f"  {cells}  {'PASS' if got.ok else 'FAIL'}")
     out(f"demo {demo_id}: {'PASS' if ok else 'FAIL'}")
     return ok
 

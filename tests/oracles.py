@@ -2,9 +2,10 @@
 
 Deliberately naive and structurally different from the package code:
 reachability via boolean matrix closure, partitions as frozensets, a
-``t_path`` check over every node pair of every window, a trace parser that
-matches every token with its own regex and builds a fresh Snapshot for
-every round, and a run loop that computes every round afresh.
+``t_path`` check over every node pair of every window, a minimal T found
+by trying every T in turn, a trace parser that matches every token with its
+own regex, refuses an agent listed twice in one field and builds a fresh
+Snapshot for every round, and a run loop that computes every round afresh.
 """
 
 from __future__ import annotations
@@ -86,6 +87,14 @@ def oracle_holds(n, pair_sets, prop, T):
         else:
             raise AssertionError(prop)
     return True
+
+
+def minimal_T_reference(n, pair_sets, prop):
+    """Least T at which ``oracle_holds``, trying every T from 1 up, or None."""
+    for T in range(1, len(pair_sets) + 1):
+        if oracle_holds(n, pair_sets, prop, T):
+            return T
+    return None
 
 
 def t_path_witness(schedule, T):
@@ -201,6 +210,8 @@ def _ref_placement(text, n, lineno):
         if not m:
             raise EngineError(f"line {lineno}: bad placement token {tok!r}")
         for a in m.group(2).split(","):
+            if int(a) in placement:
+                raise EngineError(f"line {lineno}: agent {int(a)} listed twice")
             placement[int(a)] = int(m.group(1))
     for a in sorted(placement):
         if not 0 <= placement[a] < n:
@@ -255,6 +266,10 @@ def parse_trace_reference(text):
             am = _ACTION.fullmatch(tok)
             if not am:
                 raise EngineError(f"line {at['act']}: bad action token {tok!r}")
+            if int(am.group(1)) in actions:
+                raise EngineError(
+                    f"line {at['act']}: agent {int(am.group(1))} listed twice"
+                )
             try:
                 actions[int(am.group(1))] = Action.from_code(am.group(2))
             except EngineError as exc:

@@ -2,7 +2,9 @@
 
 Run order matters only for the audit: the algorithm sweeps (c04-c08)
 verify every trace they produce and pool the violations, which c11 then
-requires to be empty.
+requires to be empty.  The lower bounds (c05-c08) and the blockers (c10)
+run the claims of ``harness.CLAIMS`` through ``run_claim``, the table
+``dispersim demo`` prints, on grids larger than the demo's.
 """
 
 from __future__ import annotations
@@ -13,11 +15,7 @@ from pathlib import Path
 
 import oracles
 
-from dispersim.adversary import (
-    gen_random_with_property,
-    make_adversary,
-    perpetual_demo_schedule,
-)
+from dispersim.adversary import gen_random_with_property, perpetual_demo_schedule
 from dispersim.algorithms import make_algorithm
 from dispersim.engine import Configuration, run
 from dispersim.graphs import (
@@ -27,7 +25,14 @@ from dispersim.graphs import (
     check_property,
     minimal_T,
 )
-from dispersim.harness import parse_scenario, run_scenario, verify_result
+from dispersim.harness import (
+    CLAIMS,
+    Row,
+    parse_scenario,
+    run_claim,
+    run_scenario,
+    verify_result,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -156,34 +161,34 @@ def test_c04_alg1_explicit_disperses_and_terminates_within_kT_plus_T():
 
 
 def test_c05_kt_lower_forces_k_minus_1_times_T_minus_1_rounds():
+    claim = CLAIMS["kt_lower"]
     for k in range(3, 11):
         for T in range(2, 6):
-            n = k + 2
             bound = (k - 1) * (T - 1)
-            adv = make_adversary("kt_lower", n, k=k, T=T)
-            res = run(adv, {a: 0 for a in range(1, k + 1)},
-                      make_algorithm("alg1_explicit", T=T),
-                      max_rounds=bound + T + 2, T=T)
+            row = Row(k + 2, k, "alg1_explicit", T)
+            assert claim.budget(row) == bound + T + 2
+            got = run_claim(claim, row)
+            res = got.result
             assert res.dispersed_at is not None, (k, T)
             assert res.dispersed_at >= bound, (k, T)
             assert res.dispersed_at == bound, (k, T)
-            assert check_property(res.schedule_prefix(), "t_path", T).holds
+            assert got.prop is True
+            assert got.ok, (k, T)
             _audit(res)
 
 
 def test_c06_ct_dispersion_blocks_dispersion_on_full_grid():
+    claim = CLAIMS["ct_dispersion"]
     for n in range(3, 11):
         for k in range(3, n + 1):
             for T in range(2, 5):
                 budget = 20 * k * T
-                adv = make_adversary("ct_dispersion", n, k=k, T=T)
-                res = run(adv, {a: 0 for a in range(1, k + 1)},
-                          make_algorithm("alg1_implicit"),
-                          max_rounds=budget, T=T)
+                got = run_claim(claim, Row(n, k, "alg1_implicit", T))
+                res = got.result
                 assert res.dispersed_at is None, (n, k, T)
                 assert res.rounds == budget
-                prefix = res.schedule_prefix()
-                assert check_property(prefix, "connectivity_time", T).holds
+                assert got.prop is True, (n, k, T)
+                assert got.ok, (n, k, T)
                 _audit(res)
 
 
@@ -205,14 +210,18 @@ def test_c07_alg2_explores_within_2n_and_two_stars_forces_n_minus_2():
         assert res.all_terminated_at is not None, (case, n)
         assert res.all_terminated_at <= 2 * n, (case, n)
         _audit(res)
+    # unlike the demo rows, these runs declare T=1, so their traces also
+    # get the verifier's T=1 window audit, and have one round more
+    claim = CLAIMS["time_1int"]
     for n in range(4, 21):
-        adv = make_adversary("two_stars_time", n)
-        res = run(adv, {a: 0 for a in range(1, n)}, make_algorithm("alg2"),
-                  max_rounds=2 * n + 1, T=1)
+        got = run_claim(claim, Row(n, n - 1, "alg2", T=1, rounds=2 * n + 1))
+        res = got.result
+        assert res.T == 1
         assert res.explored_at is not None, n
         assert res.explored_at >= n - 2, n
         assert res.explored_at == n - 2, n
-        assert check_property(res.schedule_prefix(), "t_interval", 1).holds
+        assert got.prop is True
+        assert got.ok, n
         _audit(res)
 
 
@@ -236,15 +245,18 @@ def test_c08_alg3_explores_within_n_plus_1_T_and_tpath_lower_bound():
         assert res.explored_at is not None, (case, n, T)
         assert res.explored_at < (n + 1) * T, (case, n, T)
         _audit(res)
+    claim = CLAIMS["time_tpath"]
     for n in range(5, 13):
         for T in (2, 3, 4):
-            adv = make_adversary("two_stars_time_tpath", n, T=T)
-            res = run(adv, {a: 0 for a in range(1, n)},
-                      make_algorithm("alg3"), max_rounds=(n + 1) * T, T=T)
+            row = Row(n, n - 1, "alg3", T)
+            assert claim.budget(row) == (n + 1) * T
+            got = run_claim(claim, row)
+            res = got.result
             assert res.explored_at is not None, (n, T)
             assert res.explored_at >= (n - 2) * (T - 1), (n, T)
             assert res.explored_at == (n - 1) * (T - 1), (n, T)
-            assert check_property(res.schedule_prefix(), "t_path", T).holds
+            assert got.prop is True
+            assert got.ok, (n, T)
             _audit(res)
 
 
@@ -262,37 +274,43 @@ def test_c09_perpetual_reference_explores_and_never_stops():
     assert verify_result(res).ok
 
 
+# alg3 starts dispersed as in the demos; alg2 starts co-located, where the
+# demos start it dispersed
+C10_PLACEMENTS = (("alg3", "dispersed"), ("alg2", "colocated"))
+
+
 def test_c10_exploration_blockers_never_let_the_target_fall():
+    claim = CLAIMS["exp_n_minus_2"]
     for n in range(4, 13):
-        k = n - 2
-        for alg, placement in (
-            ("alg3", {a: a - 1 for a in range(1, k + 1)}),
-            ("alg2", {a: 0 for a in range(1, k + 1)}),
-        ):
-            adv = make_adversary("exploration_star", n, k=k)
-            res = run(adv, placement, make_algorithm(alg), max_rounds=50 * n)
+        for alg, placement in C10_PLACEMENTS:
+            row = Row(n, n - 2, alg, placement=placement)
+            assert claim.budget(row) == 50 * n
+            got = run_claim(claim, row)
+            res = got.result
             assert n - 1 not in _visited(res), (n, alg)
+            assert got.target_visited is False, (n, alg)
             assert res.explored_at is None
-            assert check_property(res.schedule_prefix(), "t_interval", 1).holds
+            assert got.prop is True
+            assert got.ok, (n, alg)
+    claim = CLAIMS["ct_exploration"]
     for n in range(6, 13):
         for T in (2, 3, 4):
-            k = n - 2
-            for alg, placement in (
-                ("alg3", {a: a - 1 for a in range(1, k + 1)}),
-                ("alg2", {a: 0 for a in range(1, k + 1)}),
-            ):
-                adv = make_adversary("ct_exploration", n, k=k, T=T)
-                res = run(adv, placement, make_algorithm(alg),
-                          max_rounds=50 * n * T, T=T)
-                # the protected node is the second-least initial hole
-                assert adv.target not in _visited(res), (n, T, alg)
+            for alg, placement in C10_PLACEMENTS:
+                row = Row(n, n - 2, alg, T, placement)
+                assert claim.budget(row) == 50 * n * T
+                got = run_claim(claim, row)
+                res = got.result
+                # the protected node is the second-least initial hole:
+                # n-1 from the dispersed start, node 2 from the co-located
+                assert got.target_visited is False, (n, T, alg)
                 assert res.explored_at is None
                 # a property over T-windows needs at least T rounds of
                 # trace; alg2 may terminate earlier than that
                 if res.rounds >= T:
-                    assert check_property(
-                        res.schedule_prefix(), "connectivity_time", T
-                    ).holds, (n, T, alg)
+                    assert got.prop is True, (n, T, alg)
+                else:
+                    assert got.prop == "no_window", (n, T, alg)
+                assert got.ok, (n, T, alg)
 
 
 def test_c11_sweeps_produced_zero_verification_violations():

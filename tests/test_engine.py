@@ -220,7 +220,7 @@ def test_plan_is_stitched_once_per_component_per_round(monkeypatch):
 
 class _Reemit:
     """Wraps an oracle adversary and re-emits each snapshot as a new but
-    equal object, so the run cannot reuse the oracle's preview."""
+    equal object, so the run finds the oracle's preview only by equality."""
 
     needs_oracle = True
 
@@ -246,14 +246,14 @@ def test_oracle_reuse_does_not_change_sorted_path_traces(
     monkeypatch, variant, alg, placement, visibility, communication
 ):
     steps = []
-    original = engine.round_step
+    original = engine._step
 
     def counting(*args):
-        steps.append(args[0])
+        steps.append(args)  # keeps every input alive, so ids stay unique
         return original(*args)
 
-    monkeypatch.setattr(engine, "round_step", counting)
-    texts = []
+    monkeypatch.setattr(engine, "_step", counting)
+    texts, counts = [], []
     for wrap in (False, True):
         steps.clear()
         adv = make_adversary("sorted_path", 7, variant=variant)
@@ -261,18 +261,18 @@ def test_oracle_reuse_does_not_change_sorted_path_traces(
                   make_algorithm(alg), visibility=visibility,
                   communication=communication, max_rounds=40)
         texts.append(res.to_text())
-        # every round previews one layout; the plain run computes the round
-        # again only when the adversary emitted another layout, the wrapped
-        # run always does
-        calls = iter(steps)
-        recomputed = 0
+        # every round is previewed first, so the round itself is served
+        # from the memo: no inputs are ever computed twice, whether the
+        # adversary emits the previewed graph or an equal copy of it
+        keys = [(snap, engine._inputs(config, states))
+                for snap, config, states, *_ in steps]
+        assert len(set(keys)) == len(keys)
+        computed = {(snap, positions) for snap, (positions, _) in keys}
         for rec in res.records:
-            if next(calls) is not rec.snapshot:
-                assert next(calls) is rec.snapshot
-                recomputed += 1
-        assert next(calls, None) is None
-        assert recomputed == res.rounds if wrap else recomputed < res.rounds
+            assert (rec.snapshot, tuple(rec.before.items())) in computed
+        counts.append(len(keys))
     assert texts[0] == texts[1]
+    assert counts[0] == counts[1]
 
 
 # --- the round memo ---

@@ -131,7 +131,7 @@ def test_schedule_text_round_trip(tmp_path):
     rng = random.Random(7)
     sch = random_schedule(rng, 5, 6)
     path = tmp_path / "x.sched"
-    sch.dump(path)
+    path.write_text(sch.to_text())
     again = Schedule.load(path)
     assert again == sch
     assert again.to_text() == sch.to_text()
@@ -313,6 +313,25 @@ def test_checkers_match_oracle_spot():
                 got = check_property(sch, prop, T).holds
                 want = oracles.oracle_holds(n, pair_sets, prop, T)
                 assert got == want, (n, rounds, prop, T, pair_sets)
+
+
+def test_minimal_T_matches_trying_every_T():
+    # t_interval is decided by its T=1 check alone; the oracle tries every T
+    rng = random.Random("minimal-T")
+    sizes = [(1, 1), (1, 5), (4, 1)]
+    sizes += [(rng.randrange(1, 7), rng.randrange(1, 9)) for _ in range(300)]
+    answers = set()
+    for n, rounds in sizes:
+        density = rng.uniform(0.0, 1.0)
+        pair_sets = [random_pairs(rng, n, density) for _ in range(rounds)]
+        sch = Schedule(Snapshot.from_pairs(n, pairs) for pairs in pair_sets)
+        for prop in ("t_interval", "t_path", "connectivity_time"):
+            want = oracles.minimal_T_reference(n, pair_sets, prop)
+            assert minimal_T(sch, prop) == want, (n, rounds, prop, pair_sets)
+            answers.add((prop, want))
+    assert {("t_interval", 1), ("t_interval", None)} <= answers
+    assert any(prop != "t_interval" and (want or 0) > 1
+               for prop, want in answers)
 
 
 def test_snapshot_hash_follows_equality_without_hashing_edges(monkeypatch):

@@ -119,6 +119,12 @@ def test_placement_errors():
     sc.placement = "colocated:6"
     with pytest.raises(ScenarioError, match="outside"):
         build_placement(sc)
+    sc.placement = "colocated:x"
+    with pytest.raises(ScenarioError, match="^bad colocated placement 'x'$"):
+        build_placement(sc)
+    sc.placement = "spread:x"
+    with pytest.raises(ScenarioError, match="^bad spread placement 'x'$"):
+        build_placement(sc)
     sc.placement = "explicit:0:1,2"
     with pytest.raises(ScenarioError, match="must cover agents"):
         build_placement(sc)
@@ -271,6 +277,8 @@ def test_verify_rejects_structural_damage():
     ("msgs: ", "msgs: x"),
     ("pos: ", "pos: 9:1,2,3,4"),
     ("post: ", "post: 0:1,2 7:3,4"),
+    ("pos: ", "pos: 5:1 0:1,2,3"),
+    ("act: ", "act: 1:m9 1:m0 2:s 3:s"),
 ])
 def test_malformed_trace_fields_name_their_line(tmp_path, capsys, field, bad):
     text = _clean_run().to_text()
@@ -284,6 +292,21 @@ def test_malformed_trace_fields_name_their_line(tmp_path, capsys, field, bad):
     assert cli.main(["verify", str(path)], out=lambda *_: None) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: line {lineno}: ")
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("pos: ", "pos: 5:1 0:1,2,3"),
+    ("pos: ", "pos: 0:1,2,3,4,1"),
+    ("post: ", "post: 0:2 1:1 2:3 3:4 4:1"),
+    ("act: ", "act: 1:m9 1:m0 2:s 3:s"),
+    ("act: ", "act: 1:s 2:s 3:s 4:s 01:s"),
+])
+def test_agent_listed_twice_in_a_field_names_its_line(field, bad):
+    text = _clean_run().to_text()
+    lineno = _field_lines(text, field)[0][0]
+    broken = _rewrite_first(text, field, lambda _: bad)
+    with pytest.raises(EngineError, match=f"^line {lineno}: agent 1 listed twice$"):
+        verify_trace(broken)
 
 
 def _field_lines(text, field):
@@ -499,7 +522,7 @@ def test_cli_demo_all_passes(demo_all):
     code, text = demo_all
     assert code == 0
     assert "FAIL" not in text
-    assert text.count(": PASS\n") == len(harness.DEMOS)
+    assert text.count(": PASS\n") == len(harness.CLAIMS)
 
 
 def test_cli_demo_all_matches_golden_hash(demo_all):
@@ -570,6 +593,32 @@ def test_cli_demo_and_sweep(tmp_path):
     assert cli.main(
         ["sweep", str(template), "--seeds", "5,8"], out=lines.append
     ) == 0
+
+
+@pytest.mark.parametrize("line, message", [
+    ("placement = colocated:x", "bad colocated placement 'x'"),
+    ("placement = spread:x", "bad spread placement 'x'"),
+    ("schedule = file:{missing}", "cannot read {missing}: "),
+])
+def test_cli_run_rejects_bad_placement_and_missing_schedule(
+    tmp_path, capsys, line, message
+):
+    missing = tmp_path / "missing.sched"
+    key = line.split(" = ")[0]
+    kept = [kv for kv in BASE.splitlines() if not kv.startswith(key + " ")]
+    scenario = tmp_path / "case.scn"
+    scenario.write_text("\n".join(kept + [line.format(missing=missing)]) + "\n")
+    assert cli.main(["run", str(scenario)], out=lambda *_: None) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: " + message.format(missing=missing))
+
+
+def test_cli_classify_missing_schedule(tmp_path, capsys):
+    missing = tmp_path / "missing.sched"
+    assert cli.main(["classify", str(missing)], out=lambda *_: None) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot read {missing}: ")
 
 
 def test_cli_usage_errors(tmp_path):

@@ -6,8 +6,9 @@ property at a requested T.
 
 Adaptive adversaries build each round's snapshot from the live
 configuration (and, for the sorted-path attack, from an oracle that
-predicts the attacked algorithm's actions on a candidate snapshot).  Every
-choice ties to least indices or least agent IDs, so replays are exact.
+returns the attacked algorithm's round on a candidate snapshot: its
+actions and the configuration they lead to).  Every choice ties to least
+indices or least agent IDs, so replays are exact.
 
 All constructions keep one designated claim checkable on the emitted
 prefix: which property holds at which T, and which outcome the attacked
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import random
 
-from .engine import apply_actions
 from .graphs import Edge, GraphError, Memo, Schedule, Snapshot
 
 
@@ -493,7 +493,7 @@ class SortedPath(Adversary):
                     config.positions[a] for a in sorted(config.positions)
                 ]
                 straight = self._layouts[self._path, tuple(order)]
-                preview = self.oracle(straight, config, states)
+                preview = self.oracle(straight, config, states).actions
                 w2_ids = config.ids_at(order[1])
                 mover = preview.get(w2_ids[0]) if w2_ids else None
                 if mover is not None and mover.port == 0:
@@ -515,9 +515,8 @@ class SortedPath(Adversary):
     def _attack(self, config, states) -> Snapshot:
         order = self._sorted_order(config)
         straight = self._layouts[self._path, tuple(order)]
-        preview = self.oracle(straight, config, states)
-        end = apply_actions(straight, config, preview)
-        if end.is_dispersed() and self.n >= 7:
+        step = self.oracle(straight, config, states)
+        if step.after.is_dispersed() and self.n >= 7:
             return self._layouts[self._swapped, tuple(order)]
         return straight
 

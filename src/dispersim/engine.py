@@ -13,10 +13,17 @@ Each round over the current snapshot:
    keeps occupying its node forever but stops broadcasting, receiving,
    stepping, and moving.
 
-``round_step`` performs steps 1-3 of one round; ``run`` applies the moves
-and records the round.  Runs stop early once every agent has terminated.
-Outcome rounds are measured on the configuration reached AFTER each round,
-so a run that is already dispersed and stays put reports dispersed_at = 0.
+``round_step`` performs all four steps of one round and returns them as a
+``RoundStep``, ending in the configuration the moves lead to.  ``run``
+records each round as a ``RoundRecord`` of that step; the oracle it hands
+an adaptive adversary returns the same step for a candidate snapshot.
+Runs stop early once every agent has terminated.  Outcome rounds are
+measured on the configuration reached AFTER each round, so a run that is
+already dispersed and stays put reports dispersed_at = 0.
+
+``RunResult.to_text`` writes a run as a trace and ``parse_trace`` reads
+one back into the same ``RoundRecord``s; a record's placements are its
+configurations' own dicts, so consecutive rounds share them.
 """
 
 from __future__ import annotations
@@ -27,11 +34,13 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .graphs import (
     GraphError,
+    Memo,
     Schedule,
     Snapshot,
     components,
     format_edges,
     parse_int,
+    snapshot_cache,
 )
 
 VISIBILITIES = ("zero", "one")
@@ -326,12 +335,14 @@ def apply_actions(
 
 
 class RoundStep(NamedTuple):
-    """What the live agents do in one round on one snapshot."""
+    """What the live agents do in one round on one snapshot, and the
+    configuration their moves lead to."""
 
     actions: dict[int, Action]
     states: dict[int, AgentState]
     components: list[list[int]]
     messages: int
+    after: Configuration
 
 
 def round_step(
@@ -343,12 +354,12 @@ def round_step(
     communication: str,
     memo: dict | None = None,
 ) -> RoundStep:
-    """Look, Broadcast and Compute for one round.
+    """Look, Broadcast, Compute and Move for one round.
 
     Components and node views are built once and shared by delivery and
-    every agent.  Returns each live agent's action and the states after
-    the round; steps are pure, so the caller's ``states`` are left
-    untouched.
+    every agent.  Returns each live agent's action, the states after the
+    round and the configuration its moves lead to; steps are pure, so the
+    caller's ``config`` and ``states`` are left untouched.
 
     ``memo`` is a dict that one caller keeps for one algorithm,
     visibility and communication.  It maps the round's inputs (snapshot,
@@ -413,7 +424,8 @@ def _step(snapshot, config, states, algorithm, visibility, communication):
         new_states[a] = state
         actions[a] = action
     messages = sum(len(bundle) for bundle in inbox.values())
-    return RoundStep(actions, new_states, comps, messages)
+    return RoundStep(actions, new_states, comps, messages,
+                     apply_actions(snapshot, config, actions))
 
 
 def compute_preview(
@@ -431,8 +443,11 @@ def compute_preview(
     ).actions
 
 
-@dataclass
-class RoundRecord:
+class RoundRecord(NamedTuple):
+    """One round of a run or of a parsed trace.  ``before`` and ``after``
+    are placements (agent -> node) that consecutive rounds share; like the
+    rest of a record they must not be mutated."""
+
     r: int
     snapshot: Snapshot
     before: dict[int, int]
@@ -466,7 +481,7 @@ class RunResult:
 
     def to_text(self) -> str:
         # a record's components are its snapshot's, so the edges: and comp:
-        # lines are formatted once per distinct graph, and pos: and post:
+        # texts are formatted once per distinct graph, and pos: and post:
         # once per distinct placement
         graph_texts: dict[Snapshot, tuple[str, str]] = {}
         placement_texts: dict[tuple, str] = {}
@@ -478,7 +493,7 @@ class RunResult:
                 at: dict[int, list[int]] = {}
                 for a in sorted(pos):
                     at.setdefault(pos[a], []).append(a)
-                text = placement_texts[key] = " ".join(
+                text = placement_texts[key] = " " + " ".join(
                     f"{node}:{','.join(map(str, ids))}"
                     for node, ids in sorted(at.items())
                 )
@@ -492,23 +507,18 @@ class RunResult:
         for rec in self.records:
             graph = graph_texts.get(rec.snapshot)
             if graph is None:
+                comp = "|".join(",".join(map(str, c)) for c in rec.components)
                 graph = graph_texts[rec.snapshot] = (
-                    "edges:" + format_edges(rec.snapshot),
-                    "comp: "
-                    + "|".join(",".join(map(str, c)) for c in rec.components),
+                    format_edges(rec.snapshot), " " + comp
                 )
-            lines.append(f"round r={rec.r}")
-            lines.append(graph[0])
-            lines.append("pos: " + fmt_placement(rec.before))
-            lines.append(
-                "act: "
-                + " ".join(
-                    f"{a}:{rec.actions[a].code()}" for a in sorted(rec.actions)
-                )
+            acts = " ".join(
+                f"{a}:{rec.actions[a].code()}" for a in sorted(rec.actions)
             )
-            lines.append("post: " + fmt_placement(rec.after))
-            lines.append(graph[1])
-            lines.append(f"msgs: {rec.messages}")
+            lines.append(f"round r={rec.r}")
+            lines.extend(map(str.__add__, FIELDS, (
+                graph[0], fmt_placement(rec.before), " " + acts,
+                fmt_placement(rec.after), graph[1], f" {rec.messages}",
+            )))
         out = lambda v: "-" if v is None else str(v)
         lines.append(
             f"end rounds={self.rounds} dispersed_at={out(self.dispersed_at)}"
@@ -517,6 +527,166 @@ class RunResult:
             f" budget_exhausted={int(self.budget_exhausted)}"
         )
         return "\n".join(lines) + "\n"
+
+
+# --- trace text ---
+
+# the field lines of a round block, in order and in RoundRecord order; a
+# line is its prefix, then its text after a space (format_edges puts one
+# before each edge)
+FIELDS = ("edges:", "pos:", "act:", "post:", "comp:", "msgs:")
+# the order in which they are parsed, which decides the error reported for
+# a block with more than one malformed field
+_PARSE_ORDER = tuple(
+    FIELDS.index(f) for f in ("edges:", "act:", "msgs:", "pos:", "post:", "comp:")
+)
+_ROUND_LINE = re.compile(r"round r=(\d+)")
+_COMP_FIELD = re.compile(r"\d+(?:,\d+)*(?:\|\d+(?:,\d+)*)*")
+
+
+def _parse_placement(text: str, n: int) -> dict[int, int]:
+    placement: dict[int, int] = {}
+    for tok in text.split():
+        node, sep, ids = tok.partition(":")
+        agents = ids.split(",")
+        # isdecimal accepts exactly what the regex \d+ matches; int() alone
+        # would also take "+1", " 1" and "1_0"
+        if not (sep and node.isdecimal() and all(a.isdecimal() for a in agents)):
+            raise EngineError(f"bad placement token {tok!r}")
+        node = parse_int(node)
+        for a in map(parse_int, agents):
+            if a in placement:
+                raise EngineError(f"agent {a} listed twice")
+            placement[a] = node
+    if placement and max(placement.values()) >= n:
+        a = min(a for a, v in placement.items() if v >= n)
+        raise EngineError(f"agent {a} placed on node {placement[a]}, n={n}")
+    return placement
+
+
+def _parse_actions(text: str, codes: Memo) -> dict[int, Action]:
+    actions = {}
+    for tok in text.split():
+        agent, sep, code = tok.partition(":")
+        if not (sep and agent.isdecimal() and code):
+            raise EngineError(f"bad action token {tok!r}")
+        a = parse_int(agent)
+        if a in actions:
+            raise EngineError(f"agent {a} listed twice")
+        actions[a] = codes[code]
+    return actions
+
+
+def _parse_comp(text: str, n: int) -> list[list[int]]:
+    """A partition that lists each node 0..n-1 exactly once.  Its nodes
+    are counted before anything of size n is built: an honest field takes
+    about 2n bytes, so the header's n cannot outgrow the trace."""
+    if not text:
+        comp = []
+    elif not _COMP_FIELD.fullmatch(text):
+        raise EngineError(f"bad comp field {text!r}")
+    else:
+        comp = [[parse_int(x) for x in part.split(",")]
+                for part in text.split("|")]
+    if sum(map(len, comp)) != n or set().union(*comp) != set(range(n)):
+        raise EngineError(f"comp field must list each of the {n} nodes once")
+    return comp
+
+
+def _parse_msgs(text: str) -> int:
+    if not text.isdecimal():
+        raise EngineError(f"bad msgs field {text!r}")
+    return parse_int(text)
+
+
+def parse_trace(text: str):
+    """Header, rounds and trailer of a trace; each round is a RoundRecord.
+
+    Each distinct field text is parsed once and its value shared by every
+    line that repeats it: rounds on the same graph share one Snapshot, and
+    a ``pos:`` that repeats the previous ``post:`` is the same dict.  A
+    malformed text raises at its first line.  Shared values must not be
+    mutated.
+    """
+    lines = text.splitlines()
+    if not lines:
+        raise EngineError("empty trace")
+    m = re.fullmatch(
+        r"trace v=1 n=(\d+) k=(\d+) T=(\d+|-) algorithm=(\S+)"
+        r" visibility=(\S+) communication=(\S+)",
+        lines[0],
+    )
+    if not m:
+        raise EngineError(f"bad trace header: {lines[0]!r}")
+    try:
+        header = {
+            "n": parse_int(m.group(1)),
+            "k": parse_int(m.group(2)),
+            "T": None if m.group(3) == "-" else parse_int(m.group(3)),
+            "algorithm": m.group(4),
+            "visibility": m.group(5),
+            "communication": m.group(6),
+        }
+    except GraphError as exc:
+        raise EngineError(f"line 1: {exc}") from None
+    n = header["n"]
+    codes = Memo(Action.from_code)
+    placements = Memo(lambda text: _parse_placement(text, n))
+    parsers = (
+        snapshot_cache(n),
+        placements,
+        Memo(lambda text: _parse_actions(text, codes)),
+        placements,
+        Memo(lambda text: _parse_comp(text, n)),
+        Memo(_parse_msgs),
+    )
+    rounds: list[RoundRecord] = []
+    i = 1
+    while i < len(lines) and lines[i].startswith("round "):
+        if i + 6 >= len(lines):
+            raise EngineError(f"truncated round block at line {i + 1}")
+        rm = _ROUND_LINE.fullmatch(lines[i])
+        if not rm:
+            raise EngineError(f"line {i + 1}: bad round line")
+        try:
+            r = parse_int(rm.group(1))
+        except GraphError as exc:
+            raise EngineError(f"line {i + 1}: {exc}") from None
+        texts = []
+        for f, want in enumerate(FIELDS):
+            line = lines[i + 1 + f]
+            if not line.startswith(want):
+                raise EngineError(f"line {i + 2 + f}: expected {want}")
+            texts.append(line[len(want):].strip())
+        values = [None] * len(FIELDS)
+        for f in _PARSE_ORDER:
+            try:
+                values[f] = parsers[f][texts[f]]
+            except (GraphError, EngineError) as exc:
+                raise EngineError(f"line {i + 2 + f}: {exc}") from None
+        rounds.append(RoundRecord(r, *values))
+        i += 7
+    if i >= len(lines) or not lines[i].startswith("end "):
+        raise EngineError("trace missing end line")
+    em = re.fullmatch(
+        r"end rounds=(\d+) dispersed_at=(\d+|-) explored_at=(\d+|-)"
+        r" all_terminated_at=(\d+|-) budget_exhausted=([01])",
+        lines[i],
+    )
+    if not em:
+        raise EngineError(f"bad end line: {lines[i]!r}")
+    opt = lambda s: None if s == "-" else parse_int(s)
+    try:
+        trailer = {
+            "rounds": parse_int(em.group(1)),
+            "dispersed_at": opt(em.group(2)),
+            "explored_at": opt(em.group(3)),
+            "all_terminated_at": opt(em.group(4)),
+            "budget_exhausted": em.group(5) == "1",
+        }
+    except GraphError as exc:
+        raise EngineError(f"line {i + 1}: {exc}") from None
+    return header, rounds, trailer
 
 
 class ScheduleSource:
@@ -569,15 +739,12 @@ def run(
     states = {a: AgentState(id=a) for a in ids}
     # every step of this run, by its inputs: the adversaries repeat their
     # graphs, so rounds repeat, and the oracle's previews share the memo, so
-    # a round that follows its preview is served from it.  A step's inputs
-    # fix where its moves lead, so the configuration after it is kept by
-    # the step's id (the memo keeps every step alive).
+    # a round that follows its preview is served from it
     memo: dict = {}
-    afters: dict[int, Configuration] = {}
     if getattr(source, "needs_oracle", False) and getattr(source, "oracle", None) is None:
-        source.oracle = lambda snap, cfg, sts: dict(round_step(
+        source.oracle = lambda snap, cfg, sts: round_step(
             snap, cfg, sts, algorithm, visibility, communication, memo
-        ).actions)
+        )
 
     visited = set(config.at)
     dispersed_at = explored_at = all_terminated_at = None
@@ -594,24 +761,11 @@ def run(
             snapshot, config, states, algorithm, visibility, communication,
             memo,
         )
-        states = step.states
-        after = afters.get(id(step))
-        if after is None:
-            after = afters[id(step)] = apply_actions(
-                snapshot, config, step.actions
-            )
-        records.append(
-            RoundRecord(
-                r=r,
-                snapshot=snapshot,
-                before=dict(config.positions),
-                actions=step.actions,
-                after=dict(after.positions),
-                components=step.components,
-                messages=step.messages,
-            )
-        )
-        config = after
+        records.append(RoundRecord(
+            r, snapshot, config.positions, step.actions,
+            step.after.positions, step.components, step.messages,
+        ))
+        config, states = step.after, step.states
         visited.update(config.at)
         if dispersed_at is None and config.is_dispersed():
             dispersed_at = r

@@ -28,23 +28,15 @@ from . import adversary as adv_mod
 from .adversary import AdversaryError, gen_random_with_property, make_adversary
 from .algorithms import ALGORITHM_NAMES, make_algorithm
 from .engine import (
-    Action,
     AgentState,
     Configuration,
     EngineError,
     RunResult,
+    parse_trace,
     round_step,
     run,
 )
-from .graphs import (
-    GraphError,
-    Memo,
-    Schedule,
-    Snapshot,
-    check_property,
-    parse_int,
-    snapshot_cache,
-)
+from .graphs import GraphError, Schedule, check_property, parse_int
 
 SCHEDULE_KINDS = (
     "file",
@@ -62,8 +54,6 @@ COOPERATIVE = ("disp", "alg1_explicit", "alg1_implicit", "alg2", "alg3")
 
 # "node:id,id,...", one group of a placement
 _PLACEMENT_TOKEN = re.compile(r"(\d+):(\d+(?:,\d+)*)")
-_ROUND_LINE = re.compile(r"round r=(\d+)")
-_COMP_FIELD = re.compile(r"\d+(?:,\d+)*(?:\|\d+(?:,\d+)*)*")
 
 
 class ScenarioError(ValueError):
@@ -299,162 +289,6 @@ class TraceReport:
         return not self.violations
 
 
-class _TraceRound(NamedTuple):
-    r: int
-    snapshot: Snapshot
-    pos: dict[int, int]
-    actions: dict[int, Action]
-    post: dict[int, int]
-    comp: list[list[int]]
-    msgs: int
-
-
-def _parse_placement(text: str, n: int) -> dict[int, int]:
-    placement: dict[int, int] = {}
-    for tok in text.split():
-        node, sep, ids = tok.partition(":")
-        agents = ids.split(",")
-        # isdecimal accepts exactly what the regex \d+ matches; int() alone
-        # would also take "+1", " 1" and "1_0"
-        if not (sep and node.isdecimal() and all(a.isdecimal() for a in agents)):
-            raise EngineError(f"bad placement token {tok!r}")
-        node = parse_int(node)
-        for a in map(parse_int, agents):
-            if a in placement:
-                raise EngineError(f"agent {a} listed twice")
-            placement[a] = node
-    if placement and max(placement.values()) >= n:
-        a = min(a for a, v in placement.items() if v >= n)
-        raise EngineError(f"agent {a} placed on node {placement[a]}, n={n}")
-    return placement
-
-
-def _parse_actions(text: str, codes: Memo) -> dict[int, Action]:
-    actions = {}
-    for tok in text.split():
-        agent, sep, code = tok.partition(":")
-        if not (sep and agent.isdecimal() and code):
-            raise EngineError(f"bad action token {tok!r}")
-        a = parse_int(agent)
-        if a in actions:
-            raise EngineError(f"agent {a} listed twice")
-        actions[a] = codes[code]
-    return actions
-
-
-def _parse_comp(text: str) -> list[list[int]]:
-    if not text:
-        return []
-    if not _COMP_FIELD.fullmatch(text):
-        raise EngineError(f"bad comp field {text!r}")
-    return [[parse_int(x) for x in part.split(",")] for part in text.split("|")]
-
-
-def _parse_msgs(text: str) -> int:
-    if not text.isdecimal():
-        raise EngineError(f"bad msgs field {text!r}")
-    return parse_int(text)
-
-
-# a round block's field lines, in line order and in _TraceRound order
-_FIELDS = ("edges:", "pos:", "act:", "post:", "comp:", "msgs:")
-# the order in which they are parsed, which decides the error reported for
-# a block with more than one malformed field
-_PARSE_ORDER = tuple(
-    _FIELDS.index(f) for f in ("edges:", "act:", "msgs:", "pos:", "post:", "comp:")
-)
-
-
-def parse_trace(text: str):
-    """Header, rounds and trailer of a trace.
-
-    Each distinct field text is parsed once and its value shared by every
-    line that repeats it: rounds on the same graph share one Snapshot, and
-    a ``pos:`` that repeats the previous ``post:`` is the same dict.  A
-    malformed text raises at its first line.  Shared values must not be
-    mutated.
-    """
-    lines = text.splitlines()
-    if not lines:
-        raise EngineError("empty trace")
-    m = re.fullmatch(
-        r"trace v=1 n=(\d+) k=(\d+) T=(\d+|-) algorithm=(\S+)"
-        r" visibility=(\S+) communication=(\S+)",
-        lines[0],
-    )
-    if not m:
-        raise EngineError(f"bad trace header: {lines[0]!r}")
-    try:
-        header = {
-            "n": parse_int(m.group(1)),
-            "k": parse_int(m.group(2)),
-            "T": None if m.group(3) == "-" else parse_int(m.group(3)),
-            "algorithm": m.group(4),
-            "visibility": m.group(5),
-            "communication": m.group(6),
-        }
-    except GraphError as exc:
-        raise EngineError(f"line 1: {exc}") from None
-    n = header["n"]
-    codes = Memo(Action.from_code)
-    placements = Memo(lambda text: _parse_placement(text, n))
-    parsers = (
-        snapshot_cache(n),
-        placements,
-        Memo(lambda text: _parse_actions(text, codes)),
-        placements,
-        Memo(_parse_comp),
-        Memo(_parse_msgs),
-    )
-    rounds: list[_TraceRound] = []
-    i = 1
-    while i < len(lines) and lines[i].startswith("round "):
-        if i + 6 >= len(lines):
-            raise EngineError(f"truncated round block at line {i + 1}")
-        rm = _ROUND_LINE.fullmatch(lines[i])
-        if not rm:
-            raise EngineError(f"line {i + 1}: bad round line")
-        try:
-            r = parse_int(rm.group(1))
-        except GraphError as exc:
-            raise EngineError(f"line {i + 1}: {exc}") from None
-        texts = []
-        for f, want in enumerate(_FIELDS):
-            line = lines[i + 1 + f]
-            if not line.startswith(want):
-                raise EngineError(f"line {i + 2 + f}: expected {want}")
-            texts.append(line[len(want):].strip())
-        values = [None] * len(_FIELDS)
-        for f in _PARSE_ORDER:
-            try:
-                values[f] = parsers[f][texts[f]]
-            except (GraphError, EngineError) as exc:
-                raise EngineError(f"line {i + 2 + f}: {exc}") from None
-        rounds.append(_TraceRound(r, *values))
-        i += 7
-    if i >= len(lines) or not lines[i].startswith("end "):
-        raise EngineError("trace missing end line")
-    em = re.fullmatch(
-        r"end rounds=(\d+) dispersed_at=(\d+|-) explored_at=(\d+|-)"
-        r" all_terminated_at=(\d+|-) budget_exhausted=([01])",
-        lines[i],
-    )
-    if not em:
-        raise EngineError(f"bad end line: {lines[i]!r}")
-    opt = lambda s: None if s == "-" else parse_int(s)
-    try:
-        trailer = {
-            "rounds": parse_int(em.group(1)),
-            "dispersed_at": opt(em.group(2)),
-            "explored_at": opt(em.group(3)),
-            "all_terminated_at": opt(em.group(4)),
-            "budget_exhausted": em.group(5) == "1",
-        }
-    except GraphError as exc:
-        raise EngineError(f"line {i + 1}: {exc}") from None
-    return header, rounds, trailer
-
-
 def _hole_count(n: int, pos: dict[int, int]) -> int:
     return n - len(set(pos.values()))
 
@@ -488,79 +322,81 @@ def verify_trace(text: str) -> TraceReport:
             config = configs[id(pos)] = Configuration(n, pos)
         return config
     terminated: set[int] = set()
-    visited: set[int] = set(rounds[0].pos.values()) if rounds else set()
-    # multinodes at the start of each round
+    visited: set[int] = set(rounds[0].before.values()) if rounds else set()
+    # multinodes at the start of each round, and nodes visited by its end
     multis: list[int] = []
+    visited_counts: list[int] = []
     dispersed_at = explored_at = all_terminated_at = None
     max_messages = 0
 
-    for idx, tr in enumerate(rounds):
-        where = f"round {tr.r}"
-        if tr.r != idx:
+    for idx, rec in enumerate(rounds):
+        where = f"round {rec.r}"
+        if rec.r != idx:
             note(f"{where}: expected round index {idx}")
-        for name, pos in (("pos", tr.pos), ("post", tr.post)):
+        for name, pos in (("pos", rec.before), ("post", rec.after)):
             if set(pos) != all_ids:
                 note(f"{where}: {name} does not cover agents 1..{k}")
-        if idx > 0 and tr.pos != rounds[idx - 1].post:
+        if idx > 0 and rec.before != rounds[idx - 1].after:
             note(f"{where}: pos does not match previous post")
         live = all_ids - terminated
-        if set(tr.actions) != live:
-            note(f"{where}: actors {sorted(tr.actions)} != live {sorted(live)}")
-        for a in sorted(tr.actions):
-            act = tr.actions[a]
-            src = tr.pos.get(a)
+        if set(rec.actions) != live:
+            note(f"{where}: actors {sorted(rec.actions)} != live {sorted(live)}")
+        for a in sorted(rec.actions):
+            act = rec.actions[a]
+            src = rec.before.get(a)
             if src is None:
                 continue
             if act.port is None:
                 dest = src
             else:
                 try:
-                    dest = tr.snapshot.neighbor(src, act.port)
+                    dest = rec.snapshot.neighbor(src, act.port)
                 except GraphError:
                     note(f"{where}: agent {a} used missing port {act.port}"
                          f" at node {src}")
                     continue
-            if tr.post.get(a) != dest:
-                note(f"{where}: agent {a} recorded at {tr.post.get(a)},"
+            if rec.after.get(a) != dest:
+                note(f"{where}: agent {a} recorded at {rec.after.get(a)},"
                      f" moves say {dest}")
         for a in terminated:
-            if tr.post.get(a) != tr.pos.get(a):
+            if rec.after.get(a) != rec.before.get(a):
                 note(f"{where}: terminated agent {a} moved")
-        config = configuration(tr.pos)
-        if tr.pos.keys() <= all_ids:
+        config = configuration(rec.before)
+        if rec.before.keys() <= all_ids:
             step = round_step(
-                tr.snapshot, config, states, alg,
+                rec.snapshot, config, states, alg,
                 header["visibility"], header["communication"], memo,
             )
             states = step.states
-            for a in sorted(tr.actions.keys() | step.actions.keys()):
-                got, want = tr.actions.get(a), step.actions.get(a)
+            for a in sorted(rec.actions.keys() | step.actions.keys()):
+                got, want = rec.actions.get(a), step.actions.get(a)
                 if got != want:
                     note(f"{where}: agent {a} recorded"
                          f" {got.code() if got else '-'}, {algorithm}"
                          f" computes {want.code() if want else '-'}")
-            if tr.comp != step.components:
+            if rec.components != step.components:
                 note(f"{where}: component partition mismatch")
-            if tr.msgs != step.messages:
-                note(f"{where}: msgs={tr.msgs}, recomputed {step.messages}")
-        max_messages = max(max_messages, tr.msgs)
-        post_config = configuration(tr.post)
+            if rec.messages != step.messages:
+                note(f"{where}: msgs={rec.messages}, recomputed {step.messages}")
+        max_messages = max(max_messages, rec.messages)
+        post_config = configuration(rec.after)
         multis.append(len(config.multinodes()))
         # cooperative moves never create new multinodes; terminal moves may
         # legally stack agents into the same hole, so skip rounds that
         # contain a terminate action
-        terminating_now = any(act.terminate for act in tr.actions.values())
+        terminating_now = any(act.terminate for act in rec.actions.values())
         if algorithm in COOPERATIVE and not terminating_now:
             if len(post_config.multinodes()) > multis[-1]:
                 note(f"{where}: multinode count increased")
-        terminated |= {a for a, act in tr.actions.items() if act.terminate}
-        visited |= set(tr.post.values())
+        terminated |= {a for a, act in rec.actions.items() if act.terminate}
+        visited |= set(rec.after.values())
+        visited_counts.append(len(visited))
         if dispersed_at is None and post_config.is_dispersed():
-            dispersed_at = tr.r
+            dispersed_at = rec.r
         if explored_at is None and len(visited) == n:
-            explored_at = tr.r
+            explored_at = rec.r
         if all_terminated_at is None and terminated == all_ids:
-            all_terminated_at = tr.r
+            all_terminated_at = rec.r
 
     # per-window hole progress, only meaningful when the trace's own
     # prefix satisfies t_path at the declared T and agents could actually
@@ -573,19 +409,14 @@ def verify_trace(text: str) -> TraceReport:
         and header["communication"] == "global"
         and header["visibility"] == "one"
     ):
-        prefix = Schedule(tr.snapshot for tr in rounds)
+        prefix = Schedule(rec.snapshot for rec in rounds)
         if prefix.rounds >= T and check_property(prefix, "t_path", T).holds:
-            seen: set[int] = set(rounds[0].pos.values())
-            seen_by_round = []
-            for tr in rounds:
-                seen |= set(tr.post.values())
-                seen_by_round.append(len(seen))
             for r in range(len(rounds) - T + 1):
                 if multis[r] == 0:
                     continue
-                before = _hole_count(n, rounds[r].pos)
-                after = _hole_count(n, rounds[r + T - 1].post)
-                explored_by_then = seen_by_round[r + T - 1] == n
+                before = _hole_count(n, rounds[r].before)
+                after = _hole_count(n, rounds[r + T - 1].after)
+                explored_by_then = visited_counts[r + T - 1] == n
                 if after >= before and not (
                     algorithm == "alg3" and explored_by_then
                 ):
@@ -605,7 +436,7 @@ def verify_trace(text: str) -> TraceReport:
     if trailer["budget_exhausted"] == (all_terminated_at is not None):
         note("end line budget_exhausted inconsistent with terminations")
 
-    final_pos = rounds[-1].post if rounds else {}
+    final_pos = rounds[-1].after if rounds else {}
     metrics = RunMetrics(
         n=n,
         k=k,
@@ -616,15 +447,11 @@ def verify_trace(text: str) -> TraceReport:
         all_terminated_at=all_terminated_at,
         budget_exhausted=trailer["budget_exhausted"],
         final_multinodes=len(post_config.multinodes()) if final_pos else 0,
-        holes_start=_hole_count(n, rounds[0].pos) if rounds else n,
+        holes_start=_hole_count(n, rounds[0].before) if rounds else n,
         holes_end=_hole_count(n, final_pos) if final_pos else n,
         max_messages=max_messages,
     )
     return TraceReport(metrics=metrics, violations=violations)
-
-
-def verify_result(result: RunResult) -> TraceReport:
-    return verify_trace(result.to_text())
 
 
 # --- claims: each claimed bound as data ---
@@ -835,7 +662,7 @@ def sweep(template_text: str, seeds, out=print):
         sc = parse_scenario(template_text)
         sc.seed = seed
         res = run_scenario(sc)
-        report = verify_result(res)
+        report = verify_trace(res.to_text())
         metrics.append(report.metrics)
         violations.extend(f"seed {seed}: {v}" for v in report.violations)
 

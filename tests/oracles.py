@@ -4,8 +4,9 @@ Deliberately naive and structurally different from the package code:
 reachability via boolean matrix closure, partitions as frozensets, a
 ``t_path`` check over every node pair of every window, a minimal T found
 by trying every T in turn, a trace parser that matches every token with its
-own regex, refuses an agent listed twice in one field and builds a fresh
-Snapshot for every round, and a run loop that computes every round afresh.
+own regex, refuses an agent listed twice in one field or a partition that
+does not list every node once, and builds a fresh Snapshot for every round,
+and a run loop that computes every round afresh.
 """
 
 from __future__ import annotations
@@ -124,7 +125,8 @@ def run_text(source, placement, algorithm, *, visibility="one",
              communication="global", max_rounds, T=None):
     """Trace text of a run in which nothing is shared between rounds: every
     round, and every oracle preview, calls ``round_step`` without a memo on
-    a fresh copy of the snapshot, and every line is formatted on its own."""
+    a fresh copy of the snapshot, the moves are applied again outside the
+    kernel, and every line is formatted on its own."""
     if isinstance(source, Schedule):
         source = ScheduleSource(source)
 
@@ -132,9 +134,9 @@ def run_text(source, placement, algorithm, *, visibility="one",
         return Snapshot(snap.n, snap.edges)
 
     if getattr(source, "needs_oracle", False):
-        source.oracle = lambda snap, cfg, sts: dict(round_step(
+        source.oracle = lambda snap, cfg, sts: round_step(
             fresh(snap), cfg, sts, algorithm, visibility, communication
-        ).actions)
+        )
 
     def placement_text(pos):
         return " ".join(
@@ -224,7 +226,7 @@ def _ref_placement(text, n, lineno):
 def parse_trace_reference(text):
     """(header, rounds, trailer) of a trace, one regex per token and a
     fresh Snapshot for every round; each round is the tuple
-    (r, snapshot, pos, actions, post, comp, msgs)."""
+    (r, snapshot, before, actions, after, components, messages)."""
     lines = text.splitlines()
     if not lines:
         raise EngineError("empty trace")
@@ -288,6 +290,12 @@ def parse_trace_reference(text):
                 )
             comp = [[int(x) for x in part.split(",")]
                     for part in fields["comp"].split("|")]
+        nodes = re.findall(r"\d+", fields["comp"])
+        if len(nodes) != n or sorted(map(int, nodes)) != list(range(n)):
+            raise EngineError(
+                f"line {at['comp']}: comp field must list each of the {n}"
+                " nodes once"
+            )
         rounds.append((int(rm.group(1)), snapshot, pos, actions, post, comp,
                        int(fields["msgs"])))
         i += 7

@@ -31,7 +31,7 @@ from dispersim.harness import (
     parse_scenario,
     run_claim,
     run_scenario,
-    verify_result,
+    verify_trace,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -40,7 +40,7 @@ AUDIT = {"runs": 0, "violations": []}
 
 
 def _audit(res):
-    report = verify_result(res)
+    report = verify_trace(res.to_text())
     AUDIT["runs"] += 1
     AUDIT["violations"].extend(
         f"{res.algorithm} n={res.n} k={res.k} T={res.T}: {v}"
@@ -271,7 +271,7 @@ def test_c09_perpetual_reference_explores_and_never_stops():
         movers = [a for a, act in rec.actions.items() if act.port is not None]
         assert movers == ([3] if rec.r % 6 in (1, 3, 5) else []), rec.r
     assert res.final.positions == {1: 0, 2: 0, 3: 1}
-    assert verify_result(res).ok
+    assert verify_trace(res.to_text()).ok
 
 
 # alg3 starts dispersed as in the demos; alg2 starts co-located, where the

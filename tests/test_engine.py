@@ -17,16 +17,19 @@ from dispersim.engine import (
     compute_preview,
     deliver,
     node_views,
+    parse_trace,
     round_step,
     run,
     stitch_component,
 )
-from dispersim import algorithms, engine
+from dispersim import adversary, algorithms, engine, harness
 from dispersim.adversary import gen_random_with_property, make_adversary
 from dispersim.algorithms import ALGORITHM_NAMES, make_algorithm
 from dispersim.graphs import GraphError, Schedule, Snapshot
+from dispersim.harness import CLAIMS, parse_scenario, run_claim, run_scenario
 
 import oracles
+from test_acceptance import C12_SCENARIOS
 
 DATA = Path(__file__).parent / "data"
 
@@ -178,6 +181,20 @@ def test_trace_text_shape():
     assert lines[-1].startswith("end rounds=1")
 
 
+def test_parse_trace_reads_back_the_records_of_the_run():
+    results = [run_scenario(parse_scenario(text)) for text in C12_SCENARIOS]
+    results += [run_claim(claim, claim.rows[0]).result
+                for claim in CLAIMS.values()]
+    for res in results:
+        header, records, trailer = parse_trace(res.to_text())
+        assert records == res.records
+        assert header == {key: getattr(res, key) for key in (
+            "n", "k", "T", "algorithm", "visibility", "communication")}
+        assert trailer == {key: getattr(res, key) for key in (
+            "rounds", "dispersed_at", "explored_at", "all_terminated_at",
+            "budget_exhausted")}
+
+
 def test_identical_runs_are_byte_identical():
     sch = Schedule.load(DATA / "perpetual_demo.sched")
     a = run(sch, {1: 0, 2: 0, 3: 1}, make_algorithm("alg3"), max_rounds=18)
@@ -273,6 +290,29 @@ def test_oracle_reuse_does_not_change_sorted_path_traces(
         counts.append(len(keys))
     assert texts[0] == texts[1]
     assert counts[0] == counts[1]
+
+
+def test_kernel_applies_the_moves_of_each_computed_step_once(monkeypatch):
+    # the oracle's previews and the rounds both get the kernel's step, so
+    # no caller applies moves again; every module's name for a function is
+    # counted, in case a caller imported it
+    counts = {"_step": 0, "apply_actions": 0}
+    for name in counts:
+        original = getattr(engine, name)
+
+        def counting(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        for module in (engine, adversary, harness):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    run(make_adversary("sorted_path", 7, variant="comm"),
+        {a: 0 for a in range(1, 7)}, make_algorithm("alg3"),
+        communication="f2f", max_rounds=60)
+    assert counts["_step"] > 0
+    assert counts["apply_actions"] == counts["_step"]
 
 
 # --- the round memo ---

@@ -1,11 +1,12 @@
 import hashlib
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from dispersim.engine import Configuration, EngineError, node_views, run
+from dispersim.engine import Action, Configuration, EngineError, node_views, run
 from dispersim.algorithms import make_algorithm
 from dispersim.adversary import gen_random_with_property, make_adversary
 from dispersim.graphs import Schedule, Snapshot
@@ -15,7 +16,6 @@ from dispersim.harness import (
     parse_scenario,
     run_scenario,
     sweep,
-    verify_result,
     verify_trace,
 )
 from dispersim import cli, harness
@@ -94,7 +94,7 @@ def test_dispersed_one_round_scenario_needs_the_flag():
     )
     res = run_scenario(parse_scenario(text))
     assert res.all_terminated_at == 0
-    assert verify_result(res).ok
+    assert verify_trace(res.to_text()).ok
 
 
 def test_placements():
@@ -137,7 +137,7 @@ def test_run_scenario_random_schedule():
     res = run_scenario(parse_scenario(BASE))
     assert res.dispersed_at is not None
     assert res.all_terminated_at is not None
-    report = verify_result(res)
+    report = verify_trace(res.to_text())
     assert report.ok
     assert report.metrics.dispersed_at == res.dispersed_at
     assert report.metrics.holes_end == 2
@@ -153,7 +153,7 @@ def test_run_scenario_schedule_file(tmp_path):
     )
     res = run_scenario(parse_scenario(text))
     assert res.all_terminated_at is not None
-    assert verify_result(res).ok
+    assert verify_trace(res.to_text()).ok
 
 
 def test_run_scenario_rejects_n_mismatch(tmp_path):
@@ -274,6 +274,8 @@ def test_verify_rejects_structural_damage():
     ("act: ", "act: 1:m"),
     ("post: ", "post: x"),
     ("comp: ", "comp: a,b"),
+    ("comp: ", "comp: 0,1,2,3"),
+    ("comp: ", "comp: 0,1,2,3|3"),
     ("msgs: ", "msgs: x"),
     ("pos: ", "pos: 9:1,2,3,4"),
     ("post: ", "post: 0:1,2 7:3,4"),
@@ -309,6 +311,31 @@ def test_agent_listed_twice_in_a_field_names_its_line(field, bad):
         verify_trace(broken)
 
 
+def test_header_n_is_bounded_by_the_comp_lines(tmp_path, capsys):
+    # an honest comp: line lists every node, so a large n in a short trace
+    # is rejected before the replay builds anything of size n
+    text = (
+        "trace v=1 n=200000 k=2 T=- algorithm=alg3 visibility=one"
+        " communication=global\nround r=0\nedges: 0-1:0,0\npos: 0:1,2\n"
+        "act: 1:s 2:m0\npost: 0:1 1:2\ncomp: 0,1\nmsgs: 2\nend rounds=1"
+        " dispersed_at=0 explored_at=- all_terminated_at=- budget_exhausted=1\n"
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(EngineError, match="^line 7: comp field must list"
+                                              " each of the 200000 nodes once$"):
+            verify_trace(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    path = tmp_path / "big_n.trace"
+    path.write_text(text)
+    assert cli.main(["verify", str(path)], out=lambda *_: None) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 7: ")
+
+
 def _field_lines(text, field):
     """(line number, line) of every line of one field, in trace order."""
     return [(i, line) for i, line in enumerate(text.splitlines(), 1)
@@ -341,7 +368,7 @@ def test_parse_trace_shares_each_distinct_field_value():
         assert tr.snapshot is rounds[edges.index(edges[r])].snapshot
     assert len({id(tr.snapshot) for tr in rounds}) == len(set(edges))
     for prev, tr in zip(rounds, rounds[1:]):
-        assert tr.pos is prev.post
+        assert tr.before is prev.after
     assert oracles.parse_trace_reference(text) == harness.parse_trace(text)
 
 
@@ -390,10 +417,10 @@ def test_verify_reports_pos_agent_outside_1_to_k():
 def _forge_action(text, r, agent, code):
     """Change one agent's action in round r, moving it in post to match."""
     tr = harness.parse_trace(text)[1][r]
-    port = harness.Action.from_code(code).port
-    post = dict(tr.post)
-    post[agent] = tr.pos[agent] if port is None else tr.snapshot.neighbor(
-        tr.pos[agent], port)
+    port = Action.from_code(code).port
+    post = dict(tr.after)
+    post[agent] = tr.before[agent] if port is None else tr.snapshot.neighbor(
+        tr.before[agent], port)
     groups: dict[int, list[int]] = {}
     for a in sorted(post):
         groups.setdefault(post[a], []).append(a)
@@ -429,7 +456,7 @@ def test_forged_action_on_a_repeated_round_is_reported(monkeypatch):
                max_rounds=30, T=3).to_text()
     rounds = harness.parse_trace(text)[1]
     r = max(i for i, tr in enumerate(rounds) if any(
-        prev.snapshot is tr.snapshot and prev.pos == tr.pos
+        prev.snapshot is tr.snapshot and prev.before == tr.before
         for prev in rounds[:i]
     ) and any(act.port is not None for act in tr.actions.values()))
     agent, act = next((a, act) for a, act in sorted(rounds[r].actions.items())

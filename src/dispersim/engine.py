@@ -369,7 +369,12 @@ def round_step(
     first round is kept with its configuration and states themselves, and
     keyed only when the graph comes again with other inputs, so a run
     whose graphs never repeat, and a round that follows its own preview,
-    build no key; those inputs must not be mutated either.
+    build no key.  From then on each step is also kept under the identity
+    of the configuration and states objects that reached it, with those
+    objects, so a call with the very same objects finds its step without
+    building a key; a memo hit hands back the step's own ``after`` and
+    ``states``, so repeated rounds arrive with such objects.  The memo
+    keeps all these inputs, so they must not be mutated either.
     """
     if memo is None:
         return _step(snapshot, config, states, algorithm, visibility,
@@ -384,14 +389,29 @@ def round_step(
         first_config, first_states, first = steps
         if first_config is config and first_states is states:
             return first
-        steps = memo[snapshot] = {_inputs(first_config, first_states): first}
+        keyed = _Steps({_inputs(first_config, first_states): first})
+        keyed.seen = {(id(first_config), id(first_states)): steps}
+        steps = memo[snapshot] = keyed
+    else:
+        hit = steps.seen.get((id(config), id(states)))
+        if hit is not None:
+            return hit[2]
     key = _inputs(config, states)
     step = steps.get(key)
     if step is None:
         step = steps[key] = _step(
             snapshot, config, states, algorithm, visibility, communication
         )
+    steps.seen[id(config), id(states)] = (config, states, step)
     return step
+
+
+class _Steps(dict):
+    """The steps of one graph by their inputs; ``seen`` maps the ids of
+    each (configuration, states) pair that reached one to the pair itself
+    and its step, which keeps those ids unique."""
+
+    __slots__ = ("seen",)
 
 
 def _inputs(config: Configuration, states: Mapping[int, AgentState]) -> tuple:
@@ -605,8 +625,11 @@ def parse_trace(text: str):
     Each distinct field text is parsed once and its value shared by every
     line that repeats it: rounds on the same graph share one Snapshot, and
     a ``pos:`` that repeats the previous ``post:`` is the same dict.  A
-    malformed text raises at its first line.  Shared values must not be
-    mutated.
+    round block whose six field lines repeat an earlier block's is looked
+    up whole, so its record shares all six values with that block's.  A
+    malformed text raises at its first line, and so does a header ``k``
+    larger than the number of agents the first ``pos:`` places.  Shared
+    values must not be mutated.
     """
     lines = text.splitlines()
     if not lines:
@@ -640,6 +663,9 @@ def parse_trace(text: str):
         Memo(lambda text: _parse_comp(text, n)),
         Memo(_parse_msgs),
     )
+    # the parsed values of each distinct block of six field lines; only a
+    # block that parsed cleanly is stored, so errors keep their lines
+    blocks: dict[tuple[str, ...], tuple] = {}
     rounds: list[RoundRecord] = []
     i = 1
     while i < len(lines) and lines[i].startswith("round "):
@@ -652,18 +678,28 @@ def parse_trace(text: str):
             r = parse_int(rm.group(1))
         except GraphError as exc:
             raise EngineError(f"line {i + 1}: {exc}") from None
-        texts = []
-        for f, want in enumerate(FIELDS):
-            line = lines[i + 1 + f]
-            if not line.startswith(want):
-                raise EngineError(f"line {i + 2 + f}: expected {want}")
-            texts.append(line[len(want):].strip())
-        values = [None] * len(FIELDS)
-        for f in _PARSE_ORDER:
-            try:
-                values[f] = parsers[f][texts[f]]
-            except (GraphError, EngineError) as exc:
-                raise EngineError(f"line {i + 2 + f}: {exc}") from None
+        block = tuple(lines[i + 1:i + 7])
+        values = blocks.get(block)
+        if values is None:
+            texts = []
+            for f, want in enumerate(FIELDS):
+                if not block[f].startswith(want):
+                    raise EngineError(f"line {i + 2 + f}: expected {want}")
+                texts.append(block[f][len(want):].strip())
+            values = [None] * len(FIELDS)
+            for f in _PARSE_ORDER:
+                try:
+                    values[f] = parsers[f][texts[f]]
+                except (GraphError, EngineError) as exc:
+                    raise EngineError(f"line {i + 2 + f}: {exc}") from None
+            values = blocks[block] = tuple(values)
+        if not rounds and header["k"] > len(values[1]):
+            # an honest first pos: names every agent, so the header's k
+            # cannot outgrow the trace either
+            raise EngineError(
+                f"line {i + 3}: header k={header['k']} exceeds the"
+                f" {len(values[1])} agents of the first pos field"
+            )
         rounds.append(RoundRecord(r, *values))
         i += 7
     if i >= len(lines) or not lines[i].startswith("end "):

@@ -8,7 +8,8 @@ so the recorded actions, component partitions and message counts must be
 exactly what that algorithm does on the recorded snapshots and positions.
 It also checks conservation, move legality, termination monotonicity,
 multinode monotonicity and per-window hole progress, and recomputes every
-outcome round.
+outcome round.  Repeated rounds are replayed from the memo and checked
+once per distinct round.
 
 ``CLAIMS`` holds the executable claims as data: each names an adversary,
 the runs that exhibit its bound and the predicate a run must meet.
@@ -296,7 +297,16 @@ def _hole_count(n: int, pos: dict[int, int]) -> int:
 def verify_trace(text: str) -> TraceReport:
     """Re-derive everything a trace claims, from the trace text alone.
     Each round is replayed through ``round_step`` on the recorded snapshot
-    and positions, carrying the replayed agent states forward."""
+    and positions, carrying the replayed agent states forward.
+
+    A round is checked once per distinct key: its parsed values, which
+    ``parse_trace`` shares between equal texts, its replayed step and the
+    number of agents terminated before it.  Every check of a round reads
+    only these, so a round whose key passed every check before passes
+    again and reuses what was derived from it; a round that failed one is
+    checked, and reported, every time.  The round index and ``pos`` against
+    the previous ``post`` are checked on every round.
+    """
     header, rounds, trailer = parse_trace(text)
     n, k = header["n"], header["k"]
     algorithm = header["algorithm"]
@@ -307,7 +317,9 @@ def verify_trace(text: str) -> TraceReport:
     violations: list[str] = []
     note = violations.append
 
-    all_ids = set(range(1, k + 1))
+    # parse_trace bounds k by the first pos: field, and a trace without
+    # rounds builds nothing of size k
+    all_ids = set(range(1, k + 1)) if rounds else set()
     states = {a: AgentState(id=a) for a in all_ids}
     # the replay's steps by their inputs, as in run: repeated rounds are
     # computed once
@@ -321,6 +333,10 @@ def verify_trace(text: str) -> TraceReport:
         if config is None:
             config = configs[id(pos)] = Configuration(n, pos)
         return config
+    # what each clean round key derived: multinodes before the round, the
+    # agents it terminates, the nodes it ends on and whether it ends
+    # dispersed; rounds and the memo keep every keyed object alive
+    clean: dict[tuple, tuple[int, set[int], set[int], bool]] = {}
     terminated: set[int] = set()
     visited: set[int] = set(rounds[0].before.values()) if rounds else set()
     # multinodes at the start of each round, and nodes visited by its end
@@ -328,70 +344,94 @@ def verify_trace(text: str) -> TraceReport:
     visited_counts: list[int] = []
     dispersed_at = explored_at = all_terminated_at = None
     max_messages = 0
+    prev_after = None
 
     for idx, rec in enumerate(rounds):
-        where = f"round {rec.r}"
+        size = len(violations)
         if rec.r != idx:
-            note(f"{where}: expected round index {idx}")
-        for name, pos in (("pos", rec.before), ("post", rec.after)):
-            if set(pos) != all_ids:
-                note(f"{where}: {name} does not cover agents 1..{k}")
-        if idx > 0 and rec.before != rounds[idx - 1].after:
-            note(f"{where}: pos does not match previous post")
-        live = all_ids - terminated
-        if set(rec.actions) != live:
-            note(f"{where}: actors {sorted(rec.actions)} != live {sorted(live)}")
-        for a in sorted(rec.actions):
-            act = rec.actions[a]
-            src = rec.before.get(a)
-            if src is None:
-                continue
-            if act.port is None:
-                dest = src
-            else:
-                try:
-                    dest = rec.snapshot.neighbor(src, act.port)
-                except GraphError:
-                    note(f"{where}: agent {a} used missing port {act.port}"
-                         f" at node {src}")
-                    continue
-            if rec.after.get(a) != dest:
-                note(f"{where}: agent {a} recorded at {rec.after.get(a)},"
-                     f" moves say {dest}")
-        for a in terminated:
-            if rec.after.get(a) != rec.before.get(a):
-                note(f"{where}: terminated agent {a} moved")
+            note(f"round {rec.r}: expected round index {idx}")
+        follows = (idx == 0 or rec.before is prev_after
+                   or rec.before == prev_after)
+        prev_after = rec.after
         config = configuration(rec.before)
+        step = None
         if rec.before.keys() <= all_ids:
             step = round_step(
                 rec.snapshot, config, states, alg,
                 header["visibility"], header["communication"], memo,
             )
             states = step.states
-            for a in sorted(rec.actions.keys() | step.actions.keys()):
-                got, want = rec.actions.get(a), step.actions.get(a)
-                if got != want:
-                    note(f"{where}: agent {a} recorded"
-                         f" {got.code() if got else '-'}, {algorithm}"
-                         f" computes {want.code() if want else '-'}")
-            if rec.components != step.components:
-                note(f"{where}: component partition mismatch")
-            if rec.messages != step.messages:
-                note(f"{where}: msgs={rec.messages}, recomputed {step.messages}")
-        max_messages = max(max_messages, rec.messages)
-        post_config = configuration(rec.after)
-        multis.append(len(config.multinodes()))
-        # cooperative moves never create new multinodes; terminal moves may
-        # legally stack agents into the same hole, so skip rounds that
-        # contain a terminate action
-        terminating_now = any(act.terminate for act in rec.actions.values())
-        if algorithm in COOPERATIVE and not terminating_now:
-            if len(post_config.multinodes()) > multis[-1]:
-                note(f"{where}: multinode count increased")
-        terminated |= {a for a, act in rec.actions.items() if act.terminate}
-        visited |= set(rec.after.values())
+        key = (id(rec.snapshot), id(rec.before), id(rec.actions),
+               id(rec.after), id(rec.components), rec.messages, id(step),
+               len(terminated))  # terminated only grows
+        derived = clean.get(key)
+        if derived is not None:
+            if not follows:
+                note(f"round {rec.r}: pos does not match previous post")
+        else:
+            where = f"round {rec.r}"
+            for name, pos in (("pos", rec.before), ("post", rec.after)):
+                if set(pos) != all_ids:
+                    note(f"{where}: {name} does not cover agents 1..{k}")
+            if not follows:
+                note(f"{where}: pos does not match previous post")
+            live = all_ids - terminated
+            if set(rec.actions) != live:
+                note(f"{where}: actors {sorted(rec.actions)}"
+                     f" != live {sorted(live)}")
+            for a in sorted(rec.actions):
+                act = rec.actions[a]
+                src = rec.before.get(a)
+                if src is None:
+                    continue
+                if act.port is None:
+                    dest = src
+                else:
+                    try:
+                        dest = rec.snapshot.neighbor(src, act.port)
+                    except GraphError:
+                        note(f"{where}: agent {a} used missing port"
+                             f" {act.port} at node {src}")
+                        continue
+                if rec.after.get(a) != dest:
+                    note(f"{where}: agent {a} recorded at {rec.after.get(a)},"
+                         f" moves say {dest}")
+            for a in terminated:
+                if rec.after.get(a) != rec.before.get(a):
+                    note(f"{where}: terminated agent {a} moved")
+            if step is not None:
+                for a in sorted(rec.actions.keys() | step.actions.keys()):
+                    got, want = rec.actions.get(a), step.actions.get(a)
+                    if got != want:
+                        note(f"{where}: agent {a} recorded"
+                             f" {got.code() if got else '-'}, {algorithm}"
+                             f" computes {want.code() if want else '-'}")
+                if rec.components != step.components:
+                    note(f"{where}: component partition mismatch")
+                if rec.messages != step.messages:
+                    note(f"{where}: msgs={rec.messages},"
+                         f" recomputed {step.messages}")
+            post_config = configuration(rec.after)
+            multi = len(config.multinodes())
+            # cooperative moves never create new multinodes; terminal moves
+            # may legally stack agents into the same hole, so skip rounds
+            # that contain a terminate action
+            terminating = {a for a, act in rec.actions.items()
+                           if act.terminate}
+            if algorithm in COOPERATIVE and not terminating:
+                if len(post_config.multinodes()) > multi:
+                    note(f"{where}: multinode count increased")
+            derived = (multi, terminating, set(rec.after.values()),
+                       post_config.is_dispersed())
+            if len(violations) == size:
+                clean[key] = derived
+        multi, terminating, after_nodes, dispersed = derived
+        multis.append(multi)
+        terminated |= terminating
+        visited |= after_nodes
         visited_counts.append(len(visited))
-        if dispersed_at is None and post_config.is_dispersed():
+        max_messages = max(max_messages, rec.messages)
+        if dispersed_at is None and dispersed:
             dispersed_at = rec.r
         if explored_at is None and len(visited) == n:
             explored_at = rec.r
@@ -446,7 +486,8 @@ def verify_trace(text: str) -> TraceReport:
         explored_at=explored_at,
         all_terminated_at=all_terminated_at,
         budget_exhausted=trailer["budget_exhausted"],
-        final_multinodes=len(post_config.multinodes()) if final_pos else 0,
+        final_multinodes=(len(configuration(final_pos).multinodes())
+                          if final_pos else 0),
         holes_start=_hole_count(n, rounds[0].before) if rounds else n,
         holes_end=_hole_count(n, final_pos) if final_pos else n,
         max_messages=max_messages,

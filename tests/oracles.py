@@ -4,9 +4,11 @@ Deliberately naive and structurally different from the package code:
 reachability via boolean matrix closure, partitions as frozensets, a
 ``t_path`` check over every node pair of every window, a minimal T found
 by trying every T in turn, a trace parser that matches every token with its
-own regex, refuses an agent listed twice in one field or a partition that
-does not list every node once, and builds a fresh Snapshot for every round,
-and a run loop that computes every round afresh.
+own regex, refuses an agent listed twice in one field, a partition that
+does not list every node once or a header k above the number of agents the
+first pos field places, and builds a fresh Snapshot for every round,
+a run loop that computes every round afresh, and a trace verifier that
+replays and checks every round afresh.
 """
 
 from __future__ import annotations
@@ -22,7 +24,16 @@ from dispersim.engine import (
     apply_actions,
     round_step,
 )
-from dispersim.graphs import GraphError, Schedule, Snapshot, components, parse_edges
+from dispersim.algorithms import make_algorithm
+from dispersim.graphs import (
+    GraphError,
+    Schedule,
+    Snapshot,
+    check_property,
+    components,
+    parse_edges,
+)
+from dispersim.harness import COOPERATIVE, RunMetrics, TraceReport
 
 
 def reach_matrix(n, pairs):
@@ -296,6 +307,11 @@ def parse_trace_reference(text):
                 f"line {at['comp']}: comp field must list each of the {n}"
                 " nodes once"
             )
+        if not rounds and header["k"] > len(pos):
+            raise EngineError(
+                f"line {at['pos']}: header k={header['k']} exceeds the"
+                f" {len(pos)} agents of the first pos field"
+            )
         rounds.append((int(rm.group(1)), snapshot, pos, actions, post, comp,
                        int(fields["msgs"])))
         i += 7
@@ -313,3 +329,128 @@ def parse_trace_reference(text):
         "budget_exhausted": em.group(5) == "1",
     }
     return header, rounds, trailer
+
+
+def verify_trace_reference(text):
+    """``harness.verify_trace`` without sharing: the trace is read by
+    ``parse_trace_reference``, and every round gets a fresh Configuration,
+    a replay without a memo and every check."""
+    header, rounds, trailer = parse_trace_reference(text)
+    n, k = header["n"], header["k"]
+    algorithm = header["algorithm"]
+    try:
+        alg = make_algorithm(algorithm, T=header["T"])
+    except ValueError as exc:
+        raise EngineError(f"line 1: {exc}") from None
+    violations = []
+    note = violations.append
+    all_ids = set(range(1, k + 1))
+    states = {a: AgentState(id=a) for a in all_ids}
+    terminated = set()
+    visited = set(rounds[0][2].values()) if rounds else set()
+    multis, visited_counts = [], []
+    dispersed_at = explored_at = all_terminated_at = None
+    max_messages = 0
+    for idx, (r, snapshot, pos, actions, post, comp, msgs) in enumerate(rounds):
+        where = f"round {r}"
+        if r != idx:
+            note(f"{where}: expected round index {idx}")
+        for name, placement in (("pos", pos), ("post", post)):
+            if set(placement) != all_ids:
+                note(f"{where}: {name} does not cover agents 1..{k}")
+        if idx > 0 and pos != rounds[idx - 1][4]:
+            note(f"{where}: pos does not match previous post")
+        live = all_ids - terminated
+        if set(actions) != live:
+            note(f"{where}: actors {sorted(actions)} != live {sorted(live)}")
+        for a in sorted(actions):
+            src = pos.get(a)
+            if src is None:
+                continue
+            dest = src
+            if actions[a].port is not None:
+                try:
+                    dest = snapshot.neighbor(src, actions[a].port)
+                except GraphError:
+                    note(f"{where}: agent {a} used missing port"
+                         f" {actions[a].port} at node {src}")
+                    continue
+            if post.get(a) != dest:
+                note(f"{where}: agent {a} recorded at {post.get(a)},"
+                     f" moves say {dest}")
+        for a in terminated:
+            if post.get(a) != pos.get(a):
+                note(f"{where}: terminated agent {a} moved")
+        config = Configuration(n, pos)
+        if pos.keys() <= all_ids:
+            step = round_step(snapshot, config, states, alg,
+                              header["visibility"], header["communication"])
+            states = step.states
+            for a in sorted(actions.keys() | step.actions.keys()):
+                got, want = actions.get(a), step.actions.get(a)
+                if got != want:
+                    note(f"{where}: agent {a} recorded"
+                         f" {got.code() if got else '-'}, {algorithm}"
+                         f" computes {want.code() if want else '-'}")
+            if comp != step.components:
+                note(f"{where}: component partition mismatch")
+            if msgs != step.messages:
+                note(f"{where}: msgs={msgs}, recomputed {step.messages}")
+        max_messages = max(max_messages, msgs)
+        post_config = Configuration(n, post)
+        multis.append(len(config.multinodes()))
+        terminating = any(act.terminate for act in actions.values())
+        if algorithm in COOPERATIVE and not terminating:
+            if len(post_config.multinodes()) > multis[-1]:
+                note(f"{where}: multinode count increased")
+        terminated |= {a for a, act in actions.items() if act.terminate}
+        visited |= set(post.values())
+        visited_counts.append(len(visited))
+        if dispersed_at is None and post_config.is_dispersed():
+            dispersed_at = r
+        if explored_at is None and len(visited) == n:
+            explored_at = r
+        if all_terminated_at is None and terminated == all_ids:
+            all_terminated_at = r
+
+    def holes(placement):
+        return n - len(set(placement.values()))
+
+    T = header["T"]
+    if (rounds and T is not None and algorithm in COOPERATIVE
+            and header["communication"] == "global"
+            and header["visibility"] == "one"):
+        prefix = Schedule(rnd[1] for rnd in rounds)
+        if prefix.rounds >= T and check_property(prefix, "t_path", T).holds:
+            for r in range(len(rounds) - T + 1):
+                if multis[r] == 0:
+                    continue
+                before = holes(rounds[r][2])
+                after = holes(rounds[r + T - 1][4])
+                if after >= before and not (
+                    algorithm == "alg3" and visited_counts[r + T - 1] == n
+                ):
+                    note(f"window [{r}, {r + T - 1}]: started with a"
+                         f" multinode but holes went {before} -> {after}")
+    for key, got in (("rounds", len(rounds)), ("dispersed_at", dispersed_at),
+                     ("explored_at", explored_at),
+                     ("all_terminated_at", all_terminated_at)):
+        if trailer[key] != got:
+            note(f"end line says {key}={trailer[key]}, recomputed {got}")
+    if trailer["budget_exhausted"] == (all_terminated_at is not None):
+        note("end line budget_exhausted inconsistent with terminations")
+    final = rounds[-1][4] if rounds else {}
+    return TraceReport(
+        RunMetrics(
+            n=n, k=k, rounds=len(rounds), algorithm=algorithm,
+            dispersed_at=dispersed_at, explored_at=explored_at,
+            all_terminated_at=all_terminated_at,
+            budget_exhausted=trailer["budget_exhausted"],
+            final_multinodes=(len(Configuration(n, final).multinodes())
+                              if final else 0),
+            holes_start=holes(rounds[0][2]) if rounds else n,
+            holes_end=holes(final) if final else n,
+            max_messages=max_messages,
+        ),
+        violations,
+    )

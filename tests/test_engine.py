@@ -359,6 +359,39 @@ def test_round_memo_builds_no_key_when_no_graph_repeats(monkeypatch):
     assert len(keys) == 2
 
 
+def test_round_memo_builds_no_key_for_inputs_it_has_seen(monkeypatch):
+    # an oracle round follows its preview with the very same configuration
+    # and states, and a memo hit hands run and the verifier's replay the
+    # step's own objects to carry forward; the memo finds the step of
+    # objects it has seen by their identity, so no (snapshot, config,
+    # states) triple is ever keyed twice
+    calls, keyed, current = [], [], []
+    original, inputs = engine.round_step, engine._inputs
+
+    def recording(snapshot, config, states, *rest):
+        calls.append((snapshot, config, states))  # keeps every id unique
+        current.append(snapshot)
+        try:
+            return original(snapshot, config, states, *rest)
+        finally:
+            current.pop()
+
+    def keying(config, states):
+        keyed.append((current[-1], id(config), id(states)))
+        return inputs(config, states)
+
+    monkeypatch.setattr(engine, "round_step", recording)
+    monkeypatch.setattr(harness, "round_step", recording)
+    monkeypatch.setattr(engine, "_inputs", keying)
+    make_source, placement, rounds = MEMO_SOURCES["sorted_path:comm"]
+    res = run(make_source(), placement, make_algorithm("alg3"),
+              communication="f2f", max_rounds=rounds)
+    in_run = len(keyed)
+    assert harness.verify_trace(res.to_text()).ok
+    assert 0 < in_run < len(keyed) < len(calls)
+    assert len(set(keyed)) == len(keyed)
+
+
 # every source repeats graphs and placements; agents in dispersed_n start
 # one per node behind the hole at node 0
 MEMO_SOURCES = {

@@ -5,7 +5,10 @@ tokens of a genuine trace or schedule.  An alteration overwrites one
 character, so no number grows by more than the digits it already has and
 no mutant can ask for a large allocation.  Only the package errors may
 escape, and the trace parser must agree with the naive reference parser in
-``oracles``: the same rounds, or the same error.
+``oracles``: the same rounds, or the same error.  Field mutants of traces
+whose rounds repeat alter one or two field lines, or put another round's
+line of the same field in their place, and the verifier must report what
+the reference verifier, which shares nothing between rounds, reports.
 """
 
 from __future__ import annotations
@@ -16,7 +19,13 @@ from pathlib import Path
 from dispersim.adversary import gen_random_with_property, make_adversary
 from dispersim.algorithms import make_algorithm
 from dispersim.engine import EngineError, run
-from dispersim.graphs import PROPERTIES, GraphError, Schedule, minimal_T
+from dispersim.graphs import (
+    PROPERTIES,
+    GraphError,
+    Schedule,
+    Snapshot,
+    minimal_T,
+)
 from dispersim.harness import parse_trace, verify_trace
 
 import oracles
@@ -26,6 +35,7 @@ PACKAGE_ERRORS = (EngineError, GraphError)
 ALPHABET = "0123456789:,-|!ms= x"
 TRACE_MUTANTS = 450  # per trace
 SCHEDULE_MUTANTS = 150  # per schedule file
+FIELD_MUTANTS = 60  # per repeated-round trace
 
 
 def seed_traces() -> list[str]:
@@ -41,6 +51,26 @@ def seed_traces() -> list[str]:
         run(make_adversary("sorted_path", 7, variant="comm"), colocated(6),
             make_algorithm("alg3"), communication="f2f",
             max_rounds=10).to_text(),
+    ]
+
+
+def repeated_round_traces() -> list[str]:
+    """Genuine traces whose round blocks repeat: three algorithms against
+    the ct_dispersion adversary, a face-to-face exploration, and agents
+    that stay twice on a static path and then terminate."""
+    colocated = lambda k: {a: 0 for a in range(1, k + 1)}
+    path = Snapshot.from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    return [
+        run(make_adversary("ct_dispersion", 6, k=4, T=3), colocated(4),
+            make_algorithm(alg, T=3), max_rounds=30, T=3).to_text()
+        for alg in ("alg1_implicit", "alg3", "alg1_explicit")
+    ] + [
+        run(make_adversary("sorted_path", 7, variant="comm"), colocated(6),
+            make_algorithm("alg3"), communication="f2f",
+            max_rounds=20).to_text(),
+        run(Schedule([path] * 4), {1: 0, 2: 1, 3: 3},
+            make_algorithm("alg1_explicit", T=3), max_rounds=4,
+            T=3).to_text(),
     ]
 
 
@@ -64,6 +94,24 @@ def mutate(text: str, rng: random.Random) -> str:
             c = rng.randrange(len(tok))
             toks[j] = tok[:c] + rng.choice(ALPHABET) + tok[c + 1:]
         lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def field_mutant(text: str, rng: random.Random) -> str:
+    """One or two field lines of rounds after the first, each altered as
+    ``mutate`` alters a line or replaced by another round's line of the
+    same field."""
+    lines = text.splitlines()
+    blocks = [lines[i + 1:i + 7] for i in range(1, len(lines) - 1, 7)]
+    for _ in range(rng.randint(1, 2)):
+        r = rng.randrange(1, len(blocks))
+        f = rng.randrange(6)
+        i = 2 + 7 * r + f
+        others = sorted({b[f] for b in blocks} - {lines[i]})
+        if others and (not lines[i] or rng.random() < 0.7):
+            lines[i] = rng.choice(others)
+        else:
+            lines[i] = mutate(lines[i], rng).rstrip("\n")
     return "\n".join(lines) + "\n"
 
 
@@ -112,3 +160,20 @@ def test_schedule_mutants_raise_only_package_errors():
         except Exception as exc:
             failures.append(f"{label}: {prop}: {exc!r}")
     assert not failures, "\n".join(failures[:10])
+
+
+def test_field_mutants_of_repeated_rounds_verify_like_the_reference():
+    failures, reported = [], 0
+    for s, text in enumerate(repeated_round_traces()):
+        rng = random.Random(f"fuzz:field:{s}")
+        for m in range(FIELD_MUTANTS):
+            mutant = field_mutant(text, rng)
+            got = _outcome(verify_trace, mutant)
+            want = _outcome(oracles.verify_trace_reference, mutant)
+            if got != want:
+                failures.append(f"field {s} mutant {m}: {got!r:.300}"
+                                f" != {want!r:.300}")
+            reported += not isinstance(got, tuple) and not got.ok
+    assert not failures, "\n".join(failures[:10])
+    # many mutants parse, so the checks, not the parser, must catch them
+    assert reported > FIELD_MUTANTS * 2

@@ -18,7 +18,7 @@ from dispersim.harness import (
     sweep,
     verify_trace,
 )
-from dispersim import cli, harness
+from dispersim import cli, engine, harness
 
 import oracles
 
@@ -478,6 +478,136 @@ def test_forged_action_on_a_repeated_round_is_reported(monkeypatch):
     assert hits[r]
     assert (f"round {r}: agent {agent} recorded s, alg3 computes"
             f" {act.code()}") in report.violations
+
+
+def _ct_trace(alg, rounds=60):
+    """n=6, k=4, T=3 under ct_dispersion: a handful of distinct round
+    blocks, each repeated many times."""
+    return run(make_adversary("ct_dispersion", 6, k=4, T=3),
+               {a: 0 for a in range(1, 5)}, make_algorithm(alg, T=3),
+               max_rounds=rounds, T=3).to_text()
+
+
+def _blocks(text):
+    """The six field lines of each round, in order."""
+    lines = text.splitlines()
+    return [tuple(lines[i + 1:i + 7]) for i in range(1, len(lines) - 1, 7)]
+
+
+def _forge_field(text, r, field):
+    """Rewrite one field line of round r to a well-formed line that differs:
+    another round's line of that field (with other components, for
+    ``edges:``), a flipped first action, a one-group partition or msgs 999."""
+    lines, blocks = text.splitlines(), _blocks(text)
+    f = engine.FIELDS.index(field)
+    i = lines.index(f"round r={r}") + 1 + f
+    if field in ("edges:", "pos:", "post:"):
+        lines[i] = next(b[f] for b in blocks if b[f] != lines[i]
+                        and (field != "edges:" or b[4] != blocks[r][4]))
+    elif field == "act:":
+        toks = lines[i].split()
+        agent, code = toks[1].split(":")
+        toks[1] = f"{agent}:{'m0' if code == 's' else 's'}"
+        lines[i] = " ".join(toks)
+    elif field == "comp:":
+        lines[i] = "comp: 0,1,2,3,4,5"
+    else:
+        lines[i] = "msgs: 999"
+    assert lines[i] != text.splitlines()[i]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("field", engine.FIELDS)
+@pytest.mark.parametrize("alg", ["alg1_implicit", "alg3"])
+def test_forged_field_on_a_repeated_round_is_reported(alg, field):
+    # the last round repeats an earlier clean round block, so its values are
+    # the very objects of a round the verifier has already passed; a forged
+    # field must still be reported, exactly as a verifier without any
+    # sharing reports it
+    text = _ct_trace(alg)
+    blocks = _blocks(text)
+    last = len(blocks) - 1
+    assert blocks[last] in blocks[:last]
+    assert verify_trace(text).ok
+    forged = _forge_field(text, last, field)
+    report = verify_trace(forged)
+    assert any(v.startswith(f"round {last}: ") for v in report.violations)
+    assert report == oracles.verify_trace_reference(forged)
+
+
+def test_repeated_round_after_a_termination_is_checked_again():
+    # a forged terminate in round 3 leaves the replay's states, and so its
+    # steps, as they were; later rounds repeat earlier clean round blocks
+    # and steps, but agent 1 is no longer live, so each is a violation
+    text = _ct_trace("alg1_explicit", rounds=30)
+    blocks = _blocks(text)
+    lines = text.splitlines()
+    i = lines.index("round r=3") + 3
+    assert lines[i].startswith("act: 1:") and "!" not in lines[i]
+    agent, code = lines[i].split()[1].split(":")
+    lines[i] = lines[i].replace(f"{agent}:{code}", f"{agent}:{code}!", 1)
+    forged = "\n".join(lines) + "\n"
+    report = verify_trace(forged)
+    assert report == oracles.verify_trace_reference(forged)
+    again = [r for r in range(4, len(blocks)) if blocks[r] in blocks[:3]]
+    assert again
+    for r in again:
+        assert any(v.startswith(f"round {r}: actors ")
+                   for v in report.violations)
+
+
+def test_repeated_round_with_other_replayed_states_is_checked_again():
+    # alg1_explicit counts quiet rounds in its state: on a static path its
+    # agents stay twice and then terminate, so a third round recorded as
+    # the first two is the same block replayed from other states
+    snap = Snapshot.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
+    text = run(Schedule([snap] * 3), {1: 0, 2: 1, 3: 2},
+               make_algorithm("alg1_explicit", T=3), max_rounds=3,
+               T=3).to_text()
+    assert "act: 1:s! 2:s! 3:s!" in text
+    forged = text.replace("act: 1:s! 2:s! 3:s!", "act: 1:s 2:s 3:s")
+    assert len(set(_blocks(forged))) == 1
+    report = verify_trace(forged)
+    assert report == oracles.verify_trace_reference(forged)
+    assert [v for v in report.violations if v.startswith("round ")] == [
+        f"round 2: agent {a} recorded s, alg1_explicit computes s!"
+        for a in (1, 2, 3)
+    ]
+
+
+def test_header_k_is_bounded_by_the_first_pos_line(tmp_path, capsys):
+    # an honest first pos: line places every agent, so a large k in a short
+    # trace is rejected before the replay builds anything of size k
+    text = (
+        "trace v=1 n=2 k=2000000 T=- algorithm=alg3 visibility=one"
+        " communication=global\nround r=0\nedges: 0-1:0,0\npos: 0:1,2\n"
+        "act: 1:s 2:m0\npost: 0:1 1:2\ncomp: 0,1\nmsgs: 2\nend rounds=1"
+        " dispersed_at=0 explored_at=- all_terminated_at=- budget_exhausted=1\n"
+    )
+    assert len(text) == 242
+    # a trace without rounds has no pos: line, and builds nothing of size k
+    empty = text[:text.index("round")] + (
+        "end rounds=0 dispersed_at=- explored_at=- all_terminated_at=-"
+        " budget_exhausted=1\n"
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(EngineError, match="^line 4: header k=2000000"
+                                              " exceeds the 2 agents of the"
+                                              " first pos field$"):
+            verify_trace(text)
+        assert verify_trace(empty).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    path = tmp_path / "big_k.trace"
+    path.write_text(text)
+    assert cli.main(["verify", str(path)], out=lambda *_: None) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 4: ")
+    with pytest.raises(EngineError, match="^line 4: header k=2000000"):
+        oracles.parse_trace_reference(text)
 
 
 @pytest.mark.parametrize("field, bad", [

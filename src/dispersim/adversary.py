@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Edge, GraphError, Memo, Schedule, Snapshot
+from .graphs import PROPERTIES, Edge, Memo, Schedule, Snapshot
 
 
 class AdversaryError(ValueError):
@@ -82,6 +82,49 @@ def _random_extras(rng: random.Random, n: int, density: float):
     }
 
 
+class RandomRounds:
+    """The rounds of ``gen_random_with_property``, each drawn from the seeded
+    stream when it is read, so ``engine.run`` draws no round it does not
+    reach.  ``t_interval`` draws all its spanning trees before the first
+    round, because they come first in the stream: that is rounds // T + 1
+    trees of n - 1 pairs each, however few rounds are read.
+    """
+
+    def __init__(
+        self, seed: int, n: int, prop: str, T: int, density: float, rounds: int
+    ) -> None:
+        if n < 1:
+            raise AdversaryError(f"n must be >= 1, got {n}")
+        if T < 1:
+            raise AdversaryError(f"T must be >= 1, got {T}")
+        if rounds < T:
+            raise AdversaryError(f"need rounds >= T, got {rounds} < {T}")
+        if not 0.0 <= density <= 1.0:
+            raise AdversaryError(f"density must be in [0, 1], got {density}")
+        if prop not in PROPERTIES:
+            raise AdversaryError(f"unknown property {prop!r}")
+        self.n = n
+        rng = random.Random(f"{seed}:{n}:{prop}:{T}:{density}:{rounds}")
+        self._snaps = self._draw(rng, prop, T, density, rounds)
+
+    def _draw(self, rng, prop, T, density, rounds):
+        n = self.n
+        if prop == "t_interval":
+            trees = [_random_tree(rng, n) for _ in range(rounds // T + 1)]
+        for r in range(rounds):
+            if prop == "t_interval":  # the trees of this block and the last
+                pairs = trees[r // T] | trees[max(r // T - 1, 0)]
+            else:
+                pairs = _random_tree(rng, n) if r % T == T - 1 else set()
+            yield Snapshot.from_pairs(n, pairs | _random_extras(rng, n, density))
+
+    def __iter__(self):
+        return self._snaps
+
+    def next_snapshot(self, r: int, config, states) -> Snapshot:
+        return next(self._snaps)
+
+
 def gen_random_with_property(
     seed: int, n: int, prop: str, T: int, density: float, rounds: int
 ) -> Schedule:
@@ -92,35 +135,7 @@ def gen_random_with_property(
     t_path / connectivity_time: every round r with r mod T = T-1 is a
     random connected graph; all other rounds are arbitrary.
     """
-    if n < 1:
-        raise AdversaryError(f"n must be >= 1, got {n}")
-    if T < 1:
-        raise AdversaryError(f"T must be >= 1, got {T}")
-    if rounds < T:
-        raise AdversaryError(f"need rounds >= T, got {rounds} < {T}")
-    if not 0.0 <= density <= 1.0:
-        raise AdversaryError(f"density must be in [0, 1], got {density}")
-    if prop not in ("t_interval", "t_path", "connectivity_time"):
-        raise AdversaryError(f"unknown property {prop!r}")
-    rng = random.Random(f"{seed}:{n}:{prop}:{T}:{density}:{rounds}")
-    snaps = []
-    if prop == "t_interval":
-        trees = [_random_tree(rng, n) for _ in range(rounds // T + 1)]
-        for r in range(rounds):
-            b = r // T
-            pairs = set(trees[b])
-            if b > 0:
-                pairs |= trees[b - 1]
-            pairs |= _random_extras(rng, n, density)
-            snaps.append(Snapshot.from_pairs(n, pairs))
-    else:
-        for r in range(rounds):
-            if r % T == T - 1:
-                pairs = _random_tree(rng, n) | _random_extras(rng, n, density)
-            else:
-                pairs = _random_extras(rng, n, density)
-            snaps.append(Snapshot.from_pairs(n, pairs))
-    return Schedule(snaps)
+    return Schedule(RandomRounds(seed, n, prop, T, density, rounds))
 
 
 # --- adaptive adversaries ---
@@ -186,7 +201,6 @@ class KtLower(Adversary):
             raise AdversaryError(f"kt_lower needs T >= 2, got {T}")
         if n <= k:
             raise AdversaryError(f"kt_lower needs n > k, got n={n} k={k}")
-        self.k = k
         self.T = T
 
     def _emit(self, r, config, states) -> Snapshot:
@@ -277,7 +291,6 @@ class ExplorationStar(Adversary):
             raise AdversaryError(
                 f"exploration_star needs 1 <= k <= n-2, got k={k} n={n}"
             )
-        self.k = k
         self.target = n - 1
 
     def _emit(self, r, config, states) -> Snapshot:
@@ -314,11 +327,6 @@ class TwoStarsTime(Adversary):
             self.kind = "two_stars_time_tpath"
         self._visited: set[int] = set()
 
-    def _bridge_round(self, r: int) -> bool:
-        if self.T == 1:
-            return True
-        return r > 0 and r % (self.T - 1) == 0
-
     def _emit(self, r, config, states) -> Snapshot:
         if r == 0 and len(config.at) != 1:
             raise AdversaryError(
@@ -327,7 +335,8 @@ class TwoStarsTime(Adversary):
         self._visited |= set(config.at)
         unvisited = [v for v in range(self.n) if v not in self._visited]
         pairs = _star(sorted(self._visited)) | _star(unvisited)
-        if unvisited and self._bridge_round(r):
+        # T = 1 bridges every round, a larger T at multiples of T-1
+        if unvisited and (self.T == 1 or r > 0 and r % (self.T - 1) == 0):
             pairs.add((min(self._visited), min(unvisited)))
         return self._graph(pairs)
 
@@ -355,7 +364,6 @@ class CtExploration(Adversary):
             raise AdversaryError(
                 f"ct_exploration needs 1 <= k <= 2n-5, got k={k} n={n}"
             )
-        self.k = k
         self.T = T
         self.partner: int | None = None
         self.target: int | None = None
@@ -394,6 +402,9 @@ class CtExploration(Adversary):
         return self._graph(pairs)
 
 
+SORTED_PATH_VARIANTS = ("comm", "visibility", "dispersed")
+
+
 class SortedPath(Adversary):
     """Oracle-consulting path attack against capability-limited explorers.
 
@@ -412,7 +423,7 @@ class SortedPath(Adversary):
 
     def __init__(self, n: int, variant: str) -> None:
         super().__init__(n)
-        if variant not in ("comm", "visibility", "dispersed"):
+        if variant not in SORTED_PATH_VARIANTS:
             raise AdversaryError(f"unknown sorted_path variant {variant!r}")
         if variant == "dispersed":
             if n < 3:
@@ -461,12 +472,6 @@ class SortedPath(Adversary):
             edges.append(Edge(order[i], order[i + 1], 1, 0))
         return Snapshot(n, edges)
 
-    def _need_oracle(self):
-        if self.oracle is None:
-            raise AdversaryError(
-                "sorted_path needs an action oracle before emitting"
-            )
-
     def _sorted_order(self, config) -> list[int]:
         def key(u: int):
             ids = config.ids_at(u)
@@ -479,7 +484,10 @@ class SortedPath(Adversary):
         return sorted(range(self.n), key=key)
 
     def _emit(self, r, config, states) -> Snapshot:
-        self._need_oracle()
+        if self.oracle is None:
+            raise AdversaryError(
+                "sorted_path needs an action oracle before emitting"
+            )
         if self.variant == "dispersed":
             if r == 0:
                 if not (config.is_dispersed() and len(config.at) == self.n - 1):
@@ -521,15 +529,17 @@ class SortedPath(Adversary):
         return straight
 
 
-ADVERSARY_KINDS = (
-    "kt_lower",
-    "ct_dispersion",
-    "exploration_star",
-    "two_stars_time",
-    "two_stars_time_tpath",
-    "ct_exploration",
-    "sorted_path",
-)
+# each kind's class and the parameters it takes after n, in order
+ADVERSARIES = {
+    "kt_lower": (KtLower, ("k", "T")),
+    "ct_dispersion": (CtDispersion, ("k", "T")),
+    "exploration_star": (ExplorationStar, ("k",)),
+    "two_stars_time": (TwoStarsTime, ()),
+    "two_stars_time_tpath": (TwoStarsTime, ("T",)),
+    "ct_exploration": (CtExploration, ("k", "T")),
+    "sorted_path": (SortedPath, ("variant",)),
+}
+ADVERSARY_KINDS = tuple(ADVERSARIES)
 
 
 def make_adversary(
@@ -541,24 +551,13 @@ def make_adversary(
     variant: str | None = None,
 ) -> Adversary:
     """Instantiate an adversary by registry name, validating parameters."""
-
-    def need(value, what):
-        if value is None:
-            raise AdversaryError(f"{kind} needs {what}")
-        return value
-
-    if kind == "kt_lower":
-        return KtLower(n, need(k, "k"), need(T, "T"))
-    if kind == "ct_dispersion":
-        return CtDispersion(n, need(k, "k"), need(T, "T"))
-    if kind == "exploration_star":
-        return ExplorationStar(n, need(k, "k"))
-    if kind == "two_stars_time":
-        return TwoStarsTime(n, 1)
-    if kind == "two_stars_time_tpath":
-        return TwoStarsTime(n, need(T, "T"))
-    if kind == "ct_exploration":
-        return CtExploration(n, need(k, "k"), need(T, "T"))
-    if kind == "sorted_path":
-        return SortedPath(n, need(variant, "variant"))
-    raise AdversaryError(f"unknown adversary {kind!r}; known: {ADVERSARY_KINDS}")
+    if kind not in ADVERSARIES:
+        raise AdversaryError(
+            f"unknown adversary {kind!r}; known: {ADVERSARY_KINDS}"
+        )
+    cls, params = ADVERSARIES[kind]
+    given = {"k": k, "T": T, "variant": variant}
+    for param in params:
+        if given[param] is None:
+            raise AdversaryError(f"{kind} needs {param}")
+    return cls(n, *(given[param] for param in params))

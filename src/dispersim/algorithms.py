@@ -23,7 +23,7 @@ Registered names:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Mapping
 
 from .engine import (
     Action,
@@ -31,33 +31,19 @@ from .engine import (
     AgentState,
     Broadcast,
     Bundle,
-    ComponentKnowledge,
     LocalView,
+    NodeKnowledge,
     STAY,
     stitch_component,
 )
 
 
-@dataclass(frozen=True)
-class SlidingPlan:
-    """Ordered (agent ID, exit port) moves along an occupied path; the last
-    entry exits through the terminal hole port."""
-
-    moves: tuple[tuple[int, int], ...]
-
-    @property
-    def hole_port(self) -> int:
-        return self.moves[-1][1]
-
-    def port_for(self, agent: int) -> int | None:
-        for a, p in self.moves:
-            if a == agent:
-                return p
-        return None
-
-
-def disp_plan(ck: ComponentKnowledge) -> SlidingPlan | None:
-    """Shortest shift from the coordinating multinode to the nearest hole.
+def disp_plan(
+    nodes: Mapping[int, NodeKnowledge],
+) -> tuple[tuple[int, int], ...] | None:
+    """Shortest shift from the coordinating multinode to the nearest hole,
+    as ordered (agent ID, exit port) moves along an occupied path; the last
+    move exits through the terminal hole port.
 
     Coordinator = occupied node whose least co-located agent ID is least
     among multinodes.  BFS over known occupied nodes processes keys in
@@ -65,25 +51,25 @@ def disp_plan(ck: ComponentKnowledge) -> SlidingPlan | None:
     distance owning a hole port) are deterministic.  Returns None when the
     knowledge holds no multinode or no hole port.
     """
-    multis = ck.multinode_keys()
+    multis = [key for key, nd in nodes.items() if len(nd.ids) > 1]
     if not multis:
         return None
-    start = multis[0]
+    start = min(multis)
     parent: dict[int, int | None] = {start: None}
     frontier = [start]
     target = None
     while frontier:
         frontier.sort()
         for key in frontier:
-            if ck.nodes[key].hole_ports:
+            if nodes[key].hole_ports:
                 target = key
                 break
         if target is not None:
             break
         nxt = []
         for key in frontier:
-            for _, nb in ck.nodes[key].links:
-                if nb in ck.nodes and nb not in parent:
+            for _, nb in nodes[key].links:
+                if nb in nodes and nb not in parent:
                     parent[nb] = key
                     nxt.append(nb)
         frontier = nxt
@@ -95,34 +81,29 @@ def disp_plan(ck: ComponentKnowledge) -> SlidingPlan | None:
     path.reverse()  # coordinator .. target
     moves = []
     for here, there in zip(path, path[1:]):
-        port = next(p for p, nb in ck.nodes[here].links if nb == there)
-        moves.append((ck.nodes[here].ids[0], port))
-    moves.append((ck.nodes[target].ids[0], min(ck.nodes[target].hole_ports)))
-    return SlidingPlan(tuple(moves))
+        port = next(p for p, nb in nodes[here].links if nb == there)
+        moves.append((nodes[here].ids[0], port))
+    moves.append((nodes[target].ids[0], min(nodes[target].hole_ports)))
+    return tuple(moves)
 
 
-_UNPLANNED = object()
-
-
-def component_plan(msgs: tuple[Broadcast, ...]) -> SlidingPlan | None:
-    """The sliding plan of a broadcast bundle.
+def component_plan(msgs: tuple[Broadcast, ...]) -> dict[int, int]:
+    """Each agent's exit port under the sliding plan of a broadcast
+    bundle; empty when there is no plan.
 
     It is a pure function of the broadcasts, so a ``Bundle`` keeps it and
     the agents that share the bundle plan once.
     """
-    plan = getattr(msgs, "plan", _UNPLANNED)
-    if plan is _UNPLANNED:
-        plan = disp_plan(stitch_component(msgs))
+    plan = getattr(msgs, "plan", None)
+    if plan is None:
+        plan = dict(disp_plan(stitch_component(msgs)) or ())
         if isinstance(msgs, Bundle):
             msgs.plan = plan
     return plan
 
 
 def _plan_action(agent: int, msgs: tuple[Broadcast, ...]) -> Action:
-    plan = component_plan(msgs)
-    if plan is None:
-        return STAY
-    port = plan.port_for(agent)
+    port = component_plan(msgs).get(agent)
     return STAY if port is None else Action(port=port)
 
 
@@ -130,7 +111,7 @@ def _hears_multinode(msgs: tuple[Broadcast, ...]) -> bool:
     return any(b.count > 1 for b in msgs)
 
 
-def _make_alg1(T: int, explicit: bool) -> Algorithm:
+def _make_alg1(T: int | None, explicit: bool) -> Algorithm:
     if explicit and (T is None or T < 1):
         raise ValueError("alg1_explicit needs the window length T >= 1")
 
@@ -148,10 +129,7 @@ def _make_alg1(T: int, explicit: bool) -> Algorithm:
 def _alg2_step(state: AgentState, view: LocalView, msgs):
     if _hears_multinode(msgs):
         return _plan_action(state.id, msgs), state
-    holes = view.hole_ports()
-    if holes:
-        return Action(port=min(holes), terminate=True), state
-    return Action(terminate=True), state
+    return _one_round_step(state, view, msgs)
 
 
 def _alg3_step(state: AgentState, view: LocalView, msgs):
@@ -185,34 +163,24 @@ def _stay_step(state: AgentState, view: LocalView, msgs):
     return STAY, state
 
 
-ALGORITHM_NAMES = (
-    "disp",
-    "alg1_explicit",
-    "alg1_implicit",
-    "alg2",
-    "alg3",
-    "dispersed_one_round",
-    "greedy_port0",
-    "stay",
-)
+# each name's builder of the window length T; only alg1_explicit needs it
+ALGORITHMS = {
+    "disp": lambda T: Algorithm("disp", _disp_step),
+    "alg1_explicit": lambda T: _make_alg1(T, explicit=True),
+    "alg1_implicit": lambda T: _make_alg1(T, explicit=False),
+    "alg2": lambda T: Algorithm("alg2", _alg2_step),
+    "alg3": lambda T: Algorithm("alg3", _alg3_step),
+    "dispersed_one_round": lambda T: Algorithm(
+        "dispersed_one_round", _one_round_step),
+    "greedy_port0": lambda T: Algorithm("greedy_port0", _greedy_step),
+    "stay": lambda T: Algorithm("stay", _stay_step),
+}
+ALGORITHM_NAMES = tuple(ALGORITHMS)
 
 
 def make_algorithm(name: str, *, T: int | None = None) -> Algorithm:
     """Instantiate a registered algorithm; only alg1_explicit consumes T."""
-    if name == "disp":
-        return Algorithm("disp", _disp_step)
-    if name == "alg1_explicit":
-        return _make_alg1(T, explicit=True)
-    if name == "alg1_implicit":
-        return _make_alg1(T if T else 1, explicit=False)
-    if name == "alg2":
-        return Algorithm("alg2", _alg2_step)
-    if name == "alg3":
-        return Algorithm("alg3", _alg3_step)
-    if name == "dispersed_one_round":
-        return Algorithm("dispersed_one_round", _one_round_step)
-    if name == "greedy_port0":
-        return Algorithm("greedy_port0", _greedy_step)
-    if name == "stay":
-        return Algorithm("stay", _stay_step)
-    raise ValueError(f"unknown algorithm {name!r}; known: {ALGORITHM_NAMES}")
+    build = ALGORITHMS.get(name)
+    if build is None:
+        raise ValueError(f"unknown algorithm {name!r}; known: {ALGORITHM_NAMES}")
+    return build(T)

@@ -230,28 +230,20 @@ def deliver(
             Broadcast(a, len(ids), views[node]) for a in ids if a not in terminated
         ]
     inbox: dict[int, Bundle] = {}
-    if mode == "f2f":
-        for node, casts in node_casts.items():
-            bundle = Bundle(casts)
+    # the nodes whose agents hear each other: a node, or a component
+    groups = [[v] for v in node_casts] if mode == "f2f" else components(snapshot)
+    for group in groups:
+        casts = [b for node in group for b in node_casts.get(node, ())]
+        casts.sort(key=lambda b: b.sender)
+        bundle = Bundle(casts)
+        for node in group:
             for a in config.ids_at(node):
                 if a not in terminated:
                     inbox[a] = bundle
-    else:
-        for comp in components(snapshot):
-            casts = []
-            for node in comp:
-                casts.extend(node_casts.get(node, ()))
-            casts.sort(key=lambda b: b.sender)
-            bundle = Bundle(casts)
-            for node in comp:
-                for a in config.ids_at(node):
-                    if a not in terminated:
-                        inbox[a] = bundle
     return inbox
 
 
-@dataclass(frozen=True)
-class NodeKnowledge:
+class NodeKnowledge(NamedTuple):
     """One occupied node as reconstructed from broadcasts.
 
     The key is the least co-located agent ID; links lead to other occupied
@@ -264,16 +256,9 @@ class NodeKnowledge:
     links: tuple[tuple[int, int], ...]  # (port, neighbor key)
 
 
-@dataclass(frozen=True)
-class ComponentKnowledge:
-    nodes: Mapping[int, NodeKnowledge]
-
-    def multinode_keys(self) -> list[int]:
-        return sorted(k for k, nd in self.nodes.items() if len(nd.ids) > 1)
-
-
-def stitch_component(broadcasts: Iterable[Broadcast]) -> ComponentKnowledge:
-    """Assemble the occupied-node graph visible in a set of broadcasts.
+def stitch_component(broadcasts: Iterable[Broadcast]) -> dict[int, NodeKnowledge]:
+    """Assemble the occupied-node graph visible in a set of broadcasts,
+    each node by its key.
 
     Raises EngineError on inconsistency (same node described twice with
     different views, or asymmetric links): those are engine bugs, not
@@ -290,28 +275,17 @@ def stitch_component(broadcasts: Iterable[Broadcast]) -> ComponentKnowledge:
             )
     nodes = {}
     for colocated, view in by_node.items():
-        key = colocated[0]
-        hole_ports = []
-        links = []
-        if view.per_port is not None:
-            for pv in view.per_port:
-                if pv.occupants:
-                    links.append((pv.port, pv.occupants[0]))
-                else:
-                    hole_ports.append(pv.port)
-        nodes[key] = NodeKnowledge(
-            key=key,
-            ids=colocated,
-            hole_ports=tuple(hole_ports),
-            links=tuple(links),
-        )
+        links = tuple((pv.port, pv.occupants[0])
+                      for pv in view.per_port or () if pv.occupants)
+        nodes[colocated[0]] = NodeKnowledge(
+            colocated[0], colocated, view.hole_ports(), links)
     directed = {
         (nd.key, nb) for nd in nodes.values() for _, nb in nd.links
     }
     for a, b in directed:
         if b in nodes and (b, a) not in directed:
             raise EngineError(f"link {a}->{b} has no back link")
-    return ComponentKnowledge(nodes=nodes)
+    return nodes
 
 
 def apply_actions(
@@ -725,22 +699,6 @@ def parse_trace(text: str):
     return header, rounds, trailer
 
 
-class ScheduleSource:
-    """Fixed-schedule adapter for run()."""
-
-    def __init__(self, schedule: Schedule) -> None:
-        self.schedule = schedule
-        self.n = schedule.n
-
-    def next_snapshot(self, r: int, config, states) -> Snapshot:
-        if r >= self.schedule.rounds:
-            raise GraphError(
-                f"fixed schedule exhausted at round {r}"
-                f" (has {self.schedule.rounds})"
-            )
-        return self.schedule.snapshot(r)
-
-
 def run(
     source,
     placement: Mapping[int, int],
@@ -753,8 +711,8 @@ def run(
 ) -> RunResult:
     """Drive one run to completion or budget exhaustion.
 
-    ``source`` is a Schedule or any object with
-    ``next_snapshot(r, config, states) -> Snapshot``; adaptive adversaries
+    ``source`` has ``n`` and ``next_snapshot(r, config, states) ->
+    Snapshot``: a Schedule is one, and so is an adversary; adversaries
     that declare ``needs_oracle`` get wired to this run's compute phase.
     """
     if max_rounds < 1:
@@ -763,8 +721,6 @@ def run(
         raise GraphError(f"unknown visibility {visibility!r}")
     if communication not in COMMUNICATIONS:
         raise GraphError(f"unknown communication mode {communication!r}")
-    if isinstance(source, Schedule):
-        source = ScheduleSource(source)
     ids = sorted(placement)
     if not ids or ids != list(range(1, len(ids) + 1)):
         raise GraphError(f"agent ids must be 1..k, got {ids}")

@@ -301,9 +301,13 @@ class Schedule:
     def rounds(self) -> int:
         return len(self.snapshots)
 
-    def snapshot(self, r: int) -> Snapshot:
-        if not 0 <= r < self.rounds:
-            raise GraphError(f"round {r} outside trace of {self.rounds} rounds")
+    def next_snapshot(self, r: int, config, states) -> Snapshot:
+        """Round r for ``engine.run``: a schedule is its own source, and
+        ignores the configuration and states."""
+        if r >= self.rounds:
+            raise GraphError(
+                f"fixed schedule exhausted at round {r} (has {self.rounds})"
+            )
         return self.snapshots[r]
 
     def dynamic_diameter(self) -> float:
@@ -385,8 +389,9 @@ class Schedule:
         return f"Schedule(n={self.n}, rounds={self.rounds})"
 
 
-def _window_pairs(schedule: Schedule, r: int, T: int, mode: str) -> set:
-    """Node pairs of the intersection or union of rounds r..r+T-1."""
+def window_graph(schedule: Schedule, r: int, T: int, mode: str) -> Snapshot:
+    """Intersection or union of rounds r..r+T-1, ports dropped (the result
+    carries canonical ports over the combined edge set)."""
     if mode not in ("intersection", "union"):
         raise GraphError(f"unknown window mode {mode!r}")
     if T < 1:
@@ -401,13 +406,7 @@ def _window_pairs(schedule: Schedule, r: int, T: int, mode: str) -> set:
             pairs &= schedule.snapshots[i].pairs
         else:
             pairs |= schedule.snapshots[i].pairs
-    return pairs
-
-
-def window_graph(schedule: Schedule, r: int, T: int, mode: str) -> Snapshot:
-    """Intersection or union of rounds r..r+T-1, ports dropped (the result
-    carries canonical ports over the combined edge set)."""
-    return Snapshot.from_pairs(schedule.n, _window_pairs(schedule, r, T, mode))
+    return Snapshot.from_pairs(schedule.n, pairs)
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,13 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 from . import adversary as adv_mod
-from .adversary import AdversaryError, gen_random_with_property, make_adversary
+from .adversary import (
+    ADVERSARIES, SORTED_PATH_VARIANTS, RandomRounds, make_adversary,
+)
 from .algorithms import ALGORITHM_NAMES, make_algorithm
 from .engine import (
+    COMMUNICATIONS,
+    VISIBILITIES,
     AgentState,
     Configuration,
     EngineError,
@@ -37,15 +41,21 @@ from .engine import (
     round_step,
     run,
 )
-from .graphs import GraphError, Schedule, check_property, parse_int
+from .graphs import PROPERTIES, GraphError, Schedule, check_property, parse_int
 
-SCHEDULE_KINDS = (
-    "file",
-    "random",
-    "tpath_demo",
-    "ctime_demo",
-    "perpetual_demo",
-) + adv_mod.ADVERSARY_KINDS
+# what each schedule kind takes from a scenario: T and the argument after
+# its colon; an adversary takes what its ADVERSARIES row names (k is given)
+SCHEDULE_PARAMS = {
+    "file": ("path",),
+    "random": ("property", "T"),
+    "tpath_demo": (),
+    "ctime_demo": (),
+    "perpetual_demo": (),
+    **{kind: params for kind, (_, params) in ADVERSARIES.items()},
+}
+SCHEDULE_KINDS = tuple(SCHEDULE_PARAMS)
+# the values each argument may take; a path is any text but the empty one
+_ARGUMENTS = {"path": None, "property": PROPERTIES, "variant": SORTED_PATH_VARIANTS}
 
 PLACEMENTS = ("colocated", "dispersed", "spread", "random", "explicit")
 
@@ -137,22 +147,20 @@ def parse_scenario(text: str) -> Scenario:
         fail("max_rounds", f"max_rounds must be >= 1, got {sc.max_rounds}")
     if sc.T is not None and sc.T < 1:
         fail("T", f"T must be >= 1, got {sc.T}")
-    if sc.visibility not in ("zero", "one"):
-        fail("visibility", f"visibility must be zero or one, got {sc.visibility!r}")
-    if sc.communication not in ("global", "f2f"):
-        fail("communication",
-             f"communication must be global or f2f, got {sc.communication!r}")
-    kind = sc.schedule.split(":", 1)[0]
+    if sc.visibility not in VISIBILITIES:
+        fail("visibility", f"visibility must be {' or '.join(VISIBILITIES)},"
+             f" got {sc.visibility!r}")
+    if sc.communication not in COMMUNICATIONS:
+        fail("communication", "communication must be"
+             f" {' or '.join(COMMUNICATIONS)}, got {sc.communication!r}")
+    kind, _, arg = sc.schedule.partition(":")
     if kind not in SCHEDULE_KINDS:
         fail("schedule", f"unknown schedule kind {kind!r}; known: {SCHEDULE_KINDS}")
     if sc.algorithm not in ALGORITHM_NAMES:
         fail("algorithm",
              f"unknown algorithm {sc.algorithm!r}; known: {ALGORITHM_NAMES}")
-    needs_T = kind in (
-        "random", "kt_lower", "ct_dispersion", "two_stars_time_tpath",
-        "ct_exploration",
-    ) or sc.algorithm == "alg1_explicit"
-    if needs_T and sc.T is None:
+    params = SCHEDULE_PARAMS[kind]
+    if sc.T is None and ("T" in params or sc.algorithm == "alg1_explicit"):
         fail("schedule", f"schedule {sc.schedule!r} / algorithm"
              f" {sc.algorithm!r} needs T")
     if sc.algorithm == "dispersed_one_round" and not sc.dispersed_known:
@@ -162,6 +170,14 @@ def parse_scenario(text: str) -> Scenario:
     if pkind not in PLACEMENTS:
         fail("placement",
              f"unknown placement {pkind!r}; known: {PLACEMENTS}")
+    takes = next((p for p in params if p in _ARGUMENTS), None)
+    values = _ARGUMENTS.get(takes)
+    if (arg not in values) if values else (bool(arg) != bool(takes)):
+        fail("schedule", f"schedule {kind} takes "
+             + (f"a {takes}" if takes else "no argument")
+             + (f" in {values}" if values else "") + f", got {arg!r}")
+    if not 0.0 <= sc.density <= 1.0:
+        fail("density", f"density must be in [0, 1], got {sc.density}")
     return sc
 
 
@@ -213,29 +229,25 @@ def build_placement(sc: Scenario) -> dict[int, int]:
 
 
 def build_source(sc: Scenario):
+    """The scenario's schedule source; a random schedule is drawn only as
+    far as the run reads it."""
     kind, _, arg = sc.schedule.partition(":")
     if kind == "file":
-        if not arg:
-            raise ScenarioError("schedule file: needs a path")
         return Schedule.load(arg)
     if kind == "random":
-        return gen_random_with_property(
-            sc.seed, sc.n, arg, sc.T, sc.density, sc.max_rounds
-        )
+        return RandomRounds(sc.seed, sc.n, arg, sc.T, sc.density, sc.max_rounds)
     if kind == "tpath_demo":
         return adv_mod.tpath_demo_schedule(max(sc.max_rounds, 3))
     if kind == "ctime_demo":
         return adv_mod.ctime_demo_schedule(max(sc.max_rounds, 3))
     if kind == "perpetual_demo":
         return adv_mod.perpetual_demo_schedule(max(sc.max_rounds, 6))
-    if kind == "sorted_path":
-        return make_adversary("sorted_path", sc.n, variant=arg)
-    return make_adversary(kind, sc.n, k=sc.k, T=sc.T)
+    return make_adversary(kind, sc.n, k=sc.k, T=sc.T, variant=arg)
 
 
 def run_scenario(sc: Scenario) -> RunResult:
     source = build_source(sc)
-    if isinstance(source, Schedule) and source.n != sc.n:
+    if source.n != sc.n:
         raise ScenarioError(
             f"schedule has n={source.n} but scenario says n={sc.n}"
         )
@@ -268,16 +280,14 @@ class RunMetrics:
     holes_end: int
     max_messages: int
 
-    def lines(self) -> list[str]:
-        """``name=value`` per field in order: None is "-", a bool 0 or 1."""
+    def table(self) -> str:
+        """One ``name  value`` line per field in order: None is "-", a bool
+        0 or 1."""
         def text(v):
             return "-" if v is None else str(int(v) if type(v) is bool else v)
-        return [f"{f.name}={text(getattr(self, f.name))}" for f in fields(self)]
-
-    def table(self) -> str:
-        pairs = [line.split("=", 1) for line in self.lines()]
-        width = max(len(key) for key, _ in pairs)
-        return "\n".join(f"  {key.ljust(width)}  {value}" for key, value in pairs)
+        width = max(len(f.name) for f in fields(self))
+        return "\n".join(f"  {f.name.ljust(width)}  {text(getattr(self, f.name))}"
+                         for f in fields(self))
 
 
 @dataclass
@@ -314,6 +324,10 @@ def verify_trace(text: str) -> TraceReport:
         alg = make_algorithm(algorithm, T=header["T"])
     except ValueError as exc:
         raise EngineError(f"line 1: {exc}") from None
+    for key, known in (("visibility", VISIBILITIES),
+                       ("communication", COMMUNICATIONS)):
+        if header[key] not in known:
+            raise EngineError(f"line 1: unknown {key} {header[key]!r}")
     violations: list[str] = []
     note = violations.append
 

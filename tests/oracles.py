@@ -13,6 +13,7 @@ replays and checks every round afresh.
 
 from __future__ import annotations
 
+import random
 import re
 
 from dispersim.engine import (
@@ -20,7 +21,6 @@ from dispersim.engine import (
     AgentState,
     Configuration,
     EngineError,
-    ScheduleSource,
     apply_actions,
     round_step,
 )
@@ -34,6 +34,37 @@ from dispersim.graphs import (
     parse_edges,
 )
 from dispersim.harness import COOPERATIVE, RunMetrics, TraceReport
+
+
+def random_pairs_reference(seed, n, prop, T, density, rounds):
+    """The pair set of every round of a seeded random schedule, all drawn up
+    front in the order of the seeded stream: the spanning trees of
+    ``t_interval`` first, then round by round a tree where one is due and
+    the random extras."""
+    rng = random.Random(f"{seed}:{n}:{prop}:{T}:{density}:{rounds}")
+
+    def tree():
+        order = list(range(n))
+        rng.shuffle(order)
+        return {(order[i], order[rng.randrange(i)]) for i in range(1, n)}
+
+    def extras():
+        return {(u, v) for u in range(n) for v in range(u + 1, n)
+                if rng.random() < density}
+
+    trees = ([tree() for _ in range(rounds // T + 1)]
+             if prop == "t_interval" else None)
+    out = []
+    for r in range(rounds):
+        pairs = set()
+        if trees is not None:
+            pairs |= trees[r // T]
+            if r >= T:
+                pairs |= trees[r // T - 1]
+        elif r % T == T - 1:
+            pairs |= tree()
+        out.append(pairs | extras())
+    return out
 
 
 def reach_matrix(n, pairs):
@@ -138,9 +169,6 @@ def run_text(source, placement, algorithm, *, visibility="one",
     round, and every oracle preview, calls ``round_step`` without a memo on
     a fresh copy of the snapshot, the moves are applied again outside the
     kernel, and every line is formatted on its own."""
-    if isinstance(source, Schedule):
-        source = ScheduleSource(source)
-
     def fresh(snap):
         return Snapshot(snap.n, snap.edges)
 

@@ -10,6 +10,7 @@ import pytest
 
 from dispersim.adversary import (
     AdversaryError,
+    RandomRounds,
     ctime_demo_schedule,
     gen_random_with_property,
     make_adversary,
@@ -18,7 +19,9 @@ from dispersim.adversary import (
 )
 from dispersim.algorithms import make_algorithm
 from dispersim.engine import Action, Algorithm, STAY, compute_preview, run
-from dispersim.graphs import Schedule, check_property
+from dispersim.graphs import Schedule, Snapshot, check_property
+
+import oracles
 
 DATA = Path(__file__).parent / "data"
 
@@ -65,6 +68,21 @@ def test_gen_random_is_deterministic():
     assert a.to_text() == b.to_text()
     c = gen_random_with_property(43, 6, "t_path", 3, 0.3, 12)
     assert a.to_text() != c.to_text()
+
+
+@pytest.mark.parametrize("prop", ["t_interval", "t_path", "connectivity_time"])
+def test_random_rounds_read_lazily_are_the_full_schedules(prop):
+    n, T, density, rounds = 6, 3, 0.3, 14
+    for seed in range(20):
+        want = [Snapshot.from_pairs(n, pairs) for pairs in
+                oracles.random_pairs_reference(seed, n, prop, T, density, rounds)]
+        assert list(gen_random_with_property(
+            seed, n, prop, T, density, rounds).snapshots) == want
+        # a run reads rounds in order and may stop at any of them
+        for stop in (1, T, rounds):
+            source = RandomRounds(seed, n, prop, T, density, rounds)
+            got = [source.next_snapshot(r, None, None) for r in range(stop)]
+            assert got == want[:stop]
 
 
 def test_gen_random_validates():

@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from dispersim.algorithms import SlidingPlan, disp_plan, make_algorithm
-from dispersim.engine import ComponentKnowledge, NodeKnowledge, run
+from dispersim.algorithms import disp_plan, make_algorithm
+from dispersim.engine import NodeKnowledge, run
 from dispersim.graphs import Schedule, Snapshot
 
 
 def ck_of(*nodes):
-    return ComponentKnowledge(
-        nodes={nd.key: nd for nd in nodes}
-    )
+    return {nd.key: nd for nd in nodes}
 
 
 def nk(key, ids, holes=(), links=()):
@@ -42,8 +40,8 @@ def test_plan_none_without_multinode_or_hole():
 
 def test_plan_direct_hole_at_coordinator():
     plan = disp_plan(ck_of(nk(1, (1, 2), holes=(2, 0))))
-    assert plan == SlidingPlan(((1, 0),))
-    assert plan.hole_port == 0
+    assert plan == ((1, 0),)
+    assert plan[-1][1] == 0
 
 
 def test_plan_shifts_along_path():
@@ -51,7 +49,7 @@ def test_plan_shifts_along_path():
         nk(1, (1, 5), links=((0, 2),)),
         nk(2, (2,), holes=(1,), links=((0, 1),)),
     )
-    assert disp_plan(ck) == SlidingPlan(((1, 0), (2, 1)))
+    assert disp_plan(ck) == ((1, 0), (2, 1))
 
 
 def test_plan_prefers_least_key_coordinator_and_target():
@@ -63,7 +61,7 @@ def test_plan_prefers_least_key_coordinator_and_target():
         nk(3, (3, 4), holes=(0,), links=((0, 1),)),
     )
     plan = disp_plan(ck)
-    assert plan == SlidingPlan(((1, 0), (2, 0)))
+    assert plan == ((1, 0), (2, 0))
 
 
 def test_plan_parent_choice_is_least_key_discoverer():
@@ -74,7 +72,7 @@ def test_plan_parent_choice_is_least_key_discoverer():
         nk(4, (4,), holes=(0,), links=((0, 1), (1, 2))),
     )
     plan = disp_plan(ck)
-    assert plan.moves == ((1, 1), (4, 0))
+    assert plan == ((1, 1), (4, 0))
 
 
 # --- algorithm behavior on fixed graphs ---

@@ -92,13 +92,13 @@ def test_stitch_component_builds_node_graph():
     s = path4()
     c = Configuration(4, {1: 1, 2: 1, 3: 2})
     inbox = deliver(s, c, "global")
-    ck = stitch_component(inbox[1])
-    assert set(ck.nodes) == {1, 3}
-    assert ck.nodes[1].ids == (1, 2)
-    assert ck.nodes[1].hole_ports == (0,)
-    assert ck.nodes[1].links == ((1, 3),)
-    assert ck.nodes[3].links == ((0, 1),)
-    assert ck.multinode_keys() == [1]
+    nodes = stitch_component(inbox[1])
+    assert set(nodes) == {1, 3}
+    assert nodes[1].ids == (1, 2)
+    assert nodes[1].hole_ports == (0,)
+    assert nodes[1].links == ((1, 3),)
+    assert nodes[3].links == ((0, 1),)
+    assert sorted(k for k, nd in nodes.items() if len(nd.ids) > 1) == [1]
 
 
 def test_stitch_rejects_conflicting_views():
@@ -163,7 +163,7 @@ def test_compute_preview_is_pure_and_matches_run():
     alg = make_algorithm("alg3")
     config = Configuration(4, {1: 0, 2: 0, 3: 1})
     states = {a: AgentState(id=a) for a in (1, 2, 3)}
-    preview = compute_preview(sch.snapshot(0), config, states, alg, "one", "global")
+    preview = compute_preview(sch.snapshots[0], config, states, alg, "one", "global")
     res = run(sch, {1: 0, 2: 0, 3: 1}, alg, max_rounds=1)
     assert preview == res.records[0].actions
     assert states == {a: AgentState(id=a) for a in (1, 2, 3)}  # untouched
@@ -353,7 +353,7 @@ def test_round_memo_builds_no_key_when_no_graph_repeats(monkeypatch):
         max_rounds=30)
     assert keys == []
     # a graph that comes again keys its first round and the new one
-    again = Schedule([sched.snapshot(0), sched.snapshot(1), sched.snapshot(0)])
+    again = Schedule([sched.snapshots[0], sched.snapshots[1], sched.snapshots[0]])
     run(again, {a: 0 for a in range(1, 7)}, make_algorithm("alg1_implicit"),
         max_rounds=3)
     assert len(keys) == 2

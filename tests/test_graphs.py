@@ -187,8 +187,8 @@ def test_repeated_round_lines_share_one_snapshot():
     text = ("n=4 rounds=4\nr=0: 0-1:0,0\nr=1: 1-2:0,0\n"
             "r=2: 0-1:0,0\nr=3: 0-1:0,0\n")
     sch = Schedule.from_text(text)
-    assert sch.snapshot(0) is sch.snapshot(2) is sch.snapshot(3)
-    assert sch.snapshot(0) is not sch.snapshot(1)
+    assert sch.snapshots[0] is sch.snapshots[2] is sch.snapshots[3]
+    assert sch.snapshots[0] is not sch.snapshots[1]
     for text in [text] + [p.read_text() for p in sorted(DATA.glob("*.sched"))]:
         rows = [line.split(":", 1)[1] for line in text.splitlines()
                 if line.startswith("r=")]
@@ -225,7 +225,7 @@ def test_schedule_memory_follows_its_text_not_its_header():
 
 def test_empty_rounds_allowed():
     sch = Schedule.from_text("n=3 rounds=2\nr=0:\nr=1: 0-1:0,0\n")
-    assert sch.snapshot(0).pairs == frozenset()
+    assert sch.snapshots[0].pairs == frozenset()
 
 
 # --- window graphs ---

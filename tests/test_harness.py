@@ -1,18 +1,28 @@
 import hashlib
 import random
+import re
 import sys
+import time
 import tracemalloc
 from collections import Counter
 
 import pytest
 
 from dispersim.engine import Action, Configuration, EngineError, node_views, run
-from dispersim.algorithms import make_algorithm
-from dispersim.adversary import gen_random_with_property, make_adversary
+from dispersim.adversary import (
+    ADVERSARIES,
+    ADVERSARY_KINDS,
+    SORTED_PATH_VARIANTS,
+    RandomRounds,
+    gen_random_with_property,
+    make_adversary,
+)
+from dispersim.algorithms import ALGORITHM_NAMES, make_algorithm
 from dispersim.graphs import Schedule, Snapshot
 from dispersim.harness import (
     ScenarioError,
     build_placement,
+    build_source,
     parse_scenario,
     run_scenario,
     sweep,
@@ -84,6 +94,27 @@ def test_parse_scenario_semantic_errors():
         )
     with pytest.raises(ScenarioError, match="dispersed_known"):
         parse_scenario(sc(algorithm="dispersed_one_round"))
+    # a schedule argument is checked where the scenario names it
+    for schedule, message in (
+        ("kt_lower:junk", "schedule kt_lower takes no argument, got 'junk'"),
+        ("tpath_demo:zzz", "schedule tpath_demo takes no argument, got 'zzz'"),
+        ("random:bogus", "schedule random takes a property in"
+                         " ('t_interval', 't_path', 'connectivity_time'),"
+                         " got 'bogus'"),
+        ("random", "schedule random takes a property in"),
+        ("sorted_path", "schedule sorted_path takes a variant in"
+                        " ('comm', 'visibility', 'dispersed'), got ''"),
+        ("sorted_path:bogus", "schedule sorted_path takes a variant in"),
+        ("file:", "schedule file takes a path, got ''"),
+    ):
+        with pytest.raises(ScenarioError, match=f"^line 3: {re.escape(message)}"):
+            parse_scenario(sc(schedule=schedule))
+    # density is checked whatever the schedule
+    for schedule in ("random:t_path", "tpath_demo"):
+        for density in ("5", "-0.1", "nan"):
+            with pytest.raises(ScenarioError, match="^line 9: density must be"
+                                                    r" in \[0, 1\], got"):
+                parse_scenario(sc(schedule=schedule, density=density))
 
 
 def test_dispersed_one_round_scenario_needs_the_flag():
@@ -95,6 +126,51 @@ def test_dispersed_one_round_scenario_needs_the_flag():
     res = run_scenario(parse_scenario(text))
     assert res.all_terminated_at == 0
     assert verify_trace(res.to_text()).ok
+
+
+@pytest.mark.parametrize("kind", ADVERSARY_KINDS)
+def test_every_adversary_kind_is_reachable_from_a_scenario(kind):
+    params = ADVERSARIES[kind][1]
+    arg = f":{SORTED_PATH_VARIANTS[0]}" if "variant" in params else ""
+    text = (f"n = 8\nk = 3\nschedule = {kind}{arg}\nalgorithm = disp\n"
+            "max_rounds = 5\n")
+    assert build_source(parse_scenario(text + "T = 3\n")).kind == kind
+    if "T" in params:
+        with pytest.raises(ScenarioError, match="^line 3: .* needs T$"):
+            parse_scenario(text)
+    else:
+        assert parse_scenario(text).T is None
+
+
+@pytest.mark.parametrize("name", ALGORITHM_NAMES)
+def test_every_algorithm_name_builds_that_algorithm(name):
+    assert make_algorithm(name, T=2).name == name
+
+
+def test_random_schedule_is_drawn_only_as_far_as_the_run_reads_it():
+    # alg1_explicit terminates within a few rounds; the schedule's stream
+    # is seeded with max_rounds, so they are the full schedule's first rounds
+    text = (
+        "n = 4\nk = 2\nschedule = random:t_path\nT = 2\n"
+        "algorithm = alg1_explicit\nmax_rounds = 100000\n"
+    )
+    sc = parse_scenario(text)
+    start = time.perf_counter()
+    res = run_scenario(sc)
+    elapsed = time.perf_counter() - start
+    assert res.rounds == 4 and res.all_terminated_at == 3
+    assert elapsed < 1.0
+    tracemalloc.start()
+    try:
+        run_scenario(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    # the full schedule's rounds are RandomRounds' (test_adversary)
+    source = RandomRounds(0, 4, "t_path", 2, 0.3, 100000)
+    assert [rec.snapshot for rec in res.records] == [
+        source.next_snapshot(r, None, None) for r in range(4)]
 
 
 def test_placements():
@@ -403,6 +479,31 @@ def test_unreplayable_trace_header_names_line_1(tmp_path, capsys, old, new):
         verify_trace(broken)
     path = tmp_path / "broken.trace"
     path.write_text(broken)
+    assert cli.main(["verify", str(path)], out=lambda *_: None) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 1: ")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("visibility=one", "visibility=purple"),
+    ("communication=global", "communication=nope"),
+])
+@pytest.mark.parametrize("rounds", [True, False], ids=["rounds", "no_rounds"])
+def test_unknown_header_visibility_or_communication_names_line_1(
+    tmp_path, capsys, old, new, rounds
+):
+    text = _clean_run().to_text()
+    if not rounds:
+        text = text[:text.index("round")] + (
+            "end rounds=0 dispersed_at=- explored_at=- all_terminated_at=-"
+            " budget_exhausted=1\n"
+        )
+        assert verify_trace(text).ok
+    key, value = new.split("=")
+    with pytest.raises(EngineError, match=f"^line 1: unknown {key} '{value}'$"):
+        verify_trace(_tamper(text, old, new))
+    path = tmp_path / "broken.trace"
+    path.write_text(_tamper(text, old, new))
     assert cli.main(["verify", str(path)], out=lambda *_: None) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: line 1: ")

@@ -85,9 +85,9 @@ def _random_extras(rng: random.Random, n: int, density: float):
 class RandomRounds:
     """The rounds of ``gen_random_with_property``, each drawn from the seeded
     stream when it is read, so ``engine.run`` draws no round it does not
-    reach.  ``t_interval`` draws all its spanning trees before the first
-    round, because they come first in the stream: that is rounds // T + 1
-    trees of n - 1 pairs each, however few rounds are read.
+    reach.  The rounds // T + 1 spanning trees of ``t_interval`` come first
+    in the stream: the first read steps past them, keeping none, and each
+    is drawn again from a copy of the stream when its block is reached.
     """
 
     def __init__(
@@ -110,10 +110,15 @@ class RandomRounds:
     def _draw(self, rng, prop, T, density, rounds):
         n = self.n
         if prop == "t_interval":
-            trees = [_random_tree(rng, n) for _ in range(rounds // T + 1)]
+            trees, tree = random.Random(), set()
+            trees.setstate(rng.getstate())
+            for _ in range(rounds // T + 1):
+                _random_tree(rng, n)
         for r in range(rounds):
             if prop == "t_interval":  # the trees of this block and the last
-                pairs = trees[r // T] | trees[max(r // T - 1, 0)]
+                if r % T == 0:
+                    last, tree = tree, _random_tree(trees, n)
+                pairs = tree | last
             else:
                 pairs = _random_tree(rng, n) if r % T == T - 1 else set()
             yield Snapshot.from_pairs(n, pairs | _random_extras(rng, n, density))
@@ -165,10 +170,20 @@ class Adversary:
         self.oracle = None
         self._next_r = 0
         self._graphs = Memo(lambda pairs: Snapshot.from_pairs(n, pairs))
+        self._kept: dict[tuple, tuple] = {}
 
     def _graph(self, pairs) -> Snapshot:
         """``Snapshot.from_pairs`` on n nodes, one object per pair set."""
         return self._graphs[frozenset(pairs)]
+
+    def _per_config(self, config, key, make):
+        """``make()``, kept under ``key`` and the id of ``config`` together
+        with ``config``, which keeps the id unique; a call that raises keeps
+        nothing, so it raises again."""
+        hit = self._kept.get((id(config), key))
+        if hit is None:
+            hit = self._kept[id(config), key] = (config, make())
+        return hit[1]
 
     def next_snapshot(self, r: int, config, states=None) -> Snapshot:
         if r != self._next_r:
@@ -242,33 +257,33 @@ class CtDispersion(Adversary):
     def _emit(self, r, config, states) -> Snapshot:
         span = self.T - 1
         if r % span == 0:
-            phase = r // span
-            if config.is_dispersed():
-                raise AdversaryError(
-                    "ct_dispersion needs a non-dispersed configuration"
-                )
-            if phase % 2 == 0:
-                p = self.n - self.k + 1
-                holes = config.holes()
-                if len(holes) < p:
-                    raise AdversaryError(
-                        f"ct_dispersion expected >= {p} holes, found"
-                        f" {len(holes)}"
-                    )
-                side = holes[:p]
-                rest = [v for v in range(self.n) if v not in side]
-                self._phase_graph = self._graph(_star(side) | _star(rest))
-            else:
-                multis = config.multinodes()
-                if not multis:
-                    raise AdversaryError(
-                        "ct_dispersion lost its multinode; cannot continue"
-                    )
-                v = multis[0]
-                self._phase_graph = self._graph(
-                    _star([u for u in range(self.n) if u != v])
-                )
+            parity = r // span % 2
+            self._phase_graph = self._per_config(
+                config, parity, lambda: self._phase(config, parity))
         return self._phase_graph
+
+    def _phase(self, config, parity: int) -> Snapshot:
+        if config.is_dispersed():
+            raise AdversaryError(
+                "ct_dispersion needs a non-dispersed configuration"
+            )
+        if parity == 0:
+            p = self.n - self.k + 1
+            holes = config.holes()
+            if len(holes) < p:
+                raise AdversaryError(
+                    f"ct_dispersion expected >= {p} holes, found {len(holes)}"
+                )
+            side = holes[:p]
+            rest = [v for v in range(self.n) if v not in side]
+            return self._graph(_star(side) | _star(rest))
+        multis = config.multinodes()
+        if not multis:
+            raise AdversaryError(
+                "ct_dispersion lost its multinode; cannot continue"
+            )
+        v = multis[0]
+        return self._graph(_star([u for u in range(self.n) if u != v]))
 
 
 class ExplorationStar(Adversary):
@@ -472,7 +487,7 @@ class SortedPath(Adversary):
             edges.append(Edge(order[i], order[i + 1], 1, 0))
         return Snapshot(n, edges)
 
-    def _sorted_order(self, config) -> list[int]:
+    def _sorted_order(self, config) -> tuple[int, ...]:
         def key(u: int):
             ids = config.ids_at(u)
             if ids:
@@ -481,34 +496,33 @@ class SortedPath(Adversary):
                 return (2, 0, 0)
             return (1, u, 0)
 
-        return sorted(range(self.n), key=key)
+        return tuple(sorted(range(self.n), key=key))
+
+    def _straight(self, config) -> tuple[tuple[int, ...], Snapshot]:
+        """The path order for ``config`` and its straight layout; the
+        ``dispersed`` variant puts the hole first while it is dispersed."""
+        def make():
+            if self.variant == "dispersed" and config.is_dispersed():
+                order = (config.holes()[0],
+                         *(config.positions[a] for a in sorted(config.positions)))
+            else:
+                order = self._sorted_order(config)
+            return order, self._layouts[self._path, order]
+
+        return self._per_config(config, None, make)
 
     def _emit(self, r, config, states) -> Snapshot:
         if self.oracle is None:
             raise AdversaryError(
                 "sorted_path needs an action oracle before emitting"
             )
-        if self.variant == "dispersed":
-            if r == 0:
-                if not (config.is_dispersed() and len(config.at) == self.n - 1):
-                    raise AdversaryError(
-                        "sorted_path dispersed needs n-1 agents, one per node"
-                    )
-                self.target = config.holes()[0]
-            if config.is_dispersed():
-                hole = config.holes()[0]
-                order = [hole] + [
-                    config.positions[a] for a in sorted(config.positions)
-                ]
-                straight = self._layouts[self._path, tuple(order)]
-                preview = self.oracle(straight, config, states).actions
-                w2_ids = config.ids_at(order[1])
-                mover = preview.get(w2_ids[0]) if w2_ids else None
-                if mover is not None and mover.port == 0:
-                    return self._layouts[self._flipped_w2, tuple(order)]
-                return straight
-            return self._attack(config, states)
-        if r == 0:
+        if r == 0 and self.variant == "dispersed":
+            if not (config.is_dispersed() and len(config.at) == self.n - 1):
+                raise AdversaryError(
+                    "sorted_path dispersed needs n-1 agents, one per node"
+                )
+            self.target = config.holes()[0]
+        elif r == 0:
             if config.is_dispersed():
                 raise AdversaryError(
                     f"sorted_path {self.variant} needs a non-dispersed start"
@@ -518,14 +532,15 @@ class SortedPath(Adversary):
                     f"sorted_path {self.variant} needs k <= n-1"
                 )
             self.target = max(config.holes())
-        return self._attack(config, states)
-
-    def _attack(self, config, states) -> Snapshot:
-        order = self._sorted_order(config)
-        straight = self._layouts[self._path, tuple(order)]
+        order, straight = self._straight(config)
         step = self.oracle(straight, config, states)
-        if step.after.is_dispersed() and self.n >= 7:
-            return self._layouts[self._swapped, tuple(order)]
+        if self.variant == "dispersed" and config.is_dispersed():
+            w2_ids = config.ids_at(order[1])
+            mover = step.actions.get(w2_ids[0]) if w2_ids else None
+            if mover is not None and mover.port == 0:
+                return self._layouts[self._flipped_w2, order]
+        elif step.after.is_dispersed() and self.n >= 7:
+            return self._layouts[self._swapped, order]
         return straight
 
 

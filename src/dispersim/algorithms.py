@@ -87,19 +87,22 @@ def disp_plan(
     return tuple(moves)
 
 
+def _kept(msgs: tuple[Broadcast, ...], name: str, compute):
+    """``compute(msgs)``, a pure function of the broadcasts: a ``Bundle``
+    keeps it as ``name``, so the agents that share it compute it once."""
+    value = getattr(msgs, name, None)
+    if value is None:
+        value = compute(msgs)
+        if isinstance(msgs, Bundle):
+            setattr(msgs, name, value)
+    return value
+
+
 def component_plan(msgs: tuple[Broadcast, ...]) -> dict[int, int]:
     """Each agent's exit port under the sliding plan of a broadcast
-    bundle; empty when there is no plan.
-
-    It is a pure function of the broadcasts, so a ``Bundle`` keeps it and
-    the agents that share the bundle plan once.
-    """
-    plan = getattr(msgs, "plan", None)
-    if plan is None:
-        plan = dict(disp_plan(stitch_component(msgs)) or ())
-        if isinstance(msgs, Bundle):
-            msgs.plan = plan
-    return plan
+    bundle; empty when there is no plan.  A ``Bundle`` keeps it."""
+    return _kept(msgs, "plan",
+                 lambda m: dict(disp_plan(stitch_component(m)) or ()))
 
 
 def _plan_action(agent: int, msgs: tuple[Broadcast, ...]) -> Action:
@@ -108,7 +111,7 @@ def _plan_action(agent: int, msgs: tuple[Broadcast, ...]) -> Action:
 
 
 def _hears_multinode(msgs: tuple[Broadcast, ...]) -> bool:
-    return any(b.count > 1 for b in msgs)
+    return _kept(msgs, "multinode", lambda m: any(b.count > 1 for b in m))
 
 
 def _make_alg1(T: int | None, explicit: bool) -> Algorithm:

@@ -155,7 +155,7 @@ class Configuration:
         return sorted(v for v, ids in self.at.items() if len(ids) > 1)
 
     def is_dispersed(self) -> bool:
-        return all(len(ids) == 1 for ids in self.at.values())
+        return len(self.at) == len(self.positions)
 
     def __eq__(self, other) -> bool:
         return (
@@ -202,7 +202,8 @@ def node_views(
 class Bundle(tuple):
     """Broadcasts heard together, by sender.  ``deliver`` hands every agent
     of a component (of a node, under ``f2f``) the same Bundle, so the
-    algorithms keep the bundle's sliding plan on it as ``plan``."""
+    algorithms keep the bundle's sliding plan on it as ``plan``, and
+    whether it comes from a multinode as ``multinode``."""
 
 
 def deliver(
@@ -309,14 +310,16 @@ def apply_actions(
 
 
 class RoundStep(NamedTuple):
-    """What the live agents do in one round on one snapshot, and the
-    configuration their moves lead to."""
+    """What the live agents do in one round on one snapshot, the
+    configuration their moves lead to and whether every agent has
+    terminated after it."""
 
     actions: dict[int, Action]
     states: dict[int, AgentState]
     components: list[list[int]]
     messages: int
     after: Configuration
+    all_terminated: bool
 
 
 def round_step(
@@ -419,7 +422,8 @@ def _step(snapshot, config, states, algorithm, visibility, communication):
         actions[a] = action
     messages = sum(len(bundle) for bundle in inbox.values())
     return RoundStep(actions, new_states, comps, messages,
-                     apply_actions(snapshot, config, actions))
+                     apply_actions(snapshot, config, actions),
+                     all(st.terminated for st in new_states.values()))
 
 
 def compute_preview(
@@ -474,45 +478,30 @@ class RunResult:
         return Schedule(rec.snapshot for rec in self.records)
 
     def to_text(self) -> str:
-        # a record's components are its snapshot's, so the edges: and comp:
-        # texts are formatted once per distinct graph, and pos: and post:
-        # once per distinct placement
-        graph_texts: dict[Snapshot, tuple[str, str]] = {}
-        placement_texts: dict[tuple, str] = {}
-
-        def fmt_placement(pos: dict[int, int]) -> str:
-            key = tuple(pos.items())
-            text = placement_texts.get(key)
-            if text is None:
-                at: dict[int, list[int]] = {}
-                for a in sorted(pos):
-                    at.setdefault(pos[a], []).append(a)
-                text = placement_texts[key] = " " + " ".join(
-                    f"{node}:{','.join(map(str, ids))}"
-                    for node, ids in sorted(at.items())
-                )
-            return text
-
+        # the round memo and parse_trace share a record's objects with
+        # every equal round, and the records keep them alive, so their ids
+        # are theirs: each distinct round block is formatted once, and in
+        # it each distinct value of a field once
+        texts: dict[tuple, str] = {}
+        blocks: dict[tuple, str] = {}
         lines = [
             f"trace v=1 n={self.n} k={self.k} T={self.T if self.T else '-'}"
             f" algorithm={self.algorithm} visibility={self.visibility}"
             f" communication={self.communication}"
         ]
         for rec in self.records:
-            graph = graph_texts.get(rec.snapshot)
-            if graph is None:
-                comp = "|".join(",".join(map(str, c)) for c in rec.components)
-                graph = graph_texts[rec.snapshot] = (
-                    format_edges(rec.snapshot), " " + comp
-                )
-            acts = " ".join(
-                f"{a}:{rec.actions[a].code()}" for a in sorted(rec.actions)
-            )
+            key = (*map(id, rec[1:-1]), rec.messages)
+            block = blocks.get(key)
+            if block is None:
+                parts = []
+                for prefix, value, fmt in zip(FIELDS, rec[1:], _FORMATS):
+                    text = texts.get((fmt, id(value)))
+                    if text is None:
+                        text = texts[fmt, id(value)] = fmt(value)
+                    parts.append(prefix + text)
+                block = blocks[key] = "\n".join(parts)
             lines.append(f"round r={rec.r}")
-            lines.extend(map(str.__add__, FIELDS, (
-                graph[0], fmt_placement(rec.before), " " + acts,
-                fmt_placement(rec.after), graph[1], f" {rec.messages}",
-            )))
+            lines.append(block)
         out = lambda v: "-" if v is None else str(v)
         lines.append(
             f"end rounds={self.rounds} dispersed_at={out(self.dispersed_at)}"
@@ -536,6 +525,26 @@ _PARSE_ORDER = tuple(
 )
 _ROUND_LINE = re.compile(r"round r=(\d+)")
 _COMP_FIELD = re.compile(r"\d+(?:,\d+)*(?:\|\d+(?:,\d+)*)*")
+
+
+def _placement_text(pos: dict[int, int]) -> str:
+    at: dict[int, list[int]] = {}
+    for a in sorted(pos):
+        at.setdefault(pos[a], []).append(a)
+    return " " + " ".join(f"{node}:{','.join(map(str, ids))}"
+                          for node, ids in sorted(at.items()))
+
+
+# how each field's value is written, in FIELDS order
+_FORMATS = (
+    format_edges,
+    _placement_text,
+    lambda actions: " " + " ".join(
+        f"{a}:{actions[a].code()}" for a in sorted(actions)),
+    _placement_text,
+    lambda comps: " " + "|".join(",".join(map(str, c)) for c in comps),
+    lambda messages: f" {messages}",
+)
 
 
 def _parse_placement(text: str, n: int) -> dict[int, int]:
@@ -645,13 +654,15 @@ def parse_trace(text: str):
     while i < len(lines) and lines[i].startswith("round "):
         if i + 6 >= len(lines):
             raise EngineError(f"truncated round block at line {i + 1}")
-        rm = _ROUND_LINE.fullmatch(lines[i])
-        if not rm:
-            raise EngineError(f"line {i + 1}: bad round line")
-        try:
-            r = parse_int(rm.group(1))
-        except GraphError as exc:
-            raise EngineError(f"line {i + 1}: {exc}") from None
+        r = len(rounds)
+        if lines[i] != f"round r={r}":
+            rm = _ROUND_LINE.fullmatch(lines[i])
+            if not rm:
+                raise EngineError(f"line {i + 1}: bad round line")
+            try:
+                r = parse_int(rm.group(1))
+            except GraphError as exc:
+                raise EngineError(f"line {i + 1}: {exc}") from None
         block = tuple(lines[i + 1:i + 7])
         values = blocks.get(block)
         if values is None:
@@ -763,7 +774,7 @@ def run(
             dispersed_at = r
         if explored_at is None and len(visited) == config.n:
             explored_at = r
-        if all(st.terminated for st in states.values()):
+        if step.all_terminated:
             if all_terminated_at is None:
                 all_terminated_at = r
             budget_exhausted = False

@@ -57,7 +57,10 @@ SCHEDULE_KINDS = tuple(SCHEDULE_PARAMS)
 # the values each argument may take; a path is any text but the empty one
 _ARGUMENTS = {"path": None, "property": PROPERTIES, "variant": SORTED_PATH_VARIANTS}
 
-PLACEMENTS = ("colocated", "dispersed", "spread", "random", "explicit")
+# each placement kind and the argument it takes after its colon: an
+# integer with its default, node groups, or none
+PLACEMENTS = {"colocated": ("node", 0), "dispersed": None,
+              "spread": ("holes", 1), "random": None, "explicit": "groups"}
 
 # algorithms whose traces must keep multinode counts non-increasing and
 # fill a hole within every complete T-window that starts with a multinode
@@ -166,10 +169,12 @@ def parse_scenario(text: str) -> Scenario:
     if sc.algorithm == "dispersed_one_round" and not sc.dispersed_known:
         fail("algorithm", "dispersed_one_round assumes a dispersed start;"
              " set dispersed_known = true")
-    pkind = sc.placement.split(":", 1)[0]
+    pkind, _, parg = sc.placement.partition(":")
     if pkind not in PLACEMENTS:
         fail("placement",
-             f"unknown placement {pkind!r}; known: {PLACEMENTS}")
+             f"unknown placement {pkind!r}; known: {tuple(PLACEMENTS)}")
+    if parg and PLACEMENTS[pkind] is None:
+        fail("placement", f"placement {pkind} takes no argument, got {parg!r}")
     takes = next((p for p in params if p in _ARGUMENTS), None)
     values = _ARGUMENTS.get(takes)
     if (arg not in values) if values else (bool(arg) != bool(takes)):
@@ -178,20 +183,25 @@ def parse_scenario(text: str) -> Scenario:
              + (f" in {values}" if values else "") + f", got {arg!r}")
     if not 0.0 <= sc.density <= 1.0:
         fail("density", f"density must be in [0, 1], got {sc.density}")
+    try:
+        build_placement(sc)
+    except ScenarioError as exc:
+        # what building finds keeps its own text, and names the line after it
+        raise ScenarioError(f"{exc} (line {lines['placement']})") from None
     return sc
 
 
 def build_placement(sc: Scenario) -> dict[int, int]:
     kind, _, arg = sc.placement.partition(":")
 
-    def number(default: int) -> int:
+    def number() -> int:
         try:
-            return int(arg) if arg else default
+            return int(arg) if arg else PLACEMENTS[kind][1]
         except ValueError:
             raise ScenarioError(f"bad {kind} placement {arg!r}") from None
 
     if kind == "colocated":
-        node = number(0)
+        node = number()
         if not 0 <= node < sc.n:
             raise ScenarioError(f"colocated node {node} outside 0..{sc.n - 1}")
         return {a: node for a in range(1, sc.k + 1)}
@@ -200,7 +210,7 @@ def build_placement(sc: Scenario) -> dict[int, int]:
             raise ScenarioError("dispersed placement needs k <= n")
         return {a: a - 1 for a in range(1, sc.k + 1)}
     if kind == "spread":
-        holes = number(1)
+        holes = number()
         if not 1 <= holes < sc.n:
             raise ScenarioError(f"spread holes {holes} outside 1..{sc.n - 1}")
         slots = sc.n - holes

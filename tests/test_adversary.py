@@ -4,13 +4,16 @@ window property, and the attacked outcome bounds hold exactly."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from dispersim.adversary import (
     AdversaryError,
+    CtDispersion,
     RandomRounds,
+    SortedPath,
     ctime_demo_schedule,
     gen_random_with_property,
     make_adversary,
@@ -18,7 +21,9 @@ from dispersim.adversary import (
     tpath_demo_schedule,
 )
 from dispersim.algorithms import make_algorithm
-from dispersim.engine import Action, Algorithm, STAY, compute_preview, run
+from dispersim.engine import (
+    Action, Algorithm, Configuration, STAY, compute_preview, run,
+)
 from dispersim.graphs import Schedule, Snapshot, check_property
 
 import oracles
@@ -85,6 +90,23 @@ def test_random_rounds_read_lazily_are_the_full_schedules(prop):
             assert got == want[:stop]
 
 
+def test_t_interval_rounds_keep_no_trees_ahead():
+    # the trees come first in the stream: reading three rounds of a long
+    # schedule steps past all of them but keeps none
+    seed, n, T, density, rounds = 0, 4, 2, 0.3, 20000
+    want = oracles.random_pairs_reference(seed, n, "t_interval", T, density,
+                                          rounds)[:3]
+    tracemalloc.start()
+    try:
+        source = RandomRounds(seed, n, "t_interval", T, density, rounds)
+        got = [source.next_snapshot(r, None, None) for r in range(3)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [Snapshot.from_pairs(n, pairs) for pairs in want]
+    assert peak < 500_000
+
+
 def test_gen_random_validates():
     for bad in (
         dict(n=0, prop="t_path", T=1, density=0.5, rounds=3),
@@ -137,6 +159,26 @@ def test_ct_dispersion_rejects_dispersed_start():
     adv = make_adversary("ct_dispersion", 6, k=3, T=3)
     with pytest.raises(AdversaryError):
         run(adv, one_per_node(3), make_algorithm("alg1_implicit"), max_rounds=4)
+
+
+def test_ct_dispersion_raises_again_on_a_configuration_it_refused():
+    # a phase graph is kept per configuration and phase parity only when
+    # it was built, so a refused configuration is refused every time
+    adv = make_adversary("ct_dispersion", 5, k=3, T=2)
+    dispersed = Configuration(5, {1: 0, 2: 1, 3: 2})
+    for r in range(4):  # each phase parity twice
+        with pytest.raises(AdversaryError, match="non-dispersed"):
+            adv.next_snapshot(r, dispersed)
+    # too few holes for an even phase, a multinode for an odd one
+    adv = make_adversary("ct_dispersion", 5, k=3, T=2)
+    crowded = Configuration(5, {1: 0, 2: 0, 3: 1, 4: 2})
+    for r in range(4):
+        if r % 2:
+            assert adv.next_snapshot(r, crowded).pairs == frozenset(
+                {(1, 2), (1, 3), (1, 4)})
+        else:
+            with pytest.raises(AdversaryError, match="expected >= 3 holes"):
+                adv.next_snapshot(r, crowded)
 
 
 # --- exploration_star ---
@@ -342,6 +384,41 @@ def test_adaptive_replays_are_byte_identical():
                    max_rounds=40).to_text()
 
     assert go_oracle() == go_oracle()
+
+
+# --- what the adversaries keep per configuration ---
+
+
+# (class, method that derives from a configuration, kind, parameters,
+# placement, algorithm, communication, rounds between derivations)
+@pytest.mark.parametrize("cls, method, kind, kwargs, placement, alg, comm,"
+                         " every", [
+    (CtDispersion, "_phase", "ct_dispersion", dict(k=4, T=3), colocated(4),
+     "alg1_implicit", "global", 2),
+    (SortedPath, "_sorted_order", "sorted_path", dict(variant="comm"),
+     colocated(6), "alg3", "f2f", 1),
+])
+def test_adversary_derives_each_configuration_once(
+    monkeypatch, cls, method, kind, kwargs, placement, alg, comm, every
+):
+    # a round memo hit hands a repeated round the configuration object
+    # it reached before, so the adversary derives its graph, or its path
+    # order, once per configuration object (and phase parity)
+    calls = []
+    original = getattr(cls, method)
+
+    def counting(self, config, *rest):
+        calls.append((config, *rest))  # keeps every id unique
+        return original(self, config, *rest)
+
+    monkeypatch.setattr(cls, method, counting)
+    res = run(make_adversary(kind, 7, **kwargs), placement,
+              make_algorithm(alg), communication=comm, max_rounds=60,
+              T=kwargs.get("T"))
+    assert res.rounds == 60
+    keys = [(id(config), *rest) for config, *rest in calls]
+    assert len(set(keys)) == len(keys)
+    assert 0 < len(calls) < 60 // every
 
 
 # --- interned snapshots ---

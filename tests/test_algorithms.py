@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from dispersim import algorithms
 from dispersim.algorithms import disp_plan, make_algorithm
-from dispersim.engine import NodeKnowledge, run
+from dispersim.engine import Configuration, NodeKnowledge, deliver, run
 from dispersim.graphs import Schedule, Snapshot
 
 
@@ -76,6 +77,21 @@ def test_plan_parent_choice_is_least_key_discoverer():
 
 
 # --- algorithm behavior on fixed graphs ---
+
+
+def test_a_bundle_keeps_whether_it_hears_a_multinode(monkeypatch):
+    # every agent of a component asks; the bundle scans its broadcasts once
+    scans = []
+    monkeypatch.setattr(algorithms, "any", lambda it: scans.append(1) or any(it),
+                        raising=False)
+    inbox = deliver(path4(), Configuration(4, {1: 0, 2: 0, 3: 2}), "global")
+    assert len({id(b) for b in inbox.values()}) == 1
+    assert all(algorithms._hears_multinode(b) for b in inbox.values())
+    assert inbox[1].multinode is True and len(scans) == 1
+    quiet = deliver(path4(), Configuration(4, {1: 0, 2: 2}), "f2f")
+    assert not any(algorithms._hears_multinode(b) for b in quiet.values())
+    # a plain tuple of broadcasts is answered, and keeps nothing
+    assert algorithms._hears_multinode(tuple(inbox[1]))
 
 
 def test_alg1_explicit_on_static_path():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from dispersim.engine import (
     Configuration,
     EngineError,
     NodeKnowledge,
+    RoundRecord,
     STAY,
     apply_actions,
     compute_preview,
@@ -54,6 +57,16 @@ def test_configuration_accessors():
     assert c.multinodes() == [2]
     assert not c.is_dispersed()
     assert Configuration(3, {1: 0, 2: 1}).is_dispersed()
+
+
+def test_is_dispersed_means_one_agent_per_occupied_node():
+    rng = random.Random(5)
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        positions = {a: rng.randrange(n) for a in range(1, rng.randint(0, 9))}
+        want = len(set(positions.values())) == len(positions)
+        assert Configuration(n, positions).is_dispersed() == want
+    assert Configuration(4, {}).is_dispersed()
 
 
 def test_views_zero_vs_one_hop():
@@ -193,6 +206,20 @@ def test_parse_trace_reads_back_the_records_of_the_run():
         assert trailer == {key: getattr(res, key) for key in (
             "rounds", "dispersed_at", "explored_at", "all_terminated_at",
             "budget_exhausted")}
+
+
+def test_trace_text_does_not_depend_on_shared_values():
+    # to_text formats each distinct round block once, by the ids of the
+    # values that equal rounds share; records with fresh equal values, one
+    # per round, write the same bytes
+    claim = CLAIMS["ct_dispersion"]
+    res = run_claim(claim, claim.rows[0]).result
+    fresh = [RoundRecord(
+        rec.r, Snapshot(rec.snapshot.n, rec.snapshot.edges), dict(rec.before),
+        dict(rec.actions), dict(rec.after), [list(c) for c in rec.components],
+        rec.messages) for rec in res.records]
+    assert len({id(rec.before) for rec in res.records}) < len(fresh)
+    assert dataclasses.replace(res, records=fresh).to_text() == res.to_text()
 
 
 def test_identical_runs_are_byte_identical():
@@ -393,10 +420,25 @@ def test_round_memo_builds_no_key_for_inputs_it_has_seen(monkeypatch):
 
 
 # every source repeats graphs and placements; agents in dispersed_n start
-# one per node behind the hole at node 0
+# one per node behind the hole at node 0.  The adversaries keep what they
+# derive per configuration object; oracles.run_text hands them a fresh
+# configuration every round, so it takes their uncached path
 MEMO_SOURCES = {
     "ct_dispersion": (lambda: make_adversary("ct_dispersion", 6, k=4, T=3),
                       {a: 0 for a in range(1, 5)}, 30),
+    "kt_lower": (lambda: make_adversary("kt_lower", 6, k=4, T=3),
+                 {a: 0 for a in range(1, 5)}, 24),
+    "exploration_star": (lambda: make_adversary("exploration_star", 6, k=3),
+                         {a: 0 for a in range(1, 4)}, 24),
+    "two_stars_time": (lambda: make_adversary("two_stars_time", 6),
+                       {a: 0 for a in range(1, 4)}, 24),
+    "two_stars_time_tpath": (lambda: make_adversary("two_stars_time_tpath",
+                                                    6, T=3),
+                             {a: 0 for a in range(1, 4)}, 24),
+    "ct_exploration": (lambda: make_adversary("ct_exploration", 7, k=4, T=3),
+                       {a: 0 for a in range(1, 5)}, 24),
+    "tpath_demo": (lambda: adversary.tpath_demo_schedule(24),
+                   {a: 0 for a in range(1, 4)}, 24),
     "sorted_path:comm": (lambda: make_adversary("sorted_path", 7,
                                                 variant="comm"),
                          {a: 0 for a in range(1, 7)}, 24),

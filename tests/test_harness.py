@@ -20,6 +20,7 @@ from dispersim.adversary import (
 from dispersim.algorithms import ALGORITHM_NAMES, make_algorithm
 from dispersim.graphs import Schedule, Snapshot
 from dispersim.harness import (
+    PLACEMENTS,
     ScenarioError,
     build_placement,
     build_source,
@@ -207,6 +208,39 @@ def test_placement_errors():
     sc.placement = "explicit:0:1,1;1:2,3"
     with pytest.raises(ScenarioError, match="placed twice"):
         build_placement(sc)
+
+
+# a bad placement exits 2 with one error line that names its scenario line;
+# the kind and whether it takes an argument come from PLACEMENTS, and what
+# building the placement finds keeps its own text first
+@pytest.mark.parametrize("placement, message", [
+    ("dispersed:junk", "line 6: placement dispersed takes no argument,"
+                       " got 'junk'"),
+    ("random:zzz", "line 6: placement random takes no argument, got 'zzz'"),
+    ("colocated:x", "bad colocated placement 'x' (line 6)"),
+    ("colocated:4", "colocated node 4 outside 0..3 (line 6)"),
+    ("spread:0", "spread holes 0 outside 1..3 (line 6)"),
+    ("explicit:0:1,2", "explicit placement must cover agents 1..3 (line 6)"),
+    ("scattered", "line 6: unknown placement 'scattered'; known: ('colocated',"
+                  " 'dispersed', 'spread', 'random', 'explicit')"),
+])
+def test_bad_placements_name_their_line(tmp_path, capsys, placement, message):
+    text = ("n = 4\nk = 3\nschedule = tpath_demo\nalgorithm = disp\n"
+            f"max_rounds = 5\nplacement = {placement}\n")
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        parse_scenario(text)
+    scenario = tmp_path / "case.scn"
+    scenario.write_text(text)
+    assert cli.main(["run", str(scenario)], out=lambda *_: None) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_every_placement_kind_parses():
+    for kind, takes in PLACEMENTS.items():
+        arg = {"explicit": ":0:1;1:2,3"}.get(kind, ":1" if takes else "")
+        text = ("n = 4\nk = 3\nschedule = tpath_demo\nalgorithm = disp\n"
+                f"max_rounds = 5\nplacement = {kind}{arg}\n")
+        assert sorted(build_placement(parse_scenario(text))) == [1, 2, 3]
 
 
 def test_run_scenario_random_schedule():

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import PROPERTIES, Edge, Memo, Schedule, Snapshot
+from .graphs import PROPERTIES, Memo, Schedule, Snapshot
 
 
 class AdversaryError(ValueError):
@@ -453,12 +453,8 @@ class SortedPath(Adversary):
     @staticmethod
     def _path(order) -> Snapshot:
         n = len(order)
-        edges = []
-        for i in range(n - 1):
-            edges.append(
-                Edge(order[i], order[i + 1], 0 if i == 0 else 1, 0)
-            )
-        return Snapshot(n, edges)
+        return Snapshot(n, [(order[i], order[i + 1], 0 if i == 0 else 1, 0)
+                            for i in range(n - 1)])
 
     @staticmethod
     def _swapped(order) -> Snapshot:
@@ -467,24 +463,24 @@ class SortedPath(Adversary):
         w = [None, *order]  # 1-based
         n = len(order)
         edges = [
-            Edge(w[1], w[4], 0, 1),
-            Edge(w[4], w[3], 0, 1),
-            Edge(w[3], w[2], 0, 1),
-            Edge(w[2], w[5], 0, 0),
+            (w[1], w[4], 0, 1),
+            (w[4], w[3], 0, 1),
+            (w[3], w[2], 0, 1),
+            (w[2], w[5], 0, 0),
         ]
         for i in range(5, n):
-            edges.append(Edge(w[i], w[i + 1], 1, 0))
+            edges.append((w[i], w[i + 1], 1, 0))
         return Snapshot(n, edges)
 
     @staticmethod
     def _flipped_w2(order) -> Snapshot:
         # straight path, but w2 swaps its two port labels
         n = len(order)
-        edges = [Edge(order[0], order[1], 0, 1)]
+        edges = [(order[0], order[1], 0, 1)]
         if n > 2:
-            edges.append(Edge(order[1], order[2], 0, 0))
+            edges.append((order[1], order[2], 0, 0))
         for i in range(2, n - 1):
-            edges.append(Edge(order[i], order[i + 1], 1, 0))
+            edges.append((order[i], order[i + 1], 1, 0))
         return Snapshot(n, edges)
 
     def _sorted_order(self, config) -> tuple[int, ...]:

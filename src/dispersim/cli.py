@@ -41,8 +41,11 @@ def _cmd_run(args, out) -> int:
     result = run_scenario(sc)
     text = result.to_text()
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.trace_out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ScenarioError(f"cannot write {args.trace_out}: {exc}") from None
         out(f"trace written to {args.trace_out}")
     return _report(verify_trace(text), out)
 
@@ -59,11 +62,11 @@ def _cmd_demo(args, out) -> int:
     return 0 if ok else 1
 
 
-def _parse_seeds(text: str) -> list[int]:
+def _parse_seeds(text: str) -> range | list[int]:
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
-            return list(range(int(lo), int(hi) + 1))
+            return range(int(lo), int(hi) + 1)
         except ValueError:
             raise ScenarioError(f"bad seed range {text!r}") from None
     try:
@@ -78,8 +81,10 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_classify(args, out) -> int:
+    if args.T is not None and args.property is None:
+        raise ScenarioError("--T needs --property")
     schedule = Schedule.load(args.schedule)
-    if args.property is None or args.T is None:
+    if args.T is None:
         # without a property every minimal T is reported and the exit is 0
         for prop in (args.property,) if args.property else PROPERTIES:
             best = minimal_T(schedule, prop)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 PROPERTIES = ("t_interval", "t_path", "connectivity_time")
 
@@ -28,53 +28,42 @@ class GraphError(ValueError):
     """Malformed snapshot, schedule, or window query."""
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Undirected edge u-v with the port labels at each endpoint."""
-
-    u: int
-    v: int
-    port_u: int
-    port_v: int
-
-
-_ENDPOINTS = attrgetter("u", "v")
+_ENDPOINTS = itemgetter(0, 1)
 _PAIRS = attrgetter("pairs")
 
 
 class Snapshot:
-    """One round of a dynamic graph: a simple port-labeled graph on n nodes.
+    """One round of a dynamic graph: a simple port-labeled graph on n nodes,
+    built from ``(u, v, pu, pv)`` edges, pu being the edge's port at u.
 
     Validates on construction that endpoints are in range, there are no
     self-loops or duplicate edges, and the ports at every node are exactly
-    a permutation of 0..deg-1.  ``ports`` maps only the nodes that have
-    edges; the methods treat any other node as having degree 0.
+    a permutation of 0..deg-1.  It keeps its pair set and its port maps;
+    ``ports`` maps only the nodes that have edges, and the methods treat
+    any other node as having degree 0.
     """
 
-    __slots__ = ("n", "edges", "pairs", "ports", "comps")
+    __slots__ = ("n", "pairs", "ports", "comps")
 
     def __init__(self, n: int, edges) -> None:
         if n < 1:
             raise GraphError(f"snapshot needs at least one node, got n={n}")
         normalized = []
-        for e in edges:
-            u, v = e.u, e.v
+        for u, v, pu, pv in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge {u}-{v} out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at node {u}")
-            if u > v:
-                e = Edge(v, u, e.port_v, e.port_u)
-            normalized.append(e)
+            normalized.append((u, v, pu, pv) if u < v else (v, u, pv, pu))
         normalized.sort(key=_ENDPOINTS)
         pairs = set()
         # only nodes with edges get a port map, so memory follows the edges
         ports: dict[int, dict[int, int]] = {}
-        for e in normalized:
-            if (e.u, e.v) in pairs:
-                raise GraphError(f"duplicate edge {e.u}-{e.v}")
-            pairs.add((e.u, e.v))
-            for a, pa, b in ((e.u, e.port_u, e.v), (e.v, e.port_v, e.u)):
+        for u, v, pu, pv in normalized:
+            if (u, v) in pairs:
+                raise GraphError(f"duplicate edge {u}-{v}")
+            pairs.add((u, v))
+            for a, pa, b in ((u, pu, v), (v, pv, u)):
                 pmap = ports.get(a)
                 if pmap is None:
                     pmap = ports[a] = {}
@@ -89,7 +78,6 @@ class Snapshot:
                     f"node {v} ports {sorted(pmap)} are not 0..{len(pmap) - 1}"
                 )
         self.n = n
-        self.edges = tuple(normalized)
         self.pairs = frozenset(pairs)
         self.ports = ports
         self.comps = None
@@ -117,15 +105,9 @@ class Snapshot:
             seen.add(key)
             nbrs.setdefault(u, []).append(v)
             nbrs.setdefault(v, []).append(u)
-        port_of = {
-            v: {w: i for i, w in enumerate(sorted(ws))} for v, ws in nbrs.items()
-        }
         snap = cls.__new__(cls)
         snap.n, snap.pairs, snap.comps = n, frozenset(seen), None
-        snap.edges = tuple(
-            Edge(u, v, port_of[u][v], port_of[v][u]) for u, v in sorted(seen)
-        )
-        snap.ports = {v: {i: w for w, i in pw.items()} for v, pw in port_of.items()}
+        snap.ports = {v: dict(enumerate(sorted(ws))) for v, ws in nbrs.items()}
         return snap
 
     def degree(self, v: int) -> int:
@@ -148,16 +130,16 @@ class Snapshot:
         return (
             isinstance(other, Snapshot)
             and self.n == other.n
-            and self.edges == other.edges
+            and self.ports == other.ports
         )
 
     def __hash__(self) -> int:
         # equal snapshots have equal pairs, and a frozenset hashes in C and
-        # keeps its hash, so the round memo never hashes every Edge
+        # keeps its hash, so the round memo never hashes the port maps
         return hash((self.n, self.pairs))
 
     def __repr__(self) -> str:
-        return f"Snapshot(n={self.n}, edges={len(self.edges)})"
+        return f"Snapshot(n={self.n}, edges={len(self.pairs)})"
 
 
 def _components_from_pairs(n: int, pairs) -> list[list[int]]:
@@ -193,11 +175,11 @@ def components(snapshot: Snapshot) -> list[list[int]]:
 
 
 def read_text(path) -> str:
-    """A file's text; an unreadable file is malformed input."""
+    """A file's text; an unreadable or non-UTF-8 file is malformed input."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphError(f"cannot read {path}: {exc}") from None
 
 
@@ -215,24 +197,35 @@ def parse_int(digits: str) -> int:
 
 
 _EDGE_TOKEN = re.compile(r"(\d+)-(\d+):(\d+),(\d+)")
+# a field of whitespace-separated edge tokens; (?!\S) ends each token at
+# whitespace, as str.split does, so "0-1:0,01-2:0,0" is one bad token
+_EDGE_FIELD = re.compile(r"(?:\s*\d+-\d+:\d+,\d+(?!\S))*\s*")
 
 
-def parse_edges(field: str) -> list[Edge]:
-    """Edges of whitespace-separated ``u-v:pu,pv`` tokens."""
+def parse_edges(field: str) -> list[tuple[int, int, int, int]]:
+    """``(u, v, pu, pv)`` edges of whitespace-separated ``u-v:pu,pv`` tokens,
+    read in one pass; the token loop only names a bad token or number."""
+    if _EDGE_FIELD.fullmatch(field):
+        try:
+            return [(int(u), int(v), int(pu), int(pv))
+                    for u, v, pu, pv in _EDGE_TOKEN.findall(field)]
+        except ValueError:
+            pass  # a number too long for int; the loop names it
     edges = []
     for tok in field.split():
         m = _EDGE_TOKEN.fullmatch(tok)
         if not m:
             raise GraphError(f"bad edge token {tok!r}")
-        edges.append(Edge(*map(parse_int, m.groups())))
+        edges.append(tuple(map(parse_int, m.groups())))
     return edges
 
 
 def format_edges(snapshot: Snapshot) -> str:
-    """The snapshot's edges as ``u-v:pu,pv`` tokens, each after a space."""
-    return "".join(
-        f" {e.u}-{e.v}:{e.port_u},{e.port_v}" for e in snapshot.edges
-    )
+    """The edges as ``u-v:pu,pv`` tokens in (u, v) order, each after a space."""
+    port_of = {v: {w: p for p, w in pmap.items()}
+               for v, pmap in snapshot.ports.items()}
+    return "".join(f" {u}-{v}:{port_of[u][v]},{port_of[v][u]}"
+                   for u, v in sorted(snapshot.pairs))
 
 
 class Memo(dict):

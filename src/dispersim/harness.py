@@ -71,7 +71,7 @@ _PLACEMENT_TOKEN = re.compile(r"(\d+):(\d+(?:,\d+)*)")
 
 
 class ScenarioError(ValueError):
-    """Malformed scenario file."""
+    """Malformed scenario file or command line."""
 
 
 @dataclass

@@ -4,7 +4,8 @@ Deliberately naive and structurally different from the package code:
 reachability via boolean matrix closure, partitions as frozensets, a
 ``t_path`` check over every node pair of every window, a minimal T found
 by trying every T in turn, a trace parser that matches every token with its
-own regex, refuses an agent listed twice in one field, a partition that
+own regex (edge tokens too, so the package's one-pass edge parser is checked
+against it), refuses an agent listed twice in one field, a partition that
 does not list every node once or a header k above the number of agents the
 first pos field places, and builds a fresh Snapshot for every round,
 a run loop that computes every round afresh, and a trace verifier that
@@ -31,7 +32,6 @@ from dispersim.graphs import (
     Snapshot,
     check_property,
     components,
-    parse_edges,
 )
 from dispersim.harness import COOPERATIVE, RunMetrics, TraceReport
 
@@ -160,6 +160,17 @@ def t_path_witness(schedule, T):
     return None
 
 
+def edges_of(snapshot):
+    """The snapshot's edges as sorted ``(u, v, pu, pv)`` tuples, read from
+    its port maps by searching each neighbor's map for the way back."""
+    return sorted(
+        (u, v, pu, pv)
+        for u, pmap in snapshot.ports.items()
+        for pu, v in pmap.items() if u < v
+        for pv, w in snapshot.ports[v].items() if w == u
+    )
+
+
 # --- runs ---
 
 
@@ -170,7 +181,7 @@ def run_text(source, placement, algorithm, *, visibility="one",
     a fresh copy of the snapshot, the moves are applied again outside the
     kernel, and every line is formatted on its own."""
     def fresh(snap):
-        return Snapshot(snap.n, snap.edges)
+        return Snapshot(snap.n, edges_of(snap))
 
     if getattr(source, "needs_oracle", False):
         source.oracle = lambda snap, cfg, sts: round_step(
@@ -200,8 +211,8 @@ def run_text(source, placement, algorithm, *, visibility="one",
         after = apply_actions(snap, config, step.actions)
         lines += [
             f"round r={r}",
-            "edges:" + "".join(f" {e.u}-{e.v}:{e.port_u},{e.port_v}"
-                               for e in snap.edges),
+            "edges:" + "".join(f" {u}-{v}:{pu},{pv}"
+                               for u, v, pu, pv in edges_of(snap)),
             "pos: " + placement_text(config.positions),
             "act: " + " ".join(f"{a}:{step.actions[a].code()}"
                                for a in sorted(step.actions)),
@@ -239,6 +250,7 @@ _END = re.compile(
     r"end rounds=(\d+) dispersed_at=(\d+|-) explored_at=(\d+|-)"
     r" all_terminated_at=(\d+|-) budget_exhausted=([01])"
 )
+_EDGE = re.compile(r"(\d+)-(\d+):(\d+),(\d+)")
 _PLACEMENT = re.compile(r"(\d+):(\d+(?:,\d+)*)")
 _ACTION = re.compile(r"(\d+):(\S+)")
 _COMP = re.compile(r"\d+(?:,\d+)*(?:\|\d+(?:,\d+)*)*")
@@ -298,8 +310,16 @@ def parse_trace_reference(text):
                 raise EngineError(f"line {i + offset}: expected {want}")
             fields[want[:-1]] = line[len(want):].strip()
             at[want[:-1]] = i + offset
+        edges = []
+        for tok in fields["edges"].split():
+            em = _EDGE.fullmatch(tok)
+            if not em:
+                raise EngineError(
+                    f"line {at['edges']}: bad edge token {tok!r}"
+                )
+            edges.append(tuple(int(x) for x in em.groups()))
         try:
-            snapshot = Snapshot(n, parse_edges(fields["edges"]))
+            snapshot = Snapshot(n, edges)
         except GraphError as exc:
             raise EngineError(f"line {at['edges']}: {exc}") from None
         actions = {}

@@ -215,9 +215,10 @@ def test_trace_text_does_not_depend_on_shared_values():
     claim = CLAIMS["ct_dispersion"]
     res = run_claim(claim, claim.rows[0]).result
     fresh = [RoundRecord(
-        rec.r, Snapshot(rec.snapshot.n, rec.snapshot.edges), dict(rec.before),
-        dict(rec.actions), dict(rec.after), [list(c) for c in rec.components],
-        rec.messages) for rec in res.records]
+        rec.r, Snapshot(rec.snapshot.n, oracles.edges_of(rec.snapshot)),
+        dict(rec.before), dict(rec.actions), dict(rec.after),
+        [list(c) for c in rec.components], rec.messages)
+        for rec in res.records]
     assert len({id(rec.before) for rec in res.records}) < len(fresh)
     assert dataclasses.replace(res, records=fresh).to_text() == res.to_text()
 
@@ -276,7 +277,7 @@ class _Reemit:
     def next_snapshot(self, r, config, states):
         self.inner.oracle = self.oracle
         snap = self.inner.next_snapshot(r, config, states)
-        return Snapshot(snap.n, snap.edges)
+        return Snapshot(snap.n, oracles.edges_of(snap))
 
 
 @pytest.mark.parametrize("variant, alg, placement, visibility, communication", [

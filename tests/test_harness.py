@@ -913,6 +913,47 @@ def test_cli_classify_missing_schedule(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith(f"error: cannot read {missing}: ")
 
 
+def test_cli_file_errors_exit_2_with_one_error_line(tmp_path, capsys):
+    undecodable = tmp_path / "bad.sched"
+    undecodable.write_bytes(b"n=2 rounds=1\nr=0: \xff\n")
+    for argv in (["classify", str(undecodable)], ["verify", str(undecodable)]):
+        assert cli.main(argv, out=lambda *_: None) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot read {undecodable}: ")
+    scenario = tmp_path / "case.scn"
+    scenario.write_text(BASE)
+    unwritable = tmp_path / "no" / "such" / "dir" / "x.trace"
+    code = cli.main(["run", str(scenario), "--trace-out", str(unwritable)],
+                    out=lambda *_: None)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {unwritable}: ")
+
+
+def test_cli_classify_T_needs_property(tmp_path, capsys):
+    path = tmp_path / "x.sched"
+    path.write_text(gen_random_with_property(4, 5, "t_path", 3, 0.3, 12).to_text())
+    lines = []
+    assert cli.main(["classify", str(path), "--T", "3"], out=lines.append) == 2
+    assert lines == []
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --T needs --property"]
+
+
+def test_seed_range_is_not_materialized():
+    tracemalloc.start()
+    try:
+        seeds = cli._parse_seeds("0..1000000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert (seeds[0], seeds[-1], len(seeds)) == (0, 10**12, 10**12 + 1)
+    assert list(cli._parse_seeds("3..5")) == [3, 4, 5]
+    assert cli._parse_seeds("5,8") == [5, 8]
+
+
 def test_cli_usage_errors(tmp_path):
     bad = tmp_path / "bad.scn"
     bad.write_text("n = 3\nwat = 1\n")

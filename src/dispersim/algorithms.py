@@ -111,7 +111,8 @@ def _plan_action(agent: int, msgs: tuple[Broadcast, ...]) -> Action:
 
 
 def _hears_multinode(msgs: tuple[Broadcast, ...]) -> bool:
-    return _kept(msgs, "multinode", lambda m: any(b.count > 1 for b in m))
+    return _kept(msgs, "multinode",
+                 lambda m: any(len(b.view.colocated) > 1 for b in m))
 
 
 def _make_alg1(T: int | None, explicit: bool) -> Algorithm:

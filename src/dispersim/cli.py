@@ -62,15 +62,27 @@ def _cmd_demo(args, out) -> int:
     return 0 if ok else 1
 
 
+def _seed(text: str) -> int:
+    """Decimal digits with an optional minus; int() alone would also take
+    "+1", " 1" and "1_0"."""
+    if not text.removeprefix("-").isdecimal():
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_seeds(text: str) -> range | list[int]:
+    """A range ``a..b`` with a <= b, or a comma list of seeds."""
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
-            return range(int(lo), int(hi) + 1)
+            seeds = range(_seed(lo), _seed(hi) + 1)
         except ValueError:
-            raise ScenarioError(f"bad seed range {text!r}") from None
+            seeds = range(0)
+        if not seeds:
+            raise ScenarioError(f"bad seed range {text!r}")
+        return seeds
     try:
-        return [int(s) for s in text.split(",")]
+        return [_seed(s) for s in text.split(",")]
     except ValueError:
         raise ScenarioError(f"bad seed list {text!r}") from None
 

@@ -4,9 +4,10 @@ Each round over the current snapshot:
 
 1. every live agent gets a local view of its node (and under 1-hop
    visibility, the agent IDs on each neighboring node),
-2. live agents broadcast (ID, co-located count, view); an agent receives
-   the broadcasts of its whole component under ``global`` communication or
-   only of its own node under ``f2f``; its own broadcast is included,
+2. live agents broadcast (ID, view), the view's co-located IDs giving
+   their count; an agent receives the broadcasts of its whole component
+   under ``global`` communication or only of its own node under ``f2f``;
+   its own broadcast is included,
 3. each live agent computes an action from its constant-size state, its
    view, and its received broadcasts (agents never write to nodes),
 4. all moves apply simultaneously; an agent whose action sets ``terminate``
@@ -29,7 +30,6 @@ configurations' own dicts, so consecutive rounds share them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .graphs import (
@@ -51,44 +51,35 @@ class EngineError(RuntimeError):
     """Integrity fault: inconsistent views, illegal move, or broken trace."""
 
 
-@dataclass(frozen=True)
-class PortView:
-    """What an agent sees through one port: the IDs on the far node."""
-
-    port: int
-    occupants: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class LocalView:
+class LocalView(NamedTuple):
     """Observation of an agent's own node at the start of a round.
 
-    ``per_port`` is None under zero-hop visibility.
+    ``per_port[p]`` holds the IDs on the node behind port ``p``; it is None
+    under zero-hop visibility.
     """
 
     degree: int
     colocated: tuple[int, ...]
-    per_port: tuple[PortView, ...] | None
+    per_port: tuple[tuple[int, ...], ...] | None
 
     def hole_ports(self) -> tuple[int, ...]:
         """Ports leading to unoccupied neighbors (1-hop visibility only)."""
         if self.per_port is None:
             return ()
-        return tuple(pv.port for pv in self.per_port if not pv.occupants)
+        return tuple(p for p, ids in enumerate(self.per_port) if not ids)
 
 
-@dataclass(frozen=True)
-class Broadcast:
+class Broadcast(NamedTuple):
+    """What a live agent sends: its ID and its node's view."""
+
     sender: int
-    count: int
     view: LocalView
 
 
 _ACTION_CODE = re.compile(r"(s|m(\d+))(!?)")
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     """What an agent does at the end of a round.
 
     ``port=None`` stays put.  ``terminate`` may combine with a move: the
@@ -117,9 +108,8 @@ class Action:
 STAY = Action()
 
 
-@dataclass
-class AgentState:
-    """Constant-size private memory of one agent."""
+class AgentState(NamedTuple):
+    """Constant-size private memory of one agent; a step returns a new one."""
 
     id: int
     t: int = 0
@@ -168,8 +158,7 @@ class Configuration:
         return f"Configuration(n={self.n}, positions={self.positions})"
 
 
-@dataclass(frozen=True)
-class Algorithm:
+class Algorithm(NamedTuple):
     """A pure per-agent program: (state, view, broadcasts) -> (action, state)."""
 
     name: str
@@ -190,8 +179,7 @@ def node_views(
         per_port = None
         if visibility == "one":
             per_port = tuple(
-                PortView(port, config.ids_at(nbr))
-                for port, nbr in snapshot.port_items(node)
+                config.ids_at(nbr) for _, nbr in snapshot.port_items(node)
             )
         views[node] = LocalView(
             degree=snapshot.degree(node), colocated=ids, per_port=per_port
@@ -228,7 +216,7 @@ def deliver(
     node_casts: dict[int, list[Broadcast]] = {}
     for node, ids in config.at.items():
         node_casts[node] = [
-            Broadcast(a, len(ids), views[node]) for a in ids if a not in terminated
+            Broadcast(a, views[node]) for a in ids if a not in terminated
         ]
     inbox: dict[int, Bundle] = {}
     # the nodes whose agents hear each other: a node, or a component
@@ -276,8 +264,8 @@ def stitch_component(broadcasts: Iterable[Broadcast]) -> dict[int, NodeKnowledge
             )
     nodes = {}
     for colocated, view in by_node.items():
-        links = tuple((pv.port, pv.occupants[0])
-                      for pv in view.per_port or () if pv.occupants)
+        links = tuple((port, ids[0])
+                      for port, ids in enumerate(view.per_port or ()) if ids)
         nodes[colocated[0]] = NodeKnowledge(
             colocated[0], colocated, view.hole_ports(), links)
     directed = {
@@ -394,10 +382,7 @@ class _Steps(dict):
 def _inputs(config: Configuration, states: Mapping[int, AgentState]) -> tuple:
     """Memo key of a round on a given graph: positions and agent states,
     each in its order."""
-    return (
-        tuple(config.positions.items()),
-        tuple((a, st.id, st.t, st.terminated) for a, st in states.items()),
-    )
+    return tuple(config.positions.items()), tuple(states.items())
 
 
 def _step(snapshot, config, states, algorithm, visibility, communication):
@@ -455,8 +440,7 @@ class RoundRecord(NamedTuple):
     messages: int
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     n: int
     k: int
     T: int | None

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 PROPERTIES = ("t_interval", "t_path", "connectivity_time")
 
@@ -402,15 +402,14 @@ def window_graph(schedule: Schedule, r: int, T: int, mode: str) -> Snapshot:
     return Snapshot.from_pairs(schedule.n, pairs)
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
+class ConnectivityReport(NamedTuple):
     """Outcome of one property check at one window length."""
 
     property: str
     T: int
     holds: bool
     witness: tuple[int, tuple[int, int]] | None
-    schedule: Schedule = field(repr=False, compare=False)
+    schedule: Schedule
 
     @property
     def dynamic_diameter(self) -> float:

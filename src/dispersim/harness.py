@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 from . import adversary as adv_mod
@@ -74,8 +73,7 @@ class ScenarioError(ValueError):
     """Malformed scenario file or command line."""
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     n: int
     k: int
     schedule: str
@@ -113,9 +111,8 @@ def parse_scenario(text: str) -> Scenario:
         where = f"line {lines[key]}: " if key in lines else ""
         raise ScenarioError(f"{where}{msg}")
 
-    known = {f.name for f in fields(Scenario)}
     for key in values:
-        if key not in known:
+        if key not in Scenario._fields:
             fail(key, f"unknown key {key!r}")
     parsed: dict = {}
     for key, value in values.items():
@@ -227,6 +224,8 @@ def build_placement(sc: Scenario) -> dict[int, int]:
         if not m:
             raise ScenarioError(f"bad explicit placement part {part!r}")
         node = parse_int(m.group(1))
+        if node >= sc.n:
+            raise ScenarioError(f"explicit node {node} outside 0..{sc.n - 1}")
         for a in map(parse_int, m.group(2).split(",")):
             if a in placement:
                 raise ScenarioError(f"agent {a} placed twice")
@@ -275,8 +274,7 @@ def run_scenario(sc: Scenario) -> RunResult:
 # --- trace verification ---
 
 
-@dataclass
-class RunMetrics:
+class RunMetrics(NamedTuple):
     n: int
     k: int
     rounds: int
@@ -295,15 +293,14 @@ class RunMetrics:
         0 or 1."""
         def text(v):
             return "-" if v is None else str(int(v) if type(v) is bool else v)
-        width = max(len(f.name) for f in fields(self))
-        return "\n".join(f"  {f.name.ljust(width)}  {text(getattr(self, f.name))}"
-                         for f in fields(self))
+        width = max(map(len, self._fields))
+        return "\n".join(f"  {name.ljust(width)}  {text(value)}"
+                         for name, value in zip(self._fields, self))
 
 
-@dataclass
-class TraceReport:
+class TraceReport(NamedTuple):
     metrics: RunMetrics
-    violations: list[str] = field(default_factory=list)
+    violations: list[str]
 
     @property
     def ok(self) -> bool:
@@ -539,8 +536,7 @@ PLACEMENT_OF = {"colocated": lambda a: 0, "dispersed": lambda a: a - 1,
                 "shifted": lambda a: a}
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """A claimed bound and the adversarial runs that exhibit it.
 
     A row passes when the run's graphs keep ``prop`` at the row's T (at 1
@@ -724,8 +720,7 @@ def sweep(template_text: str, seeds, out=print):
     metrics: list[RunMetrics] = []
     violations: list[str] = []
     for seed in seeds:
-        sc = parse_scenario(template_text)
-        sc.seed = seed
+        sc = parse_scenario(template_text)._replace(seed=seed)
         res = run_scenario(sc)
         report = verify_trace(res.to_text())
         metrics.append(report.metrics)

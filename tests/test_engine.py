@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from pathlib import Path
 
@@ -75,8 +74,37 @@ def test_views_zero_vs_one_hop():
     v0 = node_views(s, c, "zero")[1]
     assert v0.per_port is None and v0.degree == 2 and v0.colocated == (1, 2)
     v1 = node_views(s, c, "one")[1]
-    assert [pv.occupants for pv in v1.per_port] == [(), (3,)]
+    assert list(v1.per_port) == [(), (3,)]
     assert v1.hole_ports() == (0,)
+
+
+def test_per_port_is_indexed_by_port():
+    # Snapshot(n, edges) keeps the ports as given, so shuffled ports put
+    # the neighbors of a node out of node order
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.4]
+        ports = {v: [] for v in range(n)}
+        for u, v in pairs:
+            ports[u].append(v)
+            ports[v].append(u)
+        for nbrs in ports.values():
+            rng.shuffle(nbrs)
+        snap = Snapshot(n, [(u, v, ports[u].index(v), ports[v].index(u))
+                            for u, v in pairs])
+        config = Configuration(
+            n, {a: rng.randrange(n) for a in range(1, rng.randint(1, n + 2))})
+        views = node_views(snap, config, "one")
+        assert sorted(views) == config.occupied()
+        for v, view in views.items():
+            assert len(view.per_port) == view.degree == snap.degree(v)
+            for p in range(view.degree):
+                assert view.per_port[p] == config.ids_at(snap.neighbor(v, p))
+            assert view.hole_ports() == tuple(
+                p for p in range(view.degree)
+                if not config.ids_at(snap.neighbor(v, p)))
 
 
 def test_deliver_global_vs_f2f():
@@ -98,7 +126,7 @@ def test_deliver_excludes_terminated_but_views_keep_them():
     assert [b.sender for b in inbox[1]] == [1]
     # the terminated agent still occupies node 2 in agent 1's view
     view = node_views(s, c, "one")[1]
-    assert view.per_port[1].occupants == (2,)
+    assert view.per_port[1] == (2,)
 
 
 def test_stitch_component_builds_node_graph():
@@ -120,7 +148,7 @@ def test_stitch_rejects_conflicting_views():
     va = LocalView(degree=1, colocated=(1, 2), per_port=None)
     vb = LocalView(degree=2, colocated=(1, 2), per_port=None)
     with pytest.raises(EngineError):
-        stitch_component((Broadcast(1, 2, va), Broadcast(2, 2, vb)))
+        stitch_component((Broadcast(1, va), Broadcast(2, vb)))
 
 
 def test_apply_actions_simultaneous_and_faults():
@@ -220,7 +248,7 @@ def test_trace_text_does_not_depend_on_shared_values():
         [list(c) for c in rec.components], rec.messages)
         for rec in res.records]
     assert len({id(rec.before) for rec in res.records}) < len(fresh)
-    assert dataclasses.replace(res, records=fresh).to_text() == res.to_text()
+    assert res._replace(records=fresh).to_text() == res.to_text()
 
 
 def test_identical_runs_are_byte_identical():

@@ -26,7 +26,7 @@ from dispersim.graphs import (
     Snapshot,
     minimal_T,
 )
-from dispersim.harness import parse_trace, verify_trace
+from dispersim.harness import TraceReport, parse_trace, verify_trace
 
 import oracles
 
@@ -173,7 +173,7 @@ def test_field_mutants_of_repeated_rounds_verify_like_the_reference():
             if got != want:
                 failures.append(f"field {s} mutant {m}: {got!r:.300}"
                                 f" != {want!r:.300}")
-            reported += not isinstance(got, tuple) and not got.ok
+            reported += isinstance(got, TraceReport) and not got.ok
     assert not failures, "\n".join(failures[:10])
     # many mutants parse, so the checks, not the parser, must catch them
     assert reported > FIELD_MUTANTS * 2

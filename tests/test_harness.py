@@ -1,10 +1,12 @@
 import hashlib
 import random
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -177,15 +179,15 @@ def test_random_schedule_is_drawn_only_as_far_as_the_run_reads_it():
 def test_placements():
     sc = parse_scenario(BASE)
     assert build_placement(sc) == {1: 0, 2: 0, 3: 0, 4: 0}
-    sc.placement = "colocated:2"
+    sc = sc._replace(placement="colocated:2")
     assert build_placement(sc) == {1: 2, 2: 2, 3: 2, 4: 2}
-    sc.placement = "dispersed"
+    sc = sc._replace(placement="dispersed")
     assert build_placement(sc) == {1: 0, 2: 1, 3: 2, 4: 3}
-    sc.placement = "spread:3"
+    sc = sc._replace(placement="spread:3")
     assert build_placement(sc) == {1: 0, 2: 1, 3: 2, 4: 0}
-    sc.placement = "explicit:0:1,4;5:2,3"
+    sc = sc._replace(placement="explicit:0:1,4;5:2,3")
     assert build_placement(sc) == {1: 0, 4: 0, 2: 5, 3: 5}
-    sc.placement = "random"
+    sc = sc._replace(placement="random")
     first = build_placement(sc)
     assert build_placement(sc) == first
     assert all(0 <= node < sc.n for node in first.values())
@@ -193,20 +195,23 @@ def test_placements():
 
 def test_placement_errors():
     sc = parse_scenario(BASE)
-    sc.placement = "colocated:6"
+    sc = sc._replace(placement="colocated:6")
     with pytest.raises(ScenarioError, match="outside"):
         build_placement(sc)
-    sc.placement = "colocated:x"
+    sc = sc._replace(placement="colocated:x")
     with pytest.raises(ScenarioError, match="^bad colocated placement 'x'$"):
         build_placement(sc)
-    sc.placement = "spread:x"
+    sc = sc._replace(placement="spread:x")
     with pytest.raises(ScenarioError, match="^bad spread placement 'x'$"):
         build_placement(sc)
-    sc.placement = "explicit:0:1,2"
+    sc = sc._replace(placement="explicit:0:1,2")
     with pytest.raises(ScenarioError, match="must cover agents"):
         build_placement(sc)
-    sc.placement = "explicit:0:1,1;1:2,3"
+    sc = sc._replace(placement="explicit:0:1,1;1:2,3")
     with pytest.raises(ScenarioError, match="placed twice"):
+        build_placement(sc)
+    sc = sc._replace(placement="explicit:0:1,2;6:3,4")
+    with pytest.raises(ScenarioError, match="^explicit node 6 outside 0..5$"):
         build_placement(sc)
 
 
@@ -221,6 +226,7 @@ def test_placement_errors():
     ("colocated:4", "colocated node 4 outside 0..3 (line 6)"),
     ("spread:0", "spread holes 0 outside 1..3 (line 6)"),
     ("explicit:0:1,2", "explicit placement must cover agents 1..3 (line 6)"),
+    ("explicit:9:1,2;0:3", "explicit node 9 outside 0..3 (line 6)"),
     ("scattered", "line 6: unknown placement 'scattered'; known: ('colocated',"
                   " 'dispersed', 'spread', 'random', 'explicit')"),
 ])
@@ -952,6 +958,48 @@ def test_seed_range_is_not_materialized():
     assert (seeds[0], seeds[-1], len(seeds)) == (0, 10**12, 10**12 + 1)
     assert list(cli._parse_seeds("3..5")) == [3, 4, 5]
     assert cli._parse_seeds("5,8") == [5, 8]
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ("5..1", "bad seed range '5..1'"),
+    ("1_0..1_1", "bad seed range '1_0..1_1'"),
+    ("+1..2", "bad seed range '+1..2'"),
+    ("0.. 2", "bad seed range '0.. 2'"),
+    ("1_0", "bad seed list '1_0'"),
+    ("3,+4", "bad seed list '3,+4'"),
+])
+def test_cli_sweep_rejects_bad_seeds(tmp_path, capsys, seeds, message):
+    template = tmp_path / "tmpl.scn"
+    template.write_text(BASE)
+    lines = []
+    assert cli.main(["sweep", str(template), "--seeds", seeds],
+                    out=lines.append) == 2
+    assert lines == []
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_seed_ranges_of_one_seed_and_negative_seeds_parse():
+    assert list(cli._parse_seeds("4..4")) == [4]
+    assert list(cli._parse_seeds("-2..-1")) == [-2, -1]
+    assert cli._parse_seeds("-3,0") == [-3, 0]
+
+
+def test_runtime_imports_only_the_standard_library():
+    # a fresh interpreter, so that no other test's imports count
+    src = Path(harness.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "before = set(sys.modules)\n"
+        "import dispersim.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "dispersim.cli" in out
+    roots = {name.split(".")[0] for name in out}
+    assert roots - {"dispersim"} <= set(sys.stdlib_module_names)
+    assert not roots & {"dataclasses", "inspect"}
 
 
 def test_cli_usage_errors(tmp_path):

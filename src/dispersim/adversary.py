@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import PROPERTIES, Memo, Schedule, Snapshot
+from .graphs import PROPERTIES, GraphError, Memo, Schedule, Snapshot
 
 
 class AdversaryError(ValueError):
@@ -103,7 +103,7 @@ class RandomRounds:
             raise AdversaryError(f"density must be in [0, 1], got {density}")
         if prop not in PROPERTIES:
             raise AdversaryError(f"unknown property {prop!r}")
-        self.n = n
+        self.n, self.rounds = n, rounds
         rng = random.Random(f"{seed}:{n}:{prop}:{T}:{density}:{rounds}")
         self._snaps = self._draw(rng, prop, T, density, rounds)
 
@@ -127,7 +127,11 @@ class RandomRounds:
         return self._snaps
 
     def next_snapshot(self, r: int, config, states) -> Snapshot:
-        return next(self._snaps)
+        snapshot = next(self._snaps, None)
+        if snapshot is None:
+            raise GraphError(f"random schedule exhausted at round {r}"
+                             f" (has {self.rounds})")
+        return snapshot
 
 
 def gen_random_with_property(
@@ -223,8 +227,8 @@ class KtLower(Adversary):
             raise AdversaryError(
                 "kt_lower expects all agents co-located at round 0"
             )
-        occupied = config.occupied()
-        rest = [v for v in range(self.n) if v not in config.at]
+        occupied = sorted(config.at)
+        rest = config.holes()
         pairs = _star(occupied) | _star(rest)
         if rest and r > 0 and r % (self.T - 1) == 0:
             pairs.add((min(occupied), min(rest)))
@@ -394,7 +398,7 @@ class CtExploration(Adversary):
             self.partner, self.target = holes[0], holes[1]
         elif r % self.T == 0 and self._pending is not None:
             w, agent = self._pending
-            if agent is not None and config.positions[agent] == self.partner:
+            if agent is not None and config[agent] == self.partner:
                 self.partner = w  # w's agent stepped onto x; w is the hole now
             self._pending = None
         x, y = self.partner, self.target
@@ -500,7 +504,7 @@ class SortedPath(Adversary):
         def make():
             if self.variant == "dispersed" and config.is_dispersed():
                 order = (config.holes()[0],
-                         *(config.positions[a] for a in sorted(config.positions)))
+                         *(config[a] for a in sorted(config)))
             else:
                 order = self._sorted_order(config)
             return order, self._layouts[self._path, order]
@@ -523,7 +527,7 @@ class SortedPath(Adversary):
                 raise AdversaryError(
                     f"sorted_path {self.variant} needs a non-dispersed start"
                 )
-            if len(config.positions) >= self.n:
+            if len(config) >= self.n:
                 raise AdversaryError(
                     f"sorted_path {self.variant} needs k <= n-1"
                 )

@@ -19,6 +19,7 @@ from .harness import (
     ScenarioError,
     demo,
     parse_scenario,
+    read_int,
     run_scenario,
     sweep,
     verify_trace,
@@ -62,29 +63,29 @@ def _cmd_demo(args, out) -> int:
     return 0 if ok else 1
 
 
-def _seed(text: str) -> int:
-    """Decimal digits with an optional minus; int() alone would also take
-    "+1", " 1" and "1_0"."""
-    if not text.removeprefix("-").isdecimal():
-        raise ValueError(text)
-    return int(text)
-
-
 def _parse_seeds(text: str) -> range | list[int]:
     """A range ``a..b`` with a <= b, or a comma list of seeds."""
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
-            seeds = range(_seed(lo), _seed(hi) + 1)
+            seeds = range(read_int(lo), read_int(hi) + 1)
         except ValueError:
             seeds = range(0)
         if not seeds:
             raise ScenarioError(f"bad seed range {text!r}")
         return seeds
     try:
-        return [_seed(s) for s in text.split(",")]
+        return [read_int(s) for s in text.split(",")]
     except ValueError:
         raise ScenarioError(f"bad seed list {text!r}") from None
+
+
+def _window(text: str) -> int:
+    """``--T``: argparse reports a bad value as it reports one for int."""
+    try:
+        return read_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _cmd_sweep(args, out) -> int:
@@ -138,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                        " of a schedule file")
     p.add_argument("schedule")
     p.add_argument("--property", choices=PROPERTIES)
-    p.add_argument("--T", type=int)
+    p.add_argument("--T", type=_window)
     p.set_defaults(func=_cmd_classify)
 
     return parser

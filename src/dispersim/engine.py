@@ -23,8 +23,9 @@ measured on the configuration reached AFTER each round, so a run that is
 already dispersed and stays put reports dispersed_at = 0.
 
 ``RunResult.to_text`` writes a run as a trace and ``parse_trace`` reads
-one back into the same ``RoundRecord``s; a record's placements are its
-configurations' own dicts, so consecutive rounds share them.
+one back into the same ``RoundRecord``s; a record's placements are
+``Configuration``s, and one round's ``after`` is the next round's
+``before``.
 """
 
 from __future__ import annotations
@@ -116,17 +117,18 @@ class AgentState(NamedTuple):
     terminated: bool = False
 
 
-class Configuration:
-    """Placement of agents on nodes at the start of a round."""
+class Configuration(dict):
+    """Placement of agents on nodes at the start of a round, agent -> node;
+    ``at`` lists each occupied node's agents in order.  Must not be mutated."""
 
-    __slots__ = ("n", "positions", "at")
+    __slots__ = ("n", "at")
 
-    def __init__(self, n: int, positions: Mapping[int, int]) -> None:
+    def __init__(self, n: int, placement: Mapping[int, int]) -> None:
+        super().__init__(placement)
         self.n = n
-        self.positions = dict(positions)
         at: dict[int, list[int]] = {}
-        for a in sorted(self.positions):
-            node = self.positions[a]
+        for a in sorted(self):
+            node = self[a]
             if not 0 <= node < n:
                 raise GraphError(f"agent {a} placed on node {node}, n={n}")
             at.setdefault(node, []).append(a)
@@ -135,9 +137,6 @@ class Configuration:
     def ids_at(self, node: int) -> tuple[int, ...]:
         return self.at.get(node, ())
 
-    def occupied(self) -> list[int]:
-        return sorted(self.at)
-
     def holes(self) -> list[int]:
         return [v for v in range(self.n) if v not in self.at]
 
@@ -145,17 +144,10 @@ class Configuration:
         return sorted(v for v, ids in self.at.items() if len(ids) > 1)
 
     def is_dispersed(self) -> bool:
-        return len(self.at) == len(self.positions)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Configuration)
-            and self.n == other.n
-            and self.positions == other.positions
-        )
+        return len(self.at) == len(self)
 
     def __repr__(self) -> str:
-        return f"Configuration(n={self.n}, positions={self.positions})"
+        return f"Configuration({self.n}, {dict.__repr__(self)})"
 
 
 class Algorithm(NamedTuple):
@@ -283,11 +275,11 @@ def apply_actions(
     actions: Mapping[int, Action],
 ) -> Configuration:
     """Simultaneously apply moves; illegal ports are engine faults."""
-    positions = dict(config.positions)
+    positions = dict(config)
     for a, act in actions.items():
         if act.port is None:
             continue
-        node = config.positions[a]
+        node = config[a]
         try:
             positions[a] = snapshot.neighbor(node, act.port)
         except GraphError:
@@ -382,7 +374,7 @@ class _Steps(dict):
 def _inputs(config: Configuration, states: Mapping[int, AgentState]) -> tuple:
     """Memo key of a round on a given graph: positions and agent states,
     each in its order."""
-    return tuple(config.positions.items()), tuple(states.items())
+    return tuple(config.items()), tuple(states.items())
 
 
 def _step(snapshot, config, states, algorithm, visibility, communication):
@@ -395,11 +387,11 @@ def _step(snapshot, config, states, algorithm, visibility, communication):
     )
     actions: dict[int, Action] = {}
     new_states = dict(states)
-    for a in sorted(config.positions):
+    for a in sorted(config):
         if a in terminated:
             continue
         action, state = algorithm.step(
-            states[a], views[config.positions[a]], inbox[a]
+            states[a], views[config[a]], inbox[a]
         )
         if state.terminated != action.terminate:
             state = AgentState(state.id, state.t, action.terminate)
@@ -428,14 +420,14 @@ def compute_preview(
 
 class RoundRecord(NamedTuple):
     """One round of a run or of a parsed trace.  ``before`` and ``after``
-    are placements (agent -> node) that consecutive rounds share; like the
-    rest of a record they must not be mutated."""
+    are its configurations, and one round's ``after`` is the next round's
+    ``before``; like the rest of a record they must not be mutated."""
 
     r: int
     snapshot: Snapshot
-    before: dict[int, int]
+    before: Configuration
     actions: dict[int, Action]
-    after: dict[int, int]
+    after: Configuration
     components: list[list[int]]
     messages: int
 
@@ -511,12 +503,9 @@ _ROUND_LINE = re.compile(r"round r=(\d+)")
 _COMP_FIELD = re.compile(r"\d+(?:,\d+)*(?:\|\d+(?:,\d+)*)*")
 
 
-def _placement_text(pos: dict[int, int]) -> str:
-    at: dict[int, list[int]] = {}
-    for a in sorted(pos):
-        at.setdefault(pos[a], []).append(a)
+def _placement_text(config: Configuration) -> str:
     return " " + " ".join(f"{node}:{','.join(map(str, ids))}"
-                          for node, ids in sorted(at.items()))
+                          for node, ids in sorted(config.at.items()))
 
 
 # how each field's value is written, in FIELDS order
@@ -531,7 +520,7 @@ _FORMATS = (
 )
 
 
-def _parse_placement(text: str, n: int) -> dict[int, int]:
+def _parse_placement(text: str, n: int) -> Configuration:
     placement: dict[int, int] = {}
     for tok in text.split():
         node, sep, ids = tok.partition(":")
@@ -545,10 +534,7 @@ def _parse_placement(text: str, n: int) -> dict[int, int]:
             if a in placement:
                 raise EngineError(f"agent {a} listed twice")
             placement[a] = node
-    if placement and max(placement.values()) >= n:
-        a = min(a for a, v in placement.items() if v >= n)
-        raise EngineError(f"agent {a} placed on node {placement[a]}, n={n}")
-    return placement
+    return Configuration(n, placement)
 
 
 def _parse_actions(text: str, codes: Memo) -> dict[int, Action]:
@@ -591,12 +577,12 @@ def parse_trace(text: str):
 
     Each distinct field text is parsed once and its value shared by every
     line that repeats it: rounds on the same graph share one Snapshot, and
-    a ``pos:`` that repeats the previous ``post:`` is the same dict.  A
-    round block whose six field lines repeat an earlier block's is looked
-    up whole, so its record shares all six values with that block's.  A
-    malformed text raises at its first line, and so does a header ``k``
-    larger than the number of agents the first ``pos:`` places.  Shared
-    values must not be mutated.
+    a ``pos:`` that repeats the previous ``post:`` is the same
+    Configuration.  A round block whose six field lines repeat an earlier
+    block's is looked up whole, so its record shares all six values with
+    that block's.  A malformed text raises at its first line, and so does
+    a header ``k`` larger than the number of agents the first ``pos:``
+    places.  Shared values must not be mutated.
     """
     lines = text.splitlines()
     if not lines:
@@ -749,8 +735,8 @@ def run(
             memo,
         )
         records.append(RoundRecord(
-            r, snapshot, config.positions, step.actions,
-            step.after.positions, step.components, step.messages,
+            r, snapshot, config, step.actions, step.after, step.components,
+            step.messages,
         ))
         config, states = step.after, step.states
         visited.update(config.at)

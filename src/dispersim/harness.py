@@ -33,7 +33,6 @@ from .engine import (
     COMMUNICATIONS,
     VISIBILITIES,
     AgentState,
-    Configuration,
     EngineError,
     RunResult,
     parse_trace,
@@ -92,6 +91,14 @@ _REQUIRED = ("n", "k", "schedule", "algorithm", "max_rounds")
 _INT_KEYS = ("n", "k", "max_rounds", "T", "seed")
 
 
+def read_int(text: str) -> int:
+    """The integer a user typed as decimal digits after an optional minus;
+    else ValueError.  int() alone also takes "+1", " 1", "1_0"."""
+    if not text.removeprefix("-").isdecimal():
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_scenario(text: str) -> Scenario:
     values: dict[str, str] = {}
     lines: dict[str, int] = {}
@@ -118,7 +125,7 @@ def parse_scenario(text: str) -> Scenario:
     for key, value in values.items():
         if key in _INT_KEYS:
             try:
-                parsed[key] = int(value)
+                parsed[key] = read_int(value)
             except ValueError:
                 fail(key, f"{key} must be an integer, got {value!r}")
         elif key == "density":
@@ -182,7 +189,7 @@ def parse_scenario(text: str) -> Scenario:
         fail("density", f"density must be in [0, 1], got {sc.density}")
     try:
         build_placement(sc)
-    except ScenarioError as exc:
+    except (ScenarioError, GraphError) as exc:
         # what building finds keeps its own text, and names the line after it
         raise ScenarioError(f"{exc} (line {lines['placement']})") from None
     return sc
@@ -193,7 +200,7 @@ def build_placement(sc: Scenario) -> dict[int, int]:
 
     def number() -> int:
         try:
-            return int(arg) if arg else PLACEMENTS[kind][1]
+            return read_int(arg) if arg else PLACEMENTS[kind][1]
         except ValueError:
             raise ScenarioError(f"bad {kind} placement {arg!r}") from None
 
@@ -307,10 +314,6 @@ class TraceReport(NamedTuple):
         return not self.violations
 
 
-def _hole_count(n: int, pos: dict[int, int]) -> int:
-    return n - len(set(pos.values()))
-
-
 def verify_trace(text: str) -> TraceReport:
     """Re-derive everything a trace claims, from the trace text alone.
     Each round is replayed through ``round_step`` on the recorded snapshot
@@ -345,15 +348,6 @@ def verify_trace(text: str) -> TraceReport:
     # the replay's steps by their inputs, as in run: repeated rounds are
     # computed once
     memo: dict = {}
-    # parse_trace shares equal placements, so one Configuration per dict;
-    # rounds keeps every dict alive, so its id is its own
-    configs: dict[int, Configuration] = {}
-
-    def configuration(pos: dict[int, int]) -> Configuration:
-        config = configs.get(id(pos))
-        if config is None:
-            config = configs[id(pos)] = Configuration(n, pos)
-        return config
     # what each clean round key derived: multinodes before the round, the
     # agents it terminates, the nodes it ends on and whether it ends
     # dispersed; rounds and the memo keep every keyed object alive
@@ -374,11 +368,10 @@ def verify_trace(text: str) -> TraceReport:
         follows = (idx == 0 or rec.before is prev_after
                    or rec.before == prev_after)
         prev_after = rec.after
-        config = configuration(rec.before)
         step = None
         if rec.before.keys() <= all_ids:
             step = round_step(
-                rec.snapshot, config, states, alg,
+                rec.snapshot, rec.before, states, alg,
                 header["visibility"], header["communication"], memo,
             )
             states = step.states
@@ -432,18 +425,17 @@ def verify_trace(text: str) -> TraceReport:
                 if rec.messages != step.messages:
                     note(f"{where}: msgs={rec.messages},"
                          f" recomputed {step.messages}")
-            post_config = configuration(rec.after)
-            multi = len(config.multinodes())
+            multi = len(rec.before.multinodes())
             # cooperative moves never create new multinodes; terminal moves
             # may legally stack agents into the same hole, so skip rounds
             # that contain a terminate action
             terminating = {a for a, act in rec.actions.items()
                            if act.terminate}
             if algorithm in COOPERATIVE and not terminating:
-                if len(post_config.multinodes()) > multi:
+                if len(rec.after.multinodes()) > multi:
                     note(f"{where}: multinode count increased")
-            derived = (multi, terminating, set(rec.after.values()),
-                       post_config.is_dispersed())
+            derived = (multi, terminating, set(rec.after.at),
+                       rec.after.is_dispersed())
             if len(violations) == size:
                 clean[key] = derived
         multi, terminating, after_nodes, dispersed = derived
@@ -475,8 +467,8 @@ def verify_trace(text: str) -> TraceReport:
             for r in range(len(rounds) - T + 1):
                 if multis[r] == 0:
                     continue
-                before = _hole_count(n, rounds[r].before)
-                after = _hole_count(n, rounds[r + T - 1].after)
+                before = n - len(rounds[r].before.at)
+                after = n - len(rounds[r + T - 1].after.at)
                 explored_by_then = visited_counts[r + T - 1] == n
                 if after >= before and not (
                     algorithm == "alg3" and explored_by_then
@@ -497,7 +489,7 @@ def verify_trace(text: str) -> TraceReport:
     if trailer["budget_exhausted"] == (all_terminated_at is not None):
         note("end line budget_exhausted inconsistent with terminations")
 
-    final_pos = rounds[-1].after if rounds else {}
+    final = rounds[-1].after if rounds else None
     metrics = RunMetrics(
         n=n,
         k=k,
@@ -507,10 +499,9 @@ def verify_trace(text: str) -> TraceReport:
         explored_at=explored_at,
         all_terminated_at=all_terminated_at,
         budget_exhausted=trailer["budget_exhausted"],
-        final_multinodes=(len(configuration(final_pos).multinodes())
-                          if final_pos else 0),
-        holes_start=_hole_count(n, rounds[0].before) if rounds else n,
-        holes_end=_hole_count(n, final_pos) if final_pos else n,
+        final_multinodes=len(final.multinodes()) if rounds else 0,
+        holes_start=n - len(rounds[0].before.at) if rounds else n,
+        holes_end=n - len(final.at) if rounds else n,
         max_messages=max_messages,
     )
     return TraceReport(metrics=metrics, violations=violations)

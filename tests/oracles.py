@@ -201,7 +201,7 @@ def run_text(source, placement, algorithm, *, visibility="one",
         f" algorithm={algorithm.name} visibility={visibility}"
         f" communication={communication}"
     ]
-    visited = set(config.positions.values())
+    visited = set(config.values())
     dispersed = explored = terminated = None
     rounds = 0
     for r in range(max_rounds):
@@ -213,18 +213,18 @@ def run_text(source, placement, algorithm, *, visibility="one",
             f"round r={r}",
             "edges:" + "".join(f" {u}-{v}:{pu},{pv}"
                                for u, v, pu, pv in edges_of(snap)),
-            "pos: " + placement_text(config.positions),
+            "pos: " + placement_text(config),
             "act: " + " ".join(f"{a}:{step.actions[a].code()}"
                                for a in sorted(step.actions)),
-            "post: " + placement_text(after.positions),
+            "post: " + placement_text(after),
             "comp: " + "|".join(",".join(str(v) for v in c)
                                 for c in step.components),
             f"msgs: {step.messages}",
         ]
         rounds += 1
         config, states = after, step.states
-        visited |= set(config.positions.values())
-        if dispersed is None and len(set(config.positions.values())) == len(placement):
+        visited |= set(config.values())
+        if dispersed is None and len(set(config.values())) == len(placement):
             dispersed = r
         if explored is None and len(visited) == source.n:
             explored = r

@@ -270,7 +270,7 @@ def test_c09_perpetual_reference_explores_and_never_stops():
     for rec in res.records:
         movers = [a for a, act in rec.actions.items() if act.port is not None]
         assert movers == ([3] if rec.r % 6 in (1, 3, 5) else []), rec.r
-    assert res.final.positions == {1: 0, 2: 0, 3: 1}
+    assert res.final == {1: 0, 2: 0, 3: 1}
     assert verify_trace(res.to_text()).ok
 
 

@@ -102,7 +102,7 @@ def test_alg1_explicit_on_static_path():
     assert res.dispersed_at == 2
     assert res.all_terminated_at == 3
     assert not res.budget_exhausted
-    assert sorted(res.final.positions.values()) == [0, 1, 2, 3]
+    assert sorted(res.final.values()) == [0, 1, 2, 3]
 
 
 def test_alg1_implicit_never_terminates():
@@ -125,7 +125,7 @@ def test_alg2_explores_star_and_terminates():
     assert res.all_terminated_at == 2
     assert res.dispersed_at == 1
     # the last two movers leave the center for distinct leaves
-    assert sorted(res.final.positions.values()) == [1, 2, 3]
+    assert sorted(res.final.values()) == [1, 2, 3]
 
 
 def test_alg2_can_end_with_a_multinode():
@@ -136,7 +136,7 @@ def test_alg2_can_end_with_a_multinode():
               max_rounds=5)
     assert res.explored_at == 0
     assert res.all_terminated_at == 0
-    assert res.final.positions == {1: 2, 2: 2}
+    assert res.final == {1: 2, 2: 2}
 
 
 def test_dispersed_one_round_full_and_partial():
@@ -145,13 +145,13 @@ def test_dispersed_one_round_full_and_partial():
               make_algorithm("dispersed_one_round"), max_rounds=3)
     assert res.explored_at == 0
     assert res.all_terminated_at == 0
-    assert res.final.positions == {1: 0, 2: 1, 3: 2, 4: 3}
+    assert res.final == {1: 0, 2: 1, 3: 2, 4: 3}
     # k = n-1 dispersed on a star: the center agent fills the last hole
     res = run(static(star(4), 3), {1: 0, 2: 1, 3: 2},
               make_algorithm("dispersed_one_round"), max_rounds=3)
     assert res.explored_at == 0
     assert res.all_terminated_at == 0
-    assert res.final.positions[1] == 3
+    assert res.final[1] == 3
 
 
 def test_alg3_walks_holes_when_quiet():
@@ -170,14 +170,14 @@ def test_greedy_port0_marches():
     res = run(static(path4(), 2), {1: 3}, make_algorithm("greedy_port0"),
               max_rounds=2)
     assert res.records[0].actions[1].port == 0
-    assert res.final.positions[1] == 1  # 3 -> 2 -> 1 via port 0
+    assert res.final[1] == 1  # 3 -> 2 -> 1 via port 0
 
 
 def test_zero_hop_visibility_disables_hole_hunting():
     # without per-port views no plan ever finds a hole: everyone stays
     res = run(static(path4(), 4), {1: 1, 2: 1}, make_algorithm("alg1_implicit"),
               visibility="zero", max_rounds=4)
-    assert res.final.positions == {1: 1, 2: 1}
+    assert res.final == {1: 1, 2: 1}
     assert res.dispersed_at is None
 
 

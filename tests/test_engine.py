@@ -51,7 +51,7 @@ def test_action_codes_round_trip():
 def test_configuration_accessors():
     c = Configuration(5, {1: 2, 2: 2, 3: 0})
     assert c.ids_at(2) == (1, 2)
-    assert c.occupied() == [0, 2]
+    assert sorted(c.at) == [0, 2]
     assert c.holes() == [1, 3, 4]
     assert c.multinodes() == [2]
     assert not c.is_dispersed()
@@ -97,7 +97,7 @@ def test_per_port_is_indexed_by_port():
         config = Configuration(
             n, {a: rng.randrange(n) for a in range(1, rng.randint(1, n + 2))})
         views = node_views(snap, config, "one")
-        assert sorted(views) == config.occupied()
+        assert sorted(views) == sorted(config.at)
         for v, view in views.items():
             assert len(view.per_port) == view.degree == snap.degree(v)
             for p in range(view.degree):
@@ -155,7 +155,7 @@ def test_apply_actions_simultaneous_and_faults():
     s = path4()
     c = Configuration(4, {1: 1, 2: 2})
     after = apply_actions(s, c, {1: Action(port=1), 2: Action(port=0)})
-    assert after.positions == {1: 2, 2: 1}  # swap, no collision logic
+    assert after == {1: 2, 2: 1}  # swap, no collision logic
     with pytest.raises(EngineError):
         apply_actions(s, c, {1: Action(port=5)})
 
@@ -171,6 +171,15 @@ def test_run_rejects_bad_inputs():
         run(sch, {1: 0}, alg, max_rounds=5)  # schedule exhausted
     with pytest.raises(GraphError):
         run(sch, {1: 0}, alg, max_rounds=1, visibility="two")
+
+
+def test_an_exhausted_random_schedule_names_its_round():
+    # the CLI draws as many rounds as it runs; a library caller may ask
+    # for more
+    source = adversary.RandomRounds(0, 5, "t_path", 2, 0.3, 3)
+    with pytest.raises(GraphError, match=r"^random schedule exhausted at"
+                                         r" round 3 \(has 3\)$"):
+        run(source, {1: 0, 2: 0}, make_algorithm("stay"), max_rounds=10)
 
 
 def test_stay_run_outcomes():
@@ -196,7 +205,7 @@ def test_perpetual_reference_run():
             assert movers == [3]
         else:
             assert movers == []
-    assert res.final.positions == {1: 0, 2: 0, 3: 1}  # back to start
+    assert res.final == {1: 0, 2: 0, 3: 1}  # back to start
 
 
 def test_compute_preview_is_pure_and_matches_run():
@@ -236,6 +245,24 @@ def test_parse_trace_reads_back_the_records_of_the_run():
             "budget_exhausted")}
 
 
+def test_records_share_the_configurations_of_the_run():
+    # a round's after is the next round's before, in a run and in its
+    # parsed trace, where a post: and the next pos: parse to one object
+    claim = CLAIMS["ct_dispersion"]
+    res = run_claim(claim, claim.rows[0]).result
+    _, parsed, _ = parse_trace(res.to_text())
+    assert res.final is res.records[-1].after
+    for records in (res.records, parsed):
+        for rec, following in zip(records, records[1:]):
+            assert following.before is rec.after
+        for rec in records:
+            for config in (rec.before, rec.after):
+                assert type(config) is Configuration and config.n == res.n
+    for got, want in zip(parsed, res.records, strict=True):
+        assert got.before == want.before and got.before.at == want.before.at
+        assert got.after == want.after and got.after.at == want.after.at
+
+
 def test_trace_text_does_not_depend_on_shared_values():
     # to_text formats each distinct round block once, by the ids of the
     # values that equal rounds share; records with fresh equal values, one
@@ -244,7 +271,8 @@ def test_trace_text_does_not_depend_on_shared_values():
     res = run_claim(claim, claim.rows[0]).result
     fresh = [RoundRecord(
         rec.r, Snapshot(rec.snapshot.n, oracles.edges_of(rec.snapshot)),
-        dict(rec.before), dict(rec.actions), dict(rec.after),
+        Configuration(rec.before.n, rec.before), dict(rec.actions),
+        Configuration(rec.after.n, rec.after),
         [list(c) for c in rec.components], rec.messages)
         for rec in res.records]
     assert len({id(rec.before) for rec in res.records}) < len(fresh)

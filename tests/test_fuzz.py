@@ -1,4 +1,4 @@
-"""Seeded mutation fuzzing of the trace and schedule parsers.
+"""Seeded mutation fuzzing of the trace, schedule and scenario parsers.
 
 Each mutant deletes, duplicates or alters one or two whitespace-separated
 tokens of a genuine trace or schedule.  An alteration overwrites one
@@ -9,6 +9,8 @@ escape, and the trace parser must agree with the naive reference parser in
 whose rounds repeat alter one or two field lines, or put another round's
 line of the same field in their place, and the verifier must report what
 the reference verifier, which shares nothing between rounds, reports.
+Scenario mutants delete, duplicate or overwrite one character of a
+scenario; they are parsed and their sources built, but never run.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from dispersim.adversary import gen_random_with_property, make_adversary
+from dispersim.adversary import (
+    AdversaryError, gen_random_with_property, make_adversary,
+)
 from dispersim.algorithms import make_algorithm
 from dispersim.engine import EngineError, run
 from dispersim.graphs import (
@@ -26,7 +30,10 @@ from dispersim.graphs import (
     Snapshot,
     minimal_T,
 )
-from dispersim.harness import TraceReport, parse_trace, verify_trace
+from dispersim.harness import (
+    ScenarioError, TraceReport, build_source, parse_scenario, parse_trace,
+    verify_trace,
+)
 
 import oracles
 
@@ -36,6 +43,22 @@ ALPHABET = "0123456789:,-|!ms= x"
 TRACE_MUTANTS = 450  # per trace
 SCHEDULE_MUTANTS = 150  # per schedule file
 FIELD_MUTANTS = 60  # per repeated-round trace
+SCENARIO_ERRORS = (ScenarioError, GraphError, EngineError, AdversaryError)
+# signs, separators, a dot and a non-ASCII decimal digit next to the digits
+SCENARIO_ALPHABET = "0123456789+_-.:,; =x\u0663"
+SCENARIO_MUTANTS = 700  # per scenario template
+SCENARIOS = (
+    # a random schedule with an explicit placement
+    "n = 6\nk = 4\nschedule = random:t_path\nalgorithm = alg1_explicit\n"
+    "T = 2\nmax_rounds = 40\nseed = -3\ndensity = 0.3\n"
+    "placement = explicit:0:1,2;3:3;5:4\n",
+    # an adversary that consults the algorithm as an oracle
+    "n = 7\nk = 6\nschedule = sorted_path:comm\nalgorithm = alg3\n"
+    "communication = f2f\nmax_rounds = 20\nplacement = colocated:1\n",
+    # an adversary schedule with a spread placement
+    "n = 8\nk = 5\nschedule = ct_dispersion\nalgorithm = alg1_implicit\n"
+    "T = 3\nmax_rounds = 30\nplacement = spread:4\nseed = 12\n",
+)
 
 
 def seed_traces() -> list[str]:
@@ -160,6 +183,53 @@ def test_schedule_mutants_raise_only_package_errors():
         except Exception as exc:
             failures.append(f"{label}: {prop}: {exc!r}")
     assert not failures, "\n".join(failures[:10])
+
+
+def scenario_mutant(text: str, rng: random.Random) -> str:
+    i = rng.randrange(len(text))
+    kind = rng.choice(("delete", "duplicate", "overwrite"))
+    if kind == "delete":
+        return text[:i] + text[i + 1:]
+    if kind == "duplicate":
+        return text[:i] + text[i] + text[i:]
+    return text[:i] + rng.choice(SCENARIO_ALPHABET) + text[i + 1:]
+
+
+def typed_integers(text: str):
+    """(key, text) of every integer a scenario text gives, as typed: the
+    integer keys and the argument of a colocated or spread placement."""
+    for line in text.splitlines():
+        key, sep, value = line.split("#", 1)[0].partition("=")
+        key, value = key.strip(), value.strip()
+        if sep and key in ("n", "k", "max_rounds", "T", "seed"):
+            yield key, value
+        kind, _, arg = value.partition(":")
+        if key == "placement" and kind in ("colocated", "spread") and arg:
+            yield kind, arg
+
+
+def test_scenario_mutants_raise_only_package_errors_and_read_decimal_digits():
+    failures, accepted = [], 0
+    for s, template in enumerate(SCENARIOS):
+        rng = random.Random(f"fuzz:scenario:{s}")
+        for m in range(SCENARIO_MUTANTS):
+            text = scenario_mutant(template, rng)
+            try:
+                build_source(parse_scenario(text))
+            except SCENARIO_ERRORS:
+                continue
+            except Exception as exc:
+                failures.append(f"scenario {s} mutant {m}: {exc!r}")
+                continue
+            accepted += 1
+            for key, value in typed_integers(text):
+                digits = value.removeprefix("-") if key == "seed" else value
+                if not digits.isdecimal():
+                    failures.append(f"scenario {s} mutant {m}: accepted"
+                                    f" {key} {value!r}")
+    assert not failures, "\n".join(failures[:10])
+    # enough mutants parse for the integer check to bite
+    assert accepted > len(SCENARIOS) * SCENARIO_MUTANTS // 20
 
 
 def test_field_mutants_of_repeated_rounds_verify_like_the_reference():

@@ -68,6 +68,26 @@ def test_parse_scenario_errors_carry_line_numbers():
         parse_scenario("n = three\nk = 2\n")
     with pytest.raises(ScenarioError, match="expected key=value"):
         parse_scenario("n 3\n")
+    # integers are decimal digits, a seed after an optional minus; int()
+    # alone would also take a sign, an underscore or inner spaces
+    for key, value in (("n", "1_0"), ("k", "+4"), ("max_rounds", "+9"),
+                       ("T", "0_3"), ("seed", "+3"), ("seed", "- 3"),
+                       ("seed", "1_0"), ("n", "6 0")):
+        lines = [line for line in BASE.splitlines()
+                 if not line.startswith(f"{key} ")]
+        lines.insert(1, f"{key} ={value}")
+        with pytest.raises(ScenarioError, match="^" + re.escape(
+                f"line 2: {key} must be an integer, got {value!r}") + "$"):
+            parse_scenario("\n".join(lines) + "\n")
+    assert parse_scenario(BASE.replace("seed = 3", "seed = -3")).seed == -3
+    # a negative count reads as an integer, and its range check names it
+    for key in ("n", "k", "max_rounds", "T"):
+        lines = [line for line in BASE.splitlines()
+                 if not line.startswith(f"{key} ")]
+        lines.insert(1, f"{key} = -3")
+        with pytest.raises(ScenarioError, match="^" + re.escape(
+                f"line 2: {key} must be >= 1, got -3") + "$"):
+            parse_scenario("\n".join(lines) + "\n")
 
 
 def test_parse_scenario_semantic_errors():
@@ -227,6 +247,15 @@ def test_placement_errors():
     ("spread:0", "spread holes 0 outside 1..3 (line 6)"),
     ("explicit:0:1,2", "explicit placement must cover agents 1..3 (line 6)"),
     ("explicit:9:1,2;0:3", "explicit node 9 outside 0..3 (line 6)"),
+    pytest.param("explicit:" + "9" * 5000 + ":1,2;0:3",
+                 "number of 5000 digits is too long (line 6)",
+                 id="explicit-node-too-long"),
+    ("colocated:+1", "bad colocated placement '+1' (line 6)"),
+    ("colocated:0_1", "bad colocated placement '0_1' (line 6)"),
+    ("spread:1_0", "bad spread placement '1_0' (line 6)"),
+    ("spread:+1", "bad spread placement '+1' (line 6)"),
+    ("colocated:-1", "colocated node -1 outside 0..3 (line 6)"),
+    ("spread:-3", "spread holes -3 outside 1..3 (line 6)"),
     ("scattered", "line 6: unknown placement 'scattered'; known: ('colocated',"
                   " 'dispersed', 'spread', 'random', 'explicit')"),
 ])
@@ -861,7 +890,7 @@ def test_cli_run_verify_roundtrip(tmp_path):
     assert cli.main(["verify", str(tampered)], out=lines.append) == 1
 
 
-def test_cli_classify(tmp_path):
+def test_cli_classify(tmp_path, capsys):
     sched = gen_random_with_property(4, 5, "t_path", 3, 0.3, 12)
     path = tmp_path / "x.sched"
     path.write_text(sched.to_text())
@@ -878,6 +907,20 @@ def test_cli_classify(tmp_path):
         out=lines.append,
     )
     assert code in (0, 1)
+    # --T is decimal digits; anything else is a usage error, reported as
+    # argparse reports a bad int
+    for T in ("x", "+3", "1_0", " 3", "3.0"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["classify", str(path), "--property", "t_path", "--T", T],
+                     out=lines.append)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"dispersim classify: error: argument --T: invalid int value: {T!r}")
+    # a negative window reads as an integer and fails the property's check
+    assert cli.main(["classify", str(path), "--property", "t_path",
+                     "--T", "-3"], out=lines.append) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: T must be >= 1, got -3"]
 
 
 def test_cli_demo_and_sweep(tmp_path):

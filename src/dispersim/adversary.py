@@ -29,37 +29,53 @@ class AdversaryError(ValueError):
 # --- fixed reference traces ---
 
 
-def _periodic(pats, rounds: int) -> Schedule:
-    """4-node schedule repeating ``pats``; each pattern is one Snapshot."""
-    snaps = [Snapshot.from_pairs(4, pairs) for pairs in pats]
-    return Schedule(snaps[r % len(snaps)] for r in range(rounds))
-
-
-def tpath_demo_schedule(rounds: int = 9) -> Schedule:
-    """4-node periodic trace: T-Path holds first at T=3, interval never."""
-    pats = [{(0, 1), (0, 2)}, {(0, 1), (1, 3)}, {(0, 2), (2, 3)}]
-    return _periodic(pats, rounds)
-
-
-def ctime_demo_schedule(rounds: int = 9) -> Schedule:
-    """4-node periodic trace: connectivity time 3, no finite T-Path T."""
-    pats = [{(0, 1), (0, 2)}, {(0, 1), (0, 2)}, {(1, 3), (2, 3)}]
-    return _periodic(pats, rounds)
-
-
-def perpetual_demo_schedule(rounds: int = 18) -> Schedule:
-    """4-node 6-periodic trace (T-Path at 6): the perpetual explorer tours
-    the three right-hand nodes forever while the pair on node 0 never
-    splits, so exploration succeeds and dispersion never happens."""
-    pats = [
+# the 4-node reference traces, each a period of graphs repeated forever
+DEMOS = {
+    # T-Path holds first at T=3, interval never
+    "tpath_demo": ({(0, 1), (0, 2)}, {(0, 1), (1, 3)}, {(0, 2), (2, 3)}),
+    # connectivity time 3, no finite T-Path T
+    "ctime_demo": ({(0, 1), (0, 2)}, {(0, 1), (0, 2)}, {(1, 3), (2, 3)}),
+    # 6-periodic (T-Path at 6): the perpetual explorer tours the three
+    # right-hand nodes forever while the pair on node 0 never splits, so
+    # exploration succeeds and dispersion never happens
+    "perpetual_demo": (
         {(0, 1), (2, 3)},
         {(1, 2), (2, 3)},
         {(0, 2), (1, 3)},
         {(1, 3), (2, 3)},
         {(0, 3), (1, 2)},
         {(1, 2), (1, 3)},
-    ]
-    return _periodic(pats, rounds)
+    ),
+}
+
+
+class Periodic:
+    """The rounds of a ``DEMOS`` trace without end, one Snapshot per graph
+    of its period, each read as the run reads it."""
+
+    def __init__(self, demo: str) -> None:
+        self.n = 4
+        self._snaps = [Snapshot.from_pairs(4, pairs) for pairs in DEMOS[demo]]
+
+    def next_snapshot(self, r: int, config, states) -> Snapshot:
+        return self._snaps[r % len(self._snaps)]
+
+
+def _periodic(demo: str, rounds: int) -> Schedule:
+    source = Periodic(demo)
+    return Schedule(source.next_snapshot(r, None, None) for r in range(rounds))
+
+
+def tpath_demo_schedule(rounds: int = 9) -> Schedule:
+    return _periodic("tpath_demo", rounds)
+
+
+def ctime_demo_schedule(rounds: int = 9) -> Schedule:
+    return _periodic("ctime_demo", rounds)
+
+
+def perpetual_demo_schedule(rounds: int = 18) -> Schedule:
+    return _periodic("perpetual_demo", rounds)
 
 
 # --- seeded random generator with a guaranteed property ---

@@ -432,6 +432,18 @@ class RoundRecord(NamedTuple):
     messages: int
 
 
+class Block(NamedTuple):
+    """The parsed values of one round block, in ``FIELDS`` order; every
+    round whose six field lines repeat the block's shares this tuple."""
+
+    snapshot: Snapshot
+    before: Configuration
+    actions: dict[int, Action]
+    after: Configuration
+    components: list[list[int]]
+    messages: int
+
+
 class RunResult(NamedTuple):
     n: int
     k: int
@@ -498,6 +510,14 @@ FIELDS = ("edges:", "pos:", "act:", "post:", "comp:", "msgs:")
 # a block with more than one malformed field
 _PARSE_ORDER = tuple(
     FIELDS.index(f) for f in ("edges:", "act:", "msgs:", "pos:", "post:", "comp:")
+)
+_HEADER_LINE = re.compile(
+    r"trace v=1 n=(\d+) k=(\d+) T=(\d+|-) algorithm=(\S+)"
+    r" visibility=(\S+) communication=(\S+)"
+)
+_END_LINE = re.compile(
+    r"end rounds=(\d+) dispersed_at=(\d+|-) explored_at=(\d+|-)"
+    r" all_terminated_at=(\d+|-) budget_exhausted=([01])"
 )
 _ROUND_LINE = re.compile(r"round r=(\d+)")
 _COMP_FIELD = re.compile(r"\d+(?:,\d+)*(?:\|\d+(?:,\d+)*)*")
@@ -572,28 +592,34 @@ def _parse_msgs(text: str) -> int:
     return parse_int(text)
 
 
-def parse_trace(text: str):
-    """Header, rounds and trailer of a trace; each round is a RoundRecord.
+def parse_blocks(text: str):
+    """Header, rounds and trailer of a trace; each round is its index and
+    its ``Block``.
 
     Each distinct field text is parsed once and its value shared by every
     line that repeats it: rounds on the same graph share one Snapshot, and
     a ``pos:`` that repeats the previous ``post:`` is the same
-    Configuration.  A round block whose six field lines repeat an earlier
-    block's is looked up whole, so its record shares all six values with
-    that block's.  A malformed text raises at its first line, and so does
-    a header ``k`` larger than the number of agents the first ``pos:``
-    places.  Shared values must not be mutated.
+    Configuration.  A block whose six field lines repeat an earlier
+    block's is that block's ``Block``.  In the shape ``to_text`` writes
+    (every line ended by "\\n" alone, round ``r`` on the line
+    ``round r=<r>`` and the end line last) such a block is found with one
+    lookup on its text; from the first line out of that shape on, the
+    trace is read line by line.  A malformed text raises at its first
+    line, and so does a header ``k`` larger than the number of agents the
+    first ``pos:`` places.  Shared values must not be mutated.
     """
-    lines = text.splitlines()
-    if not lines:
-        raise EngineError("empty trace")
-    m = re.fullmatch(
-        r"trace v=1 n=(\d+) k=(\d+) T=(\d+|-) algorithm=(\S+)"
-        r" visibility=(\S+) communication=(\S+)",
-        lines[0],
-    )
+    rest, _, end = text.removesuffix("\n").rpartition("\n")
+    head, *chunks = rest.split("\nround r=")
+    lines = None
+    m = _HEADER_LINE.fullmatch(head)
     if not m:
-        raise EngineError(f"bad trace header: {lines[0]!r}")
+        lines = text.splitlines()
+        if not lines:
+            raise EngineError("empty trace")
+        m = _HEADER_LINE.fullmatch(lines[0])
+        if not m:
+            raise EngineError(f"bad trace header: {lines[0]!r}")
+        chunks = ()
     try:
         header = {
             "n": parse_int(m.group(1)),
@@ -616,11 +642,55 @@ def parse_trace(text: str):
         Memo(lambda text: _parse_comp(text, n)),
         Memo(_parse_msgs),
     )
-    # the parsed values of each distinct block of six field lines; only a
-    # block that parsed cleanly is stored, so errors keep their lines
-    blocks: dict[tuple[str, ...], tuple] = {}
-    rounds: list[RoundRecord] = []
-    i = 1
+    # each distinct block's six field lines, joined by "\n", and its Block;
+    # only a block that parsed cleanly is stored, so errors keep their lines
+    blocks: dict[str, Block] = {}
+    rounds: list[tuple[int, Block]] = []
+
+    def parse(key: str, fields: list[str], line: int) -> Block:
+        """The Block of six field lines, the first on line ``line``."""
+        texts = []
+        for f, want in enumerate(FIELDS):
+            if not fields[f].startswith(want):
+                raise EngineError(f"line {line + f}: expected {want}")
+            texts.append(fields[f][len(want):].strip())
+        values = [None] * len(FIELDS)
+        for f in _PARSE_ORDER:
+            try:
+                values[f] = parsers[f][texts[f]]
+            except (GraphError, EngineError) as exc:
+                raise EngineError(f"line {line + f}: {exc}") from None
+        if not rounds and header["k"] > len(values[1]):
+            # an honest first pos: names every agent, so the header's k
+            # cannot outgrow the trace either
+            raise EngineError(
+                f"line {line + 1}: header k={header['k']} exceeds the"
+                f" {len(values[1])} agents of the first pos field"
+            )
+        blocks[key] = block = Block(*values)
+        return block
+
+    # round r's "round r=" line is line 7r + 2, its fields the next six
+    for r, chunk in enumerate(chunks):
+        index, _, key = chunk.partition("\n")
+        if index != str(r):
+            break
+        block = blocks.get(key)
+        if block is None:
+            fields = key.split("\n")
+            if len(fields) != len(FIELDS) or key.splitlines() != fields:
+                break
+            block = parse(key, fields, 7 * r + 3)
+        rounds.append((r, block))
+    else:
+        # every block has the shape, and so has the trace if its end line
+        # is its last
+        em = lines is None and _END_LINE.fullmatch(end)
+        if em:
+            return header, rounds, _trailer(em, 7 * len(rounds) + 2)
+    if lines is None:
+        lines = text.splitlines()
+    i = 7 * len(rounds) + 1
     while i < len(lines) and lines[i].startswith("round "):
         if i + 6 >= len(lines):
             raise EngineError(f"truncated round block at line {i + 1}")
@@ -633,42 +703,24 @@ def parse_trace(text: str):
                 r = parse_int(rm.group(1))
             except GraphError as exc:
                 raise EngineError(f"line {i + 1}: {exc}") from None
-        block = tuple(lines[i + 1:i + 7])
-        values = blocks.get(block)
-        if values is None:
-            texts = []
-            for f, want in enumerate(FIELDS):
-                if not block[f].startswith(want):
-                    raise EngineError(f"line {i + 2 + f}: expected {want}")
-                texts.append(block[f][len(want):].strip())
-            values = [None] * len(FIELDS)
-            for f in _PARSE_ORDER:
-                try:
-                    values[f] = parsers[f][texts[f]]
-                except (GraphError, EngineError) as exc:
-                    raise EngineError(f"line {i + 2 + f}: {exc}") from None
-            values = blocks[block] = tuple(values)
-        if not rounds and header["k"] > len(values[1]):
-            # an honest first pos: names every agent, so the header's k
-            # cannot outgrow the trace either
-            raise EngineError(
-                f"line {i + 3}: header k={header['k']} exceeds the"
-                f" {len(values[1])} agents of the first pos field"
-            )
-        rounds.append(RoundRecord(r, *values))
+        fields = lines[i + 1:i + 7]
+        key = "\n".join(fields)
+        block = blocks.get(key) or parse(key, fields, i + 2)
+        rounds.append((r, block))
         i += 7
     if i >= len(lines) or not lines[i].startswith("end "):
         raise EngineError("trace missing end line")
-    em = re.fullmatch(
-        r"end rounds=(\d+) dispersed_at=(\d+|-) explored_at=(\d+|-)"
-        r" all_terminated_at=(\d+|-) budget_exhausted=([01])",
-        lines[i],
-    )
+    em = _END_LINE.fullmatch(lines[i])
     if not em:
         raise EngineError(f"bad end line: {lines[i]!r}")
+    return header, rounds, _trailer(em, i + 1)
+
+
+def _trailer(em: re.Match, line: int) -> dict:
+    """The outcomes an end line states; ``line`` is its line number."""
     opt = lambda s: None if s == "-" else parse_int(s)
     try:
-        trailer = {
+        return {
             "rounds": parse_int(em.group(1)),
             "dispersed_at": opt(em.group(2)),
             "explored_at": opt(em.group(3)),
@@ -676,8 +728,14 @@ def parse_trace(text: str):
             "budget_exhausted": em.group(5) == "1",
         }
     except GraphError as exc:
-        raise EngineError(f"line {i + 1}: {exc}") from None
-    return header, rounds, trailer
+        raise EngineError(f"line {line}: {exc}") from None
+
+
+def parse_trace(text: str):
+    """Header, rounds and trailer of a trace; each round is a RoundRecord
+    of the values ``parse_blocks`` shares."""
+    header, rounds, trailer = parse_blocks(text)
+    return header, [RoundRecord(r, *block) for r, block in rounds], trailer
 
 
 def run(

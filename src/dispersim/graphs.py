@@ -523,10 +523,14 @@ def minimal_T(schedule: Schedule, prop: str) -> int | None:
     """Least T in 1..rounds at which the property holds, or None.
 
     A T-window's intersection lies inside every shorter window's, so
-    ``t_interval`` holds at some T only if it holds at 1.
+    ``t_interval`` holds at some T only if it holds at 1.  ``t_path`` and
+    ``connectivity_time`` hold at T+1 wherever they hold at T, so they
+    hold at some T only if they hold at T = rounds.
     """
-    Ts = range(1, schedule.rounds + 1)
-    for T in Ts[:1] if prop == "t_interval" else Ts:
+    last = 1 if prop == "t_interval" else schedule.rounds
+    if not check_property(schedule, prop, last).holds:
+        return None
+    for T in range(1, last):
         if check_property(schedule, prop, T).holds:
             return T
-    return None
+    return last

@@ -2,14 +2,14 @@
 
 A scenario is a small key=value text file naming a schedule source, an
 algorithm, a placement, and budgets.  Runs produce line-oriented traces;
-``verify_trace`` re-checks a trace from its text alone.  It replays every
-round through ``engine.round_step`` with the algorithm the header names,
+``verify_trace`` re-checks a trace from its text alone.  It replays the
+rounds through ``engine.round_step`` with the algorithm the header names,
 so the recorded actions, component partitions and message counts must be
 exactly what that algorithm does on the recorded snapshots and positions.
 It also checks conservation, move legality, termination monotonicity,
 multinode monotonicity and per-window hole progress, and recomputes every
-outcome round.  Repeated rounds are replayed from the memo and checked
-once per distinct round.
+outcome round.  A round that repeats a clean round's block from the same
+replayed states is neither replayed nor checked again.
 
 ``CLAIMS`` holds the executable claims as data: each names an adversary,
 the runs that exhibit its bound and the predicate a run must meet.
@@ -35,6 +35,7 @@ from .engine import (
     AgentState,
     EngineError,
     RunResult,
+    parse_blocks,
     parse_trace,
     round_step,
     run,
@@ -46,9 +47,7 @@ from .graphs import PROPERTIES, GraphError, Schedule, check_property, parse_int
 SCHEDULE_PARAMS = {
     "file": ("path",),
     "random": ("property", "T"),
-    "tpath_demo": (),
-    "ctime_demo": (),
-    "perpetual_demo": (),
+    **{kind: () for kind in adv_mod.DEMOS},
     **{kind: params for kind, (_, params) in ADVERSARIES.items()},
 }
 SCHEDULE_KINDS = tuple(SCHEDULE_PARAMS)
@@ -245,19 +244,15 @@ def build_placement(sc: Scenario) -> dict[int, int]:
 
 
 def build_source(sc: Scenario):
-    """The scenario's schedule source; a random schedule is drawn only as
-    far as the run reads it."""
+    """The scenario's schedule source; a random or demo schedule is drawn
+    only as far as the run reads it."""
     kind, _, arg = sc.schedule.partition(":")
     if kind == "file":
         return Schedule.load(arg)
     if kind == "random":
         return RandomRounds(sc.seed, sc.n, arg, sc.T, sc.density, sc.max_rounds)
-    if kind == "tpath_demo":
-        return adv_mod.tpath_demo_schedule(max(sc.max_rounds, 3))
-    if kind == "ctime_demo":
-        return adv_mod.ctime_demo_schedule(max(sc.max_rounds, 3))
-    if kind == "perpetual_demo":
-        return adv_mod.perpetual_demo_schedule(max(sc.max_rounds, 6))
+    if kind in adv_mod.DEMOS:
+        return adv_mod.Periodic(kind)
     return make_adversary(kind, sc.n, k=sc.k, T=sc.T, variant=arg)
 
 
@@ -319,15 +314,20 @@ def verify_trace(text: str) -> TraceReport:
     Each round is replayed through ``round_step`` on the recorded snapshot
     and positions, carrying the replayed agent states forward.
 
-    A round is checked once per distinct key: its parsed values, which
-    ``parse_trace`` shares between equal texts, its replayed step and the
-    number of agents terminated before it.  Every check of a round reads
-    only these, so a round whose key passed every check before passes
-    again and reuses what was derived from it; a round that failed one is
-    checked, and reported, every time.  The round index and ``pos`` against
-    the previous ``post`` are checked on every round.
+    A round's transition key is its ``Block``, which ``parse_blocks``
+    shares between rounds with equal field lines, the replayed agent
+    states it starts from, which the replay's memo shares between equal
+    steps, and the number of agents terminated before it.  These fix every
+    value the round's checks read: the states fix the replayed step, and
+    terminated agents only grow.  So a round whose key passed every check
+    before passes again: it calls no ``round_step``, builds no key of
+    values, and takes the states it leads to and its multinode count from
+    that round; its other outcomes were counted when that round was.  A
+    round that failed a check is checked, and reported, every time.  The
+    round index and ``pos`` against the previous ``post`` are checked on
+    every round.
     """
-    header, rounds, trailer = parse_trace(text)
+    header, rounds, trailer = parse_blocks(text)
     n, k = header["n"], header["k"]
     algorithm = header["algorithm"]
     try:
@@ -341,19 +341,19 @@ def verify_trace(text: str) -> TraceReport:
     violations: list[str] = []
     note = violations.append
 
-    # parse_trace bounds k by the first pos: field, and a trace without
+    # parse_blocks bounds k by the first pos: field, and a trace without
     # rounds builds nothing of size k
     all_ids = set(range(1, k + 1)) if rounds else set()
     states = {a: AgentState(id=a) for a in all_ids}
     # the replay's steps by their inputs, as in run: repeated rounds are
     # computed once
     memo: dict = {}
-    # what each clean round key derived: multinodes before the round, the
-    # agents it terminates, the nodes it ends on and whether it ends
-    # dispersed; rounds and the memo keep every keyed object alive
-    clean: dict[tuple, tuple[int, set[int], set[int], bool]] = {}
+    # each clean round's transition, by its key: the block and the states
+    # that keep the key's ids unique, the states it leads to and the
+    # multinodes before it
+    transitions: dict[tuple, tuple] = {}
     terminated: set[int] = set()
-    visited: set[int] = set(rounds[0].before.values()) if rounds else set()
+    visited: set[int] = set(rounds[0][1].before.values()) if rounds else set()
     # multinodes at the start of each round, and nodes visited by its end
     multis: list[int] = []
     visited_counts: list[int] = []
@@ -361,95 +361,91 @@ def verify_trace(text: str) -> TraceReport:
     max_messages = 0
     prev_after = None
 
-    for idx, rec in enumerate(rounds):
+    for idx, (r, block) in enumerate(rounds):
         size = len(violations)
-        if rec.r != idx:
-            note(f"round {rec.r}: expected round index {idx}")
-        follows = (idx == 0 or rec.before is prev_after
-                   or rec.before == prev_after)
-        prev_after = rec.after
-        step = None
-        if rec.before.keys() <= all_ids:
-            step = round_step(
-                rec.snapshot, rec.before, states, alg,
-                header["visibility"], header["communication"], memo,
-            )
-            states = step.states
-        key = (id(rec.snapshot), id(rec.before), id(rec.actions),
-               id(rec.after), id(rec.components), rec.messages, id(step),
-               len(terminated))  # terminated only grows
-        derived = clean.get(key)
-        if derived is not None:
+        if r != idx:
+            note(f"round {r}: expected round index {idx}")
+        snapshot, before, actions, after, comps, messages = block
+        follows = idx == 0 or before is prev_after or before == prev_after
+        prev_after = after
+        key = (id(block), id(states), len(terminated))
+        transition = transitions.get(key)
+        if transition is not None:
             if not follows:
-                note(f"round {rec.r}: pos does not match previous post")
+                note(f"round {r}: pos does not match previous post")
+            # terminated, visited, max_messages and the outcome rounds
+            # already hold what the round of this key added to them
+            _, _, states, multi = transition
         else:
-            where = f"round {rec.r}"
-            for name, pos in (("pos", rec.before), ("post", rec.after)):
+            where = f"round {r}"
+            for name, pos in (("pos", before), ("post", after)):
                 if set(pos) != all_ids:
                     note(f"{where}: {name} does not cover agents 1..{k}")
             if not follows:
                 note(f"{where}: pos does not match previous post")
             live = all_ids - terminated
-            if set(rec.actions) != live:
-                note(f"{where}: actors {sorted(rec.actions)}"
+            if set(actions) != live:
+                note(f"{where}: actors {sorted(actions)}"
                      f" != live {sorted(live)}")
-            for a in sorted(rec.actions):
-                act = rec.actions[a]
-                src = rec.before.get(a)
+            for a in sorted(actions):
+                act = actions[a]
+                src = before.get(a)
                 if src is None:
                     continue
                 if act.port is None:
                     dest = src
                 else:
                     try:
-                        dest = rec.snapshot.neighbor(src, act.port)
+                        dest = snapshot.neighbor(src, act.port)
                     except GraphError:
                         note(f"{where}: agent {a} used missing port"
                              f" {act.port} at node {src}")
                         continue
-                if rec.after.get(a) != dest:
-                    note(f"{where}: agent {a} recorded at {rec.after.get(a)},"
+                if after.get(a) != dest:
+                    note(f"{where}: agent {a} recorded at {after.get(a)},"
                          f" moves say {dest}")
             for a in terminated:
-                if rec.after.get(a) != rec.before.get(a):
+                if after.get(a) != before.get(a):
                     note(f"{where}: terminated agent {a} moved")
-            if step is not None:
-                for a in sorted(rec.actions.keys() | step.actions.keys()):
-                    got, want = rec.actions.get(a), step.actions.get(a)
+            start = states
+            if before.keys() <= all_ids:
+                step = round_step(
+                    snapshot, before, states, alg, header["visibility"],
+                    header["communication"], memo,
+                )
+                states = step.states
+                for a in sorted(actions.keys() | step.actions.keys()):
+                    got, want = actions.get(a), step.actions.get(a)
                     if got != want:
                         note(f"{where}: agent {a} recorded"
                              f" {got.code() if got else '-'}, {algorithm}"
                              f" computes {want.code() if want else '-'}")
-                if rec.components != step.components:
+                if comps != step.components:
                     note(f"{where}: component partition mismatch")
-                if rec.messages != step.messages:
-                    note(f"{where}: msgs={rec.messages},"
+                if messages != step.messages:
+                    note(f"{where}: msgs={messages},"
                          f" recomputed {step.messages}")
-            multi = len(rec.before.multinodes())
+            multi = len(before.multinodes())
             # cooperative moves never create new multinodes; terminal moves
             # may legally stack agents into the same hole, so skip rounds
             # that contain a terminate action
-            terminating = {a for a, act in rec.actions.items()
-                           if act.terminate}
+            terminating = {a for a, act in actions.items() if act.terminate}
             if algorithm in COOPERATIVE and not terminating:
-                if len(rec.after.multinodes()) > multi:
+                if len(after.multinodes()) > multi:
                     note(f"{where}: multinode count increased")
-            derived = (multi, terminating, set(rec.after.at),
-                       rec.after.is_dispersed())
+            terminated |= terminating
+            visited.update(after.at)
+            max_messages = max(max_messages, messages)
+            if dispersed_at is None and after.is_dispersed():
+                dispersed_at = r
+            if explored_at is None and len(visited) == n:
+                explored_at = r
+            if all_terminated_at is None and terminated == all_ids:
+                all_terminated_at = r
             if len(violations) == size:
-                clean[key] = derived
-        multi, terminating, after_nodes, dispersed = derived
+                transitions[key] = (block, start, states, multi)
         multis.append(multi)
-        terminated |= terminating
-        visited |= after_nodes
         visited_counts.append(len(visited))
-        max_messages = max(max_messages, rec.messages)
-        if dispersed_at is None and dispersed:
-            dispersed_at = rec.r
-        if explored_at is None and len(visited) == n:
-            explored_at = rec.r
-        if all_terminated_at is None and terminated == all_ids:
-            all_terminated_at = rec.r
 
     # per-window hole progress, only meaningful when the trace's own
     # prefix satisfies t_path at the declared T and agents could actually
@@ -462,13 +458,13 @@ def verify_trace(text: str) -> TraceReport:
         and header["communication"] == "global"
         and header["visibility"] == "one"
     ):
-        prefix = Schedule(rec.snapshot for rec in rounds)
+        prefix = Schedule(block.snapshot for _, block in rounds)
         if prefix.rounds >= T and check_property(prefix, "t_path", T).holds:
             for r in range(len(rounds) - T + 1):
                 if multis[r] == 0:
                     continue
-                before = n - len(rounds[r].before.at)
-                after = n - len(rounds[r + T - 1].after.at)
+                before = n - len(rounds[r][1].before.at)
+                after = n - len(rounds[r + T - 1][1].after.at)
                 explored_by_then = visited_counts[r + T - 1] == n
                 if after >= before and not (
                     algorithm == "alg3" and explored_by_then
@@ -489,7 +485,7 @@ def verify_trace(text: str) -> TraceReport:
     if trailer["budget_exhausted"] == (all_terminated_at is not None):
         note("end line budget_exhausted inconsistent with terminations")
 
-    final = rounds[-1].after if rounds else None
+    final = rounds[-1][1].after if rounds else None
     metrics = RunMetrics(
         n=n,
         k=k,
@@ -500,7 +496,7 @@ def verify_trace(text: str) -> TraceReport:
         all_terminated_at=all_terminated_at,
         budget_exhausted=trailer["budget_exhausted"],
         final_multinodes=len(final.multinodes()) if rounds else 0,
-        holes_start=n - len(rounds[0].before.at) if rounds else n,
+        holes_start=n - len(rounds[0][1].before.at) if rounds else n,
         holes_end=n - len(final.at) if rounds else n,
         max_messages=max_messages,
     )

@@ -289,6 +289,18 @@ def test_ctime_reference_trace():
     assert minimal_T(sch, "t_interval") is None
 
 
+def test_minimal_T_decides_none_with_one_check(monkeypatch):
+    # t_path holds at T+1 wherever it holds at T, so failing at T = rounds
+    # it holds at no T
+    calls = []
+    check = graphs.check_property
+    monkeypatch.setattr(graphs, "check_property",
+                        lambda sch, prop, T: calls.append(T) or check(sch, prop, T))
+    sch = load("ctime_demo")
+    assert minimal_T(sch, "t_path") is None
+    assert calls == [sch.rounds]
+
+
 def test_perpetual_reference_trace():
     sch = load("perpetual_demo")
     assert minimal_T(sch, "t_path") == 6

@@ -14,6 +14,7 @@ from dispersim.engine import Action, Configuration, EngineError, node_views, run
 from dispersim.adversary import (
     ADVERSARIES,
     ADVERSARY_KINDS,
+    DEMOS,
     SORTED_PATH_VARIANTS,
     RandomRounds,
     gen_random_with_property,
@@ -31,7 +32,7 @@ from dispersim.harness import (
     sweep,
     verify_trace,
 )
-from dispersim import cli, engine, harness
+from dispersim import adversary, cli, engine, harness
 
 import oracles
 
@@ -194,6 +195,29 @@ def test_random_schedule_is_drawn_only_as_far_as_the_run_reads_it():
     source = RandomRounds(0, 4, "t_path", 2, 0.3, 100000)
     assert [rec.snapshot for rec in res.records] == [
         source.next_snapshot(r, None, None) for r in range(4)]
+
+
+def test_demo_schedule_is_drawn_only_as_far_as_the_run_reads_it():
+    sc = parse_scenario(
+        "n = 4\nk = 3\nschedule = tpath_demo\nT = 3\n"
+        "algorithm = alg1_explicit\nmax_rounds = 1000000\n"
+    )
+    tracemalloc.start()
+    try:
+        res = run_scenario(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.rounds == 5 and res.all_terminated_at == 4
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_scenario_runs_the_fixed_demo_schedule(demo):
+    text = f"n = 4\nk = 2\nschedule = {demo}\nalgorithm = disp\nmax_rounds = 20\n"
+    res = run_scenario(parse_scenario(text))
+    fixed = getattr(adversary, f"{demo}_schedule")(20)
+    assert res.schedule_prefix().to_text() == fixed.to_text()
 
 
 def test_placements():
@@ -640,12 +664,22 @@ def test_forged_action_on_a_repeated_round_is_reported(monkeypatch):
         hits.append(len(args[6]) == size)
         return step
 
+    def replays(text, rounds):
+        """Whether each replay in verifying the first rounds of text was
+        a memo hit."""
+        lines = text.splitlines()
+        hits.clear()
+        verify_trace("\n".join(lines[:1 + 7 * rounds] + lines[-1:]) + "\n")
+        return list(hits)
+
     monkeypatch.setattr(harness, "round_step", recording)
     assert verify_trace(text).ok
-    assert hits[r]
-    hits.clear()
-    report = verify_trace(_forge_action(text, r, agent, "s"))
-    assert hits[r]
+    # round r repeats a clean round: a transition hit, which replays nothing
+    assert replays(text, r + 1) == replays(text, r)
+    forged = _forge_action(text, r, agent, "s")
+    report = verify_trace(forged)
+    # the forged round is no transition hit: it is replayed, from the memo
+    assert replays(forged, r + 1) == replays(forged, r) + [True]
     assert (f"round {r}: agent {agent} recorded s, alg3 computes"
             f" {act.code()}") in report.violations
 
@@ -726,6 +760,26 @@ def test_repeated_round_after_a_termination_is_checked_again():
                    for v in report.violations)
 
 
+def test_repeated_transition_after_a_termination_is_checked_again():
+    # alg3 keeps no state, so later repeats of earlier clean blocks start
+    # from the very replayed states of those blocks; only the number of
+    # terminated agents tells them apart after a forged terminate
+    text = _ct_trace("alg3", rounds=30)
+    blocks = _blocks(text)
+    lines = text.splitlines()
+    i = lines.index("round r=5") + 3
+    assert " 1:s " in lines[i]
+    lines[i] = lines[i].replace(" 1:s ", " 1:s! ", 1)
+    forged = "\n".join(lines) + "\n"
+    report = verify_trace(forged)
+    assert report == oracles.verify_trace_reference(forged)
+    again = [r for r in range(6, len(blocks)) if blocks[r] in blocks[:5]]
+    assert again
+    for r in again:
+        assert any(v.startswith(f"round {r}: actors ")
+                   for v in report.violations)
+
+
 def test_repeated_round_with_other_replayed_states_is_checked_again():
     # alg1_explicit counts quiet rounds in its state: on a static path its
     # agents stay twice and then terminate, so a third round recorded as
@@ -743,6 +797,66 @@ def test_repeated_round_with_other_replayed_states_is_checked_again():
         f"round 2: agent {a} recorded s, alg1_explicit computes s!"
         for a in (1, 2, 3)
     ]
+
+
+def test_crlf_trace_verifies_like_its_lf_copy():
+    text = _ct_trace("alg1_implicit")
+    forged = _forge_field(text, len(_blocks(text)) - 1, "act:")
+    for lf in (text, forged):
+        crlf = lf.replace("\n", "\r\n")
+        assert verify_trace(crlf) == verify_trace(lf)
+    assert verify_trace(text).ok and not verify_trace(forged).ok
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+def test_other_line_break_in_a_repeated_block_reads_like_the_reference(sep):
+    # str.splitlines ends a line at these too, so the block has a line
+    # more than its six field lines
+    text = _ct_trace("alg1_implicit")
+    last = len(_blocks(text)) - 1
+    lines = text.splitlines()
+    i = lines.index(f"round r={last}") + 2
+    lines[i] = lines[i].replace(" ", sep, 1)
+    broken = "\n".join(lines) + "\n"
+    with pytest.raises(EngineError) as want:
+        oracles.parse_trace_reference(broken)
+    with pytest.raises(EngineError) as got:
+        verify_trace(broken)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("where", ["first_repeat", "last"])
+def test_wrong_round_index_on_a_repeated_block_is_reported_like_the_reference(
+    where
+):
+    text = _ct_trace("alg3")
+    blocks = _blocks(text)
+    r = (len(blocks) - 1 if where == "last" else
+         next(r for r, b in enumerate(blocks) if b in blocks[:r]))
+    assert blocks[r] in blocks[:r]
+    forged = text.replace(f"round r={r}\n", f"round r={r + 1}\n")
+    report = verify_trace(forged)
+    assert f"round {r + 1}: expected round index {r}" in report.violations
+    assert report == oracles.verify_trace_reference(forged)
+
+
+@pytest.mark.parametrize("kept", range(1, 8))
+def test_trace_cut_inside_its_last_repeated_block_fails_like_the_reference(
+    kept
+):
+    # the round line and kept - 1 of the six field lines are left
+    text = _ct_trace("alg1_implicit")
+    blocks = _blocks(text)
+    last = len(blocks) - 1
+    assert blocks[last] in blocks[:last]
+    lines = text.splitlines()
+    i = lines.index(f"round r={last}")
+    cut = "\n".join(lines[:i + kept]) + "\n"
+    with pytest.raises(EngineError) as want:
+        oracles.parse_trace_reference(cut)
+    with pytest.raises(EngineError) as got:
+        verify_trace(cut)
+    assert str(got.value) == str(want.value)
 
 
 def test_header_k_is_bounded_by_the_first_pos_line(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Schedule generators and adaptive adversaries.
 
-Fixed generators produce finite schedules: the three 4-node reference
-traces and a seeded random generator that guarantees a requested window
-property at a requested T.
+Fixed generators: the three 4-node reference traces, each a period of
+graphs repeated forever, and a seeded random generator of finite schedules
+that guarantees a requested window property at a requested T.
 
 Adaptive adversaries build each round's snapshot from the live
 configuration (and, for the sorted-path attack, from an oracle that
@@ -59,23 +59,6 @@ class Periodic:
 
     def next_snapshot(self, r: int, config, states) -> Snapshot:
         return self._snaps[r % len(self._snaps)]
-
-
-def _periodic(demo: str, rounds: int) -> Schedule:
-    source = Periodic(demo)
-    return Schedule(source.next_snapshot(r, None, None) for r in range(rounds))
-
-
-def tpath_demo_schedule(rounds: int = 9) -> Schedule:
-    return _periodic("tpath_demo", rounds)
-
-
-def ctime_demo_schedule(rounds: int = 9) -> Schedule:
-    return _periodic("ctime_demo", rounds)
-
-
-def perpetual_demo_schedule(rounds: int = 18) -> Schedule:
-    return _periodic("perpetual_demo", rounds)
 
 
 # --- seeded random generator with a guaranteed property ---

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 import re
-from operator import attrgetter, itemgetter
+from functools import partial
+from operator import attrgetter, itemgetter, lshift
 from typing import NamedTuple
 
 PROPERTIES = ("t_interval", "t_path", "connectivity_time")
@@ -30,6 +31,42 @@ class GraphError(ValueError):
 
 _ENDPOINTS = itemgetter(0, 1)
 _PAIRS = attrgetter("pairs")
+
+
+def _checked(n: int, edges) -> tuple[set, dict]:
+    """Check edges one by one and raise the GraphError of the first fault:
+    range and self-loop faults in input order, then duplicate edges and
+    reused ports in (u, v) order, then port gaps by node.  ``Snapshot``
+    runs it only on edges that fail its aggregate checks, so one error
+    text names a fault however it was found; valid edges give their pair
+    set and port maps."""
+    normalized = []
+    for u, v, pu, pv in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge {u}-{v} out of range for n={n}")
+        if u == v:
+            raise GraphError(f"self-loop at node {u}")
+        normalized.append((u, v, pu, pv) if u < v else (v, u, pv, pu))
+    normalized.sort(key=_ENDPOINTS)
+    pairs = set()
+    ports: dict[int, dict[int, int]] = {}
+    for u, v, pu, pv in normalized:
+        if (u, v) in pairs:
+            raise GraphError(f"duplicate edge {u}-{v}")
+        pairs.add((u, v))
+        for a, pa, b in ((u, pu, v), (v, pv, u)):
+            pmap = ports.setdefault(a, {})
+            if pa in pmap:
+                raise GraphError(f"node {a} uses port {pa} twice")
+            pmap[pa] = b
+    for v in sorted(ports):
+        pmap = ports[v]
+        # the ports at v are distinct, so these bounds make them 0..d-1
+        if min(pmap) != 0 or max(pmap) != len(pmap) - 1:
+            raise GraphError(
+                f"node {v} ports {sorted(pmap)} are not 0..{len(pmap) - 1}"
+            )
+    return pairs, ports
 
 
 class Snapshot:
@@ -48,35 +85,34 @@ class Snapshot:
     def __init__(self, n: int, edges) -> None:
         if n < 1:
             raise GraphError(f"snapshot needs at least one node, got n={n}")
-        normalized = []
-        for u, v, pu, pv in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge {u}-{v} out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self-loop at node {u}")
-            normalized.append((u, v, pu, pv) if u < v else (v, u, pv, pu))
-        normalized.sort(key=_ENDPOINTS)
+        edges = list(edges)
         pairs = set()
+        add = pairs.add
         # only nodes with edges get a port map, so memory follows the edges
         ports: dict[int, dict[int, int]] = {}
-        for u, v, pu, pv in normalized:
-            if (u, v) in pairs:
-                raise GraphError(f"duplicate edge {u}-{v}")
-            pairs.add((u, v))
-            for a, pa, b in ((u, pu, v), (v, pv, u)):
-                pmap = ports.get(a)
-                if pmap is None:
-                    pmap = ports[a] = {}
-                elif pa in pmap:
-                    raise GraphError(f"node {a} uses port {pa} twice")
-                pmap[pa] = b
-        for v in sorted(ports):
-            pmap = ports[v]
-            # the ports at v are distinct, so these bounds make them 0..d-1
-            if min(pmap) != 0 or max(pmap) != len(pmap) - 1:
-                raise GraphError(
-                    f"node {v} ports {sorted(pmap)} are not 0..{len(pmap) - 1}"
-                )
+        # a map is made with its first port, so an empty one is never found
+        get, new = ports.get, ports.setdefault
+        for u, v, pu, pv in edges:
+            if u < v:
+                add((u, v))
+            elif v < u:
+                add((v, u))
+            (get(u) or new(u, {}))[pu] = v
+            (get(v) or new(v, {}))[pv] = u
+        # A self-loop adds no pair and a repeated pair none either, so the
+        # first test finds both.  Every endpoint keys a port map, and a
+        # reused port overwrites, so full maps on keys in range are the
+        # rest.  The ports at a node are distinct and at least 0, so their
+        # greatest is at least d - 1, and the sums pin it to d - 1 at every
+        # node: the ports there are 0..d-1.
+        maps = ports.values()
+        if len(pairs) != len(edges) or ports and not (
+            0 <= min(ports) and max(ports) < n
+            and sum(map(len, maps)) == 2 * len(edges)
+            and min(map(min, maps)) == 0
+            and sum(map(max, maps)) == 2 * len(edges) - len(ports)
+        ):
+            pairs, ports = _checked(n, edges)
         self.n = n
         self.pairs = frozenset(pairs)
         self.ports = ports
@@ -200,15 +236,20 @@ _EDGE_TOKEN = re.compile(r"(\d+)-(\d+):(\d+),(\d+)")
 # a field of whitespace-separated edge tokens; (?!\S) ends each token at
 # whitespace, as str.split does, so "0-1:0,01-2:0,0" is one bad token
 _EDGE_FIELD = re.compile(r"(?:\s*\d+-\d+:\d+,\d+(?!\S))*\s*")
+# the separators inside a token, read as whitespace
+_EDGE_SEPARATORS = str.maketrans("-:,", "   ")
+_ROUND_LINE = re.compile(r"r=(\d+):(.*)")
 
 
 def parse_edges(field: str) -> list[tuple[int, int, int, int]]:
     """``(u, v, pu, pv)`` edges of whitespace-separated ``u-v:pu,pv`` tokens,
     read in one pass; the token loop only names a bad token or number."""
     if _EDGE_FIELD.fullmatch(field):
+        # a matched field is its numbers, four a token, between separators
+        # and whitespace (``\s`` and ``str.split`` agree on whitespace)
+        numbers = map(int, field.translate(_EDGE_SEPARATORS).split())
         try:
-            return [(int(u), int(v), int(pu), int(pv))
-                    for u, v, pu, pv in _EDGE_TOKEN.findall(field)]
+            return list(zip(numbers, numbers, numbers, numbers))
         except ValueError:
             pass  # a number too long for int; the loop names it
     edges = []
@@ -289,6 +330,9 @@ class Schedule:
         self.n = n
         self.snapshots = tuple(snapshots)
         self._diameter_cache: float | None = None
+        # check_property's t_path table of each distinct snapshot, by id:
+        # the schedule keeps its snapshots, so the ids stay theirs
+        self._t_path_tables: dict[int, tuple] = {}
 
     @property
     def rounds(self) -> int:
@@ -312,9 +356,15 @@ class Schedule:
         return self._diameter_cache
 
     def to_text(self) -> str:
+        # the snapshots outlive this call, so their ids are theirs: each
+        # distinct snapshot is formatted once
+        fields: dict[int, str] = {}
         lines = [f"n={self.n} rounds={self.rounds}"]
         for r, s in enumerate(self.snapshots):
-            lines.append(f"r={r}:" + format_edges(s))
+            field = fields.get(id(s))
+            if field is None:
+                field = fields[id(s)] = format_edges(s)
+            lines.append(f"r={r}:{field}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -331,10 +381,10 @@ class Schedule:
             break
         if header is None:
             raise GraphError("empty schedule file")
-        m = re.fullmatch(r"n=(\d+) rounds=(\d+)", header)
-        if not m:
-            raise GraphError(f"line {body_start}: bad header {header!r}")
         try:
+            m = re.fullmatch(r"n=(\d+) rounds=(\d+)", header)
+            if not m:
+                raise GraphError(f"bad header {header!r}")
             n, rounds = parse_int(m.group(1)), parse_int(m.group(2))
         except GraphError as exc:
             raise GraphError(f"line {body_start}: {exc}") from None
@@ -352,18 +402,15 @@ class Schedule:
         snaps: list[Snapshot | None] = [None] * rounds
         parsed = snapshot_cache(n)
         for lineno, line in body:
-            m = re.fullmatch(r"r=(\d+):(.*)", line)
-            if not m:
-                raise GraphError(f"line {lineno}: expected 'r=<r>: <edges>'")
             try:
+                m = _ROUND_LINE.fullmatch(line)
+                if not m:
+                    raise GraphError("expected 'r=<r>: <edges>'")
                 r = parse_int(m.group(1))
-            except GraphError as exc:
-                raise GraphError(f"line {lineno}: {exc}") from None
-            if not 0 <= r < rounds:
-                raise GraphError(f"line {lineno}: round {r} outside 0..{rounds - 1}")
-            if snaps[r] is not None:
-                raise GraphError(f"line {lineno}: round {r} listed twice")
-            try:
+                if not 0 <= r < rounds:
+                    raise GraphError(f"round {r} outside 0..{rounds - 1}")
+                if snaps[r] is not None:
+                    raise GraphError(f"round {r} listed twice")
                 snaps[r] = parsed[m.group(2)]
             except GraphError as exc:
                 raise GraphError(f"line {lineno}: {exc}") from None
@@ -427,8 +474,34 @@ class ConnectivityReport(NamedTuple):
         return out
 
 
+def _split_from_0(n: int, port_maps) -> tuple[int, int] | None:
+    """``(0, least node 0 does not reach)`` in the union of the graphs of
+    these port maps, or None when 0 reaches every node: the search stops
+    as soon as it has."""
+    seen = [False] * n
+    seen[0] = True
+    count = 1
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for ports in port_maps:
+            pmap = ports.get(x)
+            if pmap:
+                for y in pmap.values():
+                    if not seen[y]:
+                        seen[y] = True
+                        count += 1
+                        stack.append(y)
+        if count == n:
+            return None
+    return 0, seen.index(False)
+
+
+_BIT = partial(lshift, 1)
+
+
 def _mask(nodes) -> int:
-    return sum(1 << v for v in nodes)
+    return sum(map(_BIT, nodes))
 
 
 def check_property(schedule: Schedule, prop: str, T: int) -> ConnectivityReport:
@@ -449,10 +522,11 @@ def check_property(schedule: Schedule, prop: str, T: int) -> ConnectivityReport:
     if prop == "t_path":
         full = (1 << n) - 1
         # per distinct snapshot: its components, each node's component and
-        # each component's node bitmask.  A mask is kept only where it costs
-        # no more than a list of its members (64 bits a member), so a table
-        # stays O(n); a sparser one is rebuilt where it is used
-        tables: dict[int, tuple] = {}
+        # each component's node bitmask, kept on the schedule for its later
+        # checks.  A mask is kept only where it costs no more than a list of
+        # its members (64 bits a member), so a table stays O(n); a sparser
+        # one is rebuilt where it is used
+        tables = schedule._t_path_tables
 
         def table(s):
             t = tables.get(id(s))
@@ -469,8 +543,8 @@ def check_property(schedule: Schedule, prop: str, T: int) -> ConnectivityReport:
                 t = tables[id(s)] = (comps, label, masks)
             return t
 
-        def split(snaps):
-            ts = [table(s) for s in dict(zip(map(id, snaps), snaps)).values()]
+        def split(distinct):
+            ts = [table(s) for s in distinct]
             if any(len(comps) == 1 for comps, _, _ in ts):
                 return None  # a connected round joins every pair
             for u in range(n):
@@ -487,10 +561,14 @@ def check_property(schedule: Schedule, prop: str, T: int) -> ConnectivityReport:
                     return u, (missing & -missing).bit_length() - 1
             return None
     else:
-        combine = frozenset.intersection if prop == "t_interval" else frozenset.union
+        union = prop == "connectivity_time"
 
-        def split(snaps):
-            comps = _components_from_pairs(n, combine(*map(_PAIRS, snaps)))
+        def split(distinct):
+            if union or len(distinct) == 1:
+                return _split_from_0(n, [s.ports for s in distinct])
+            comps = _components_from_pairs(
+                n, frozenset.intersection(*map(_PAIRS, distinct))
+            )
             return (comps[0][0], comps[1][0]) if len(comps) > 1 else None
 
     # union, intersection and a pair's meeting in some round all ignore
@@ -505,7 +583,7 @@ def check_property(schedule: Schedule, prop: str, T: int) -> ConnectivityReport:
         key = frozenset(map(id, snaps)) if held else None
         if key in held:
             continue
-        pair = split(snaps)
+        pair = split(dict(zip(map(id, snaps), snaps)).values())
         if pair is not None:
             witness = (r, pair)
             break

@@ -8,8 +8,10 @@ own regex (edge tokens too, so the package's one-pass edge parser is checked
 against it), refuses an agent listed twice in one field, a partition that
 does not list every node once or a header k above the number of agents the
 first pos field places, and builds a fresh Snapshot for every round,
-a run loop that computes every round afresh, and a trace verifier that
-replays and checks every round afresh.
+a snapshot check that tests every edge in turn, a window's reach grown by
+sweeping its pairs, a run loop that computes every round afresh, and a
+trace verifier that replays and checks every round afresh.  The fixed
+demo schedules the tests read live here too.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dispersim.engine import (
     apply_actions,
     round_step,
 )
+from dispersim.adversary import DEMOS
 from dispersim.algorithms import make_algorithm
 from dispersim.graphs import (
     GraphError,
@@ -169,6 +172,87 @@ def edges_of(snapshot):
         for pu, v in pmap.items() if u < v
         for pv, w in snapshot.ports[v].items() if w == u
     )
+
+
+def snapshot_reference(n, edges):
+    """``(n, pairs, ports)`` of a snapshot, or the GraphError of its first
+    fault, found by checking every edge in turn: range and self-loop faults
+    in input order, then duplicates and reused ports in (u, v) order, then
+    port gaps by node."""
+    if n < 1:
+        raise GraphError(f"snapshot needs at least one node, got n={n}")
+    normalized = []
+    for u, v, pu, pv in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge {u}-{v} out of range for n={n}")
+        if u == v:
+            raise GraphError(f"self-loop at node {u}")
+        normalized.append((u, v, pu, pv) if u < v else (v, u, pv, pu))
+    normalized.sort(key=lambda e: (e[0], e[1]))
+    pairs = set()
+    ports = {}
+    for u, v, pu, pv in normalized:
+        if (u, v) in pairs:
+            raise GraphError(f"duplicate edge {u}-{v}")
+        pairs.add((u, v))
+        for a, pa, b in ((u, pu, v), (v, pv, u)):
+            pmap = ports.setdefault(a, {})
+            if pa in pmap:
+                raise GraphError(f"node {a} uses port {pa} twice")
+            pmap[pa] = b
+    for v in sorted(ports):
+        pmap = ports[v]
+        if sorted(pmap) != list(range(len(pmap))):
+            raise GraphError(
+                f"node {v} ports {sorted(pmap)} are not 0..{len(pmap) - 1}"
+            )
+    return n, frozenset(pairs), ports
+
+
+def window_witness_reference(schedule, prop, T):
+    """First window of ``t_interval`` or ``connectivity_time`` at T that is
+    not connected, with the least node pair it splits, or None.
+
+    Node 0 belongs to the least pair of every disconnected window, with the
+    least node it cannot reach, so the reach of node 0 is grown here by
+    sweeping every pair of the window's intersection or union until a
+    sweep adds nothing."""
+    pair_sets = [s.pairs for s in schedule.snapshots]
+    union = prop == "connectivity_time"
+    for r in range(schedule.rounds - T + 1):
+        pairs = window_pairs(pair_sets, r, T, union)
+        reached = {0}
+        grew = True
+        while grew:
+            grew = False
+            for u, v in pairs:
+                if (u in reached) != (v in reached):
+                    reached |= {u, v}
+                    grew = True
+        if len(reached) < schedule.n:
+            return r, (0, min(set(range(schedule.n)) - reached))
+    return None
+
+
+# the 4-node reference traces of ``adversary.DEMOS`` cut to a length, one
+# Snapshot per graph of the period as ``adversary.Periodic`` hands them out
+
+
+def _periodic(demo, rounds):
+    period = [Snapshot.from_pairs(4, pairs) for pairs in DEMOS[demo]]
+    return Schedule(period[r % len(period)] for r in range(rounds))
+
+
+def tpath_demo_schedule(rounds=9):
+    return _periodic("tpath_demo", rounds)
+
+
+def ctime_demo_schedule(rounds=9):
+    return _periodic("ctime_demo", rounds)
+
+
+def perpetual_demo_schedule(rounds=18):
+    return _periodic("perpetual_demo", rounds)
 
 
 # --- runs ---

@@ -14,8 +14,9 @@ import random
 from pathlib import Path
 
 import oracles
+from oracles import perpetual_demo_schedule
 
-from dispersim.adversary import gen_random_with_property, perpetual_demo_schedule
+from dispersim.adversary import gen_random_with_property
 from dispersim.algorithms import make_algorithm
 from dispersim.engine import Configuration, run
 from dispersim.graphs import (

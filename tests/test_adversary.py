@@ -14,11 +14,8 @@ from dispersim.adversary import (
     CtDispersion,
     RandomRounds,
     SortedPath,
-    ctime_demo_schedule,
     gen_random_with_property,
     make_adversary,
-    perpetual_demo_schedule,
-    tpath_demo_schedule,
 )
 from dispersim.algorithms import make_algorithm
 from dispersim.engine import (
@@ -27,6 +24,11 @@ from dispersim.engine import (
 from dispersim.graphs import Schedule, Snapshot, check_property
 
 import oracles
+from oracles import (
+    ctime_demo_schedule,
+    perpetual_demo_schedule,
+    tpath_demo_schedule,
+)
 
 DATA = Path(__file__).parent / "data"
 

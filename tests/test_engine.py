@@ -494,7 +494,7 @@ MEMO_SOURCES = {
                              {a: 0 for a in range(1, 4)}, 24),
     "ct_exploration": (lambda: make_adversary("ct_exploration", 7, k=4, T=3),
                        {a: 0 for a in range(1, 5)}, 24),
-    "tpath_demo": (lambda: adversary.tpath_demo_schedule(24),
+    "tpath_demo": (lambda: oracles.tpath_demo_schedule(24),
                    {a: 0 for a in range(1, 4)}, 24),
     "sorted_path:comm": (lambda: make_adversary("sorted_path", 7,
                                                 variant="comm"),

@@ -61,6 +61,92 @@ def test_snapshot_rejects_bad_ports():
         Snapshot(2, [(0, 2, 0, 0)])  # out of range
 
 
+def _random_edges(rng, n, density):
+    """A valid edge list: random pairs, a random port permutation at every
+    node, each edge written from either end, in random order."""
+    pairs = list(random_pairs(rng, n, density))
+    nbrs = {}
+    for u, v in pairs:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    port = {}
+    for v, ws in nbrs.items():
+        for w, p in zip(ws, rng.sample(range(len(ws)), len(ws))):
+            port[v, w] = p
+    edges = [(u, v, port[u, v], port[v, u]) if rng.random() < 0.5
+             else (v, u, port[v, u], port[u, v]) for u, v in pairs]
+    rng.shuffle(edges)
+    return edges
+
+
+SNAPSHOT_FAULTS = ("duplicate edge", "reversed duplicate", "reused port",
+                   "port gap", "negative port", "self-loop",
+                   "endpoint out of range")
+
+
+def _add_fault(rng, n, edges, fault):
+    """Insert one fault into an edge list; a fault in an edge's ports or
+    ends takes the edge's place."""
+    if fault == "self-loop":
+        x, p = rng.randrange(n), rng.randrange(3)
+        edge = (x, x, p, rng.choice((p, p + 1)))
+    else:
+        u, v, pu, pv = edge = rng.choice(edges)
+        if fault == "duplicate edge":
+            edge = (u, v, rng.choice((pu, 0)), rng.choice((pv, 1)))
+        elif fault == "reversed duplicate":
+            edge = (v, u, pv, pu)
+        else:
+            edges.remove(edge)
+            degree = 1 + sum((a == u) + (b == u) for a, b, _, _ in edges)
+            if fault == "reused port":
+                pu = rng.randrange(degree)
+            elif fault == "port gap":
+                pu = degree + rng.randrange(3)
+            elif fault == "negative port":
+                pv = -1 - rng.randrange(2)
+            else:
+                v = rng.choice((n, n + 2, -1))
+            edge = (u, v, pu, pv)
+    edges.insert(rng.randrange(len(edges) + 1), edge)
+
+
+def _snapshot_outcome(build):
+    """``(n, pairs, ports)`` of what build returns, or its GraphError text."""
+    try:
+        s = build()
+    except GraphError as exc:
+        return str(exc)
+    return s if isinstance(s, tuple) else (s.n, s.pairs, s.ports)
+
+
+SNAPSHOT_ERRORS = ("out of range", "self-loop", "duplicate edge", "uses port",
+                   "are not", "at least one node")
+
+
+def test_snapshot_validation_matches_the_edge_by_edge_reference():
+    # valid lists, single- and multi-fault mutants and empty lists give an
+    # equal snapshot or the same first GraphError, from a list or a generator
+    rng = random.Random("snapshot-validation")
+    seen = set()
+    for i in range(3000):
+        n = rng.choice((0, 1, 2, 3, 5, 8, 13, 40)) if i % 10 else 0
+        edges = _random_edges(rng, n, rng.uniform(0.0, 0.9)) if n > 1 else []
+        if i % 3 and edges:
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                _add_fault(rng, n, edges, rng.choice(SNAPSHOT_FAULTS))
+        elif i % 7 == 0:
+            n, edges = rng.randint(-1, 4), []  # no edges at all
+        want = _snapshot_outcome(lambda: oracles.snapshot_reference(n, edges))
+        assert _snapshot_outcome(lambda: Snapshot(n, edges)) == want, (n, edges)
+        assert _snapshot_outcome(
+            lambda: Snapshot(n, (e for e in edges))) == want, (n, edges)
+        seen.update(e for e in SNAPSHOT_ERRORS if e in want)
+        seen.add(isinstance(want, tuple))
+    # every kind of fault is met first somewhere, and valid snapshots too
+    assert seen == {*SNAPSHOT_ERRORS, True, False}
+
+
 def test_snapshot_accepts_any_port_permutation():
     s = Snapshot(3, [(0, 1, 1, 0), (0, 2, 0, 0)])
     assert s.neighbor(0, 1) == 1
@@ -387,6 +473,30 @@ def test_t_path_witness_matches_the_pair_loop():
             want = oracles.t_path_witness(sch, T)
             assert report.witness == want, (n, rounds, T)
             assert report.holds == (want is None)
+
+
+def test_union_and_intersection_witnesses_match_the_reference():
+    # windows that repeat one snapshot, T = 1 and T = rounds included
+    rng = random.Random("window-witness")
+    for i in range(160):
+        n = (1, 2, 5, 70)[i % 4]
+        rounds = rng.randint(1, 6 if n == 70 else 9)
+        snaps = [
+            Snapshot.from_pairs(n, random_pairs(
+                rng, n, rng.uniform(0.0, 0.12 if n == 70 else 0.8)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        sch = Schedule(rng.choice(snaps) for _ in range(rounds))
+        for prop in ("t_interval", "connectivity_time"):
+            least = None
+            for T in range(rounds, 0, -1):
+                want = oracles.window_witness_reference(sch, prop, T)
+                report = check_property(sch, prop, T)
+                assert report.witness == want, (i, prop, T)
+                assert report.holds == (want is None)
+                if want is None:
+                    least = T
+            assert minimal_T(sch, prop) == least, (i, prop)
 
 
 def _tree_without(rng, n, alone):

@@ -32,7 +32,7 @@ from dispersim.harness import (
     sweep,
     verify_trace,
 )
-from dispersim import adversary, cli, engine, harness
+from dispersim import cli, engine, harness
 
 import oracles
 
@@ -216,7 +216,7 @@ def test_demo_schedule_is_drawn_only_as_far_as_the_run_reads_it():
 def test_demo_scenario_runs_the_fixed_demo_schedule(demo):
     text = f"n = 4\nk = 2\nschedule = {demo}\nalgorithm = disp\nmax_rounds = 20\n"
     res = run_scenario(parse_scenario(text))
-    fixed = getattr(adversary, f"{demo}_schedule")(20)
+    fixed = getattr(oracles, f"{demo}_schedule")(20)
     assert res.schedule_prefix().to_text() == fixed.to_text()
 
 

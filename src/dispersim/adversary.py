@@ -452,6 +452,9 @@ class SortedPath(Adversary):
         self.target: int | None = None
         # one snapshot per (layout builder, path order)
         self._layouts = Memo(lambda key: key[0](key[1]))
+        # with the target fixed, each (configuration, states) pair's
+        # snapshot, under their ids and with the pair, keeping the ids unique
+        self._emitted: dict[tuple[int, int], tuple] = {}
 
     @staticmethod
     def _path(order) -> Snapshot:
@@ -500,15 +503,11 @@ class SortedPath(Adversary):
     def _straight(self, config) -> tuple[tuple[int, ...], Snapshot]:
         """The path order for ``config`` and its straight layout; the
         ``dispersed`` variant puts the hole first while it is dispersed."""
-        def make():
-            if self.variant == "dispersed" and config.is_dispersed():
-                order = (config.holes()[0],
-                         *(config[a] for a in sorted(config)))
-            else:
-                order = self._sorted_order(config)
-            return order, self._layouts[self._path, order]
-
-        return self._per_config(config, None, make)
+        if self.variant == "dispersed" and config.is_dispersed():
+            order = (config.holes()[0], *(config[a] for a in sorted(config)))
+        else:
+            order = self._sorted_order(config)
+        return order, self._layouts[self._path, order]
 
     def _emit(self, r, config, states) -> Snapshot:
         if self.oracle is None:
@@ -531,6 +530,13 @@ class SortedPath(Adversary):
                     f"sorted_path {self.variant} needs k <= n-1"
                 )
             self.target = max(config.holes())
+        hit = self._emitted.get((id(config), id(states)))
+        if hit is None:
+            hit = self._emitted[id(config), id(states)] = (
+                config, states, self._attack(config, states))
+        return hit[2]
+
+    def _attack(self, config, states) -> Snapshot:
         order, straight = self._straight(config)
         step = self.oracle(straight, config, states)
         if self.variant == "dispersed" and config.is_dispersed():

@@ -16,14 +16,15 @@ Each round over the current snapshot:
 
 ``round_step`` performs all four steps of one round and returns them as a
 ``RoundStep``, ending in the configuration the moves lead to.  ``run``
-records each round as a ``RoundRecord`` of that step; the oracle it hands
-an adaptive adversary returns the same step for a candidate snapshot.
+records each round as a ``Block`` of that step, shared by every round
+that repeats it; the oracle it hands an adaptive adversary returns the
+same step for a candidate snapshot.
 Runs stop early once every agent has terminated.  Outcome rounds are
 measured on the configuration reached AFTER each round, so a run that is
 already dispersed and stays put reports dispersed_at = 0.
 
-``RunResult.to_text`` writes a run as a trace and ``parse_trace`` reads
-one back into the same ``RoundRecord``s; a record's placements are
+``RunResult.to_text`` writes a run as a trace and ``parse_blocks`` reads
+one back into equal ``Block``s; a block's placements are
 ``Configuration``s, and one round's ``after`` is the next round's
 ``before``.
 """
@@ -330,43 +331,51 @@ def round_step(
     of the configuration and states objects that reached it, with those
     objects, so a call with the very same objects finds its step without
     building a key; a memo hit hands back the step's own ``after`` and
-    ``states``, so repeated rounds arrive with such objects.  The memo
+    ``states``, so repeated rounds arrive with such objects.  Each such
+    entry also holds the ``Block`` that ``run`` records for it.  The memo
     keeps all these inputs, so they must not be mutated either.
     """
     if memo is None:
         return _step(snapshot, config, states, algorithm, visibility,
                      communication)
+    return _entry(snapshot, config, states, algorithm, visibility,
+                  communication, memo)[2]
+
+
+def _entry(snapshot, config, states, algorithm, visibility, communication,
+           memo):
+    """The memo's ``[config, states, step, block]`` for these very objects;
+    ``block`` is None until ``run`` records the round."""
     steps = memo.get(snapshot)
     if steps is None:
         step = _step(snapshot, config, states, algorithm, visibility,
                      communication)
-        memo[snapshot] = (config, states, step)
-        return step
-    if type(steps) is tuple:
-        first_config, first_states, first = steps
-        if first_config is config and first_states is states:
-            return first
-        keyed = _Steps({_inputs(first_config, first_states): first})
-        keyed.seen = {(id(first_config), id(first_states)): steps}
+        entry = memo[snapshot] = [config, states, step, None]
+        return entry
+    if type(steps) is list:
+        if steps[0] is config and steps[1] is states:
+            return steps
+        keyed = _Steps({_inputs(steps[0], steps[1]): steps[2]})
+        keyed.seen = {(id(steps[0]), id(steps[1])): steps}
         steps = memo[snapshot] = keyed
     else:
-        hit = steps.seen.get((id(config), id(states)))
-        if hit is not None:
-            return hit[2]
+        entry = steps.seen.get((id(config), id(states)))
+        if entry is not None:
+            return entry
     key = _inputs(config, states)
     step = steps.get(key)
     if step is None:
         step = steps[key] = _step(
             snapshot, config, states, algorithm, visibility, communication
         )
-    steps.seen[id(config), id(states)] = (config, states, step)
-    return step
+    entry = steps.seen[id(config), id(states)] = [config, states, step, None]
+    return entry
 
 
 class _Steps(dict):
     """The steps of one graph by their inputs; ``seen`` maps the ids of
-    each (configuration, states) pair that reached one to the pair itself
-    and its step, which keeps those ids unique."""
+    each (configuration, states) pair that reached one to its entry, which
+    keeps those ids unique."""
 
     __slots__ = ("seen",)
 
@@ -419,9 +428,8 @@ def compute_preview(
 
 
 class RoundRecord(NamedTuple):
-    """One round of a run or of a parsed trace.  ``before`` and ``after``
-    are its configurations, and one round's ``after`` is the next round's
-    ``before``; like the rest of a record they must not be mutated."""
+    """One round of a parsed trace with its recorded index ``r``, which a
+    forged trace may get wrong; the rest is its ``Block``."""
 
     r: int
     snapshot: Snapshot
@@ -433,8 +441,10 @@ class RoundRecord(NamedTuple):
 
 
 class Block(NamedTuple):
-    """The parsed values of one round block, in ``FIELDS`` order; every
-    round whose six field lines repeat the block's shares this tuple."""
+    """One round of a run or of a parsed trace, in ``FIELDS`` order; one
+    round's ``after`` is the next round's ``before``.  A run's rounds on one
+    memo entry, and a trace's rounds with the same six field lines, share
+    this tuple and its values, which must not be mutated."""
 
     snapshot: Snapshot
     before: Configuration
@@ -451,7 +461,7 @@ class RunResult(NamedTuple):
     algorithm: str
     visibility: str
     communication: str
-    records: list[RoundRecord]
+    records: list[Block]
     dispersed_at: int | None
     explored_at: int | None
     all_terminated_at: int | None
@@ -466,30 +476,29 @@ class RunResult(NamedTuple):
         return Schedule(rec.snapshot for rec in self.records)
 
     def to_text(self) -> str:
-        # the round memo and parse_trace share a record's objects with
-        # every equal round, and the records keep them alive, so their ids
-        # are theirs: each distinct round block is formatted once, and in
-        # it each distinct value of a field once
+        # the round memo and parse_blocks share a Block and its values
+        # between equal rounds, and the records keep them alive, so their
+        # ids are theirs: each distinct block is formatted once, and in it
+        # each distinct value of a field once
         texts: dict[tuple, str] = {}
-        blocks: dict[tuple, str] = {}
+        blocks: dict[int, str] = {}
         lines = [
             f"trace v=1 n={self.n} k={self.k} T={self.T if self.T else '-'}"
             f" algorithm={self.algorithm} visibility={self.visibility}"
             f" communication={self.communication}"
         ]
-        for rec in self.records:
-            key = (*map(id, rec[1:-1]), rec.messages)
-            block = blocks.get(key)
-            if block is None:
+        for r, block in enumerate(self.records):
+            text = blocks.get(id(block))
+            if text is None:
                 parts = []
-                for prefix, value, fmt in zip(FIELDS, rec[1:], _FORMATS):
-                    text = texts.get((fmt, id(value)))
-                    if text is None:
-                        text = texts[fmt, id(value)] = fmt(value)
-                    parts.append(prefix + text)
-                block = blocks[key] = "\n".join(parts)
-            lines.append(f"round r={rec.r}")
-            lines.append(block)
+                for prefix, value, fmt in zip(FIELDS, block, _FORMATS):
+                    part = texts.get((fmt, id(value)))
+                    if part is None:
+                        part = texts[fmt, id(value)] = fmt(value)
+                    parts.append(prefix + part)
+                text = blocks[id(block)] = "\n".join(parts)
+            lines.append(f"round r={r}")
+            lines.append(text)
         out = lambda v: "-" if v is None else str(v)
         lines.append(
             f"end rounds={self.rounds} dispersed_at={out(self.dispersed_at)}"
@@ -502,7 +511,7 @@ class RunResult(NamedTuple):
 
 # --- trace text ---
 
-# the field lines of a round block, in order and in RoundRecord order; a
+# the field lines of a round block, in order and in Block order; a
 # line is its prefix, then its text after a space (format_edges puts one
 # before each edge)
 FIELDS = ("edges:", "pos:", "act:", "post:", "comp:", "msgs:")
@@ -779,7 +788,7 @@ def run(
 
     visited = set(config.at)
     dispersed_at = explored_at = all_terminated_at = None
-    records: list[RoundRecord] = []
+    records: list[Block] = []
     budget_exhausted = True
 
     for r in range(max_rounds):
@@ -788,23 +797,22 @@ def run(
             raise GraphError(
                 f"round {r}: snapshot has n={snapshot.n}, expected {config.n}"
             )
-        step = round_step(
-            snapshot, config, states, algorithm, visibility, communication,
-            memo,
-        )
-        records.append(RoundRecord(
-            r, snapshot, config, step.actions, step.after, step.components,
-            step.messages,
-        ))
+        entry = _entry(snapshot, config, states, algorithm, visibility,
+                       communication, memo)
+        step, block = entry[2], entry[3]
+        if block is None:
+            block = entry[3] = Block(snapshot, config, step.actions, step.after,
+                                     step.components, step.messages)
+            # a repeat of the block has the same after: it changes none of these
+            visited.update(step.after.at)
+            if dispersed_at is None and step.after.is_dispersed():
+                dispersed_at = r
+            if explored_at is None and len(visited) == config.n:
+                explored_at = r
+        records.append(block)
         config, states = step.after, step.states
-        visited.update(config.at)
-        if dispersed_at is None and config.is_dispersed():
-            dispersed_at = r
-        if explored_at is None and len(visited) == config.n:
-            explored_at = r
         if step.all_terminated:
-            if all_terminated_at is None:
-                all_terminated_at = r
+            all_terminated_at = r
             budget_exhausted = False
             break
 

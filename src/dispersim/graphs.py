@@ -178,11 +178,9 @@ class Snapshot:
         return f"Snapshot(n={self.n}, edges={len(self.pairs)})"
 
 
-def _components_from_pairs(n: int, pairs) -> list[list[int]]:
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
+def _components(n: int, ports) -> list[list[int]]:
+    """Connected components of the graph of these port maps on n nodes,
+    each sorted, ordered by least member."""
     seen = [False] * n
     comps = []
     for root in range(n):
@@ -190,23 +188,32 @@ def _components_from_pairs(n: int, pairs) -> list[list[int]]:
             continue
         seen[root] = True
         comp = [root]
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    stack.append(y)
-        comps.append(sorted(comp))
+        if root in ports:
+            for x in comp:  # the loop reaches what it appends
+                for y in ports[x].values():
+                    if not seen[y]:
+                        seen[y] = True
+                        comp.append(y)
+            comp.sort()
+        comps.append(comp)
     return comps
 
 
+def _components_from_pairs(n: int, pairs) -> list[list[int]]:
+    """``_components`` of a pair set, where no port maps exist: each
+    node's map takes its neighbors as ports."""
+    adj: dict[int, dict[int, int]] = {}
+    for u, v in pairs:
+        adj.setdefault(u, {})[v] = v
+        adj.setdefault(v, {})[u] = u
+    return _components(n, adj)
+
+
 def components(snapshot: Snapshot) -> list[list[int]]:
-    """Connected components, each sorted, ordered by least member.  They
-    are computed once per snapshot and shared: callers must not mutate them."""
+    """Connected components from the port maps, each sorted, ordered by
+    least member; computed once per snapshot and shared, not to be mutated."""
     if snapshot.comps is None:
-        snapshot.comps = _components_from_pairs(snapshot.n, snapshot.pairs)
+        snapshot.comps = _components(snapshot.n, snapshot.ports)
     return snapshot.comps
 
 

@@ -268,9 +268,9 @@ def test_c09_perpetual_reference_explores_and_never_stops():
     assert res.explored_at is not None and res.explored_at <= 6
     assert res.dispersed_at is None
     assert res.all_terminated_at is None
-    for rec in res.records:
+    for r, rec in enumerate(res.records):
         movers = [a for a, act in rec.actions.items() if act.port is not None]
-        assert movers == ([3] if rec.r % 6 in (1, 3, 5) else []), rec.r
+        assert movers == ([3] if r % 6 in (1, 3, 5) else []), r
     assert res.final == {1: 0, 2: 0, 3: 1}
     assert verify_trace(res.to_text()).ok
 

@@ -10,6 +10,7 @@ import pytest
 from dispersim.engine import (
     Action,
     AgentState,
+    Block,
     Configuration,
     EngineError,
     NodeKnowledge,
@@ -199,9 +200,9 @@ def test_perpetual_reference_run():
               max_rounds=18, T=6)
     assert res.explored_at == 3
     assert res.dispersed_at is None
-    for rec in res.records:
+    for r, rec in enumerate(res.records):
         movers = [a for a, act in rec.actions.items() if act.port is not None]
-        if rec.r % 6 in (1, 3, 5):
+        if r % 6 in (1, 3, 5):
             assert movers == [3]
         else:
             assert movers == []
@@ -237,7 +238,8 @@ def test_parse_trace_reads_back_the_records_of_the_run():
                 for claim in CLAIMS.values()]
     for res in results:
         header, records, trailer = parse_trace(res.to_text())
-        assert records == res.records
+        assert records == [RoundRecord(r, *block)
+                           for r, block in enumerate(res.records)]
         assert header == {key: getattr(res, key) for key in (
             "n", "k", "T", "algorithm", "visibility", "communication")}
         assert trailer == {key: getattr(res, key) for key in (
@@ -264,19 +266,88 @@ def test_records_share_the_configurations_of_the_run():
 
 
 def test_trace_text_does_not_depend_on_shared_values():
-    # to_text formats each distinct round block once, by the ids of the
-    # values that equal rounds share; records with fresh equal values, one
-    # per round, write the same bytes
+    # to_text formats each distinct Block once, by its id, and each value
+    # in it once; fresh Blocks of fresh equal values, one per round, write
+    # the same bytes
     claim = CLAIMS["ct_dispersion"]
     res = run_claim(claim, claim.rows[0]).result
-    fresh = [RoundRecord(
-        rec.r, Snapshot(rec.snapshot.n, oracles.edges_of(rec.snapshot)),
+    fresh = [Block(
+        Snapshot(rec.snapshot.n, oracles.edges_of(rec.snapshot)),
         Configuration(rec.before.n, rec.before), dict(rec.actions),
         Configuration(rec.after.n, rec.after),
         [list(c) for c in rec.components], rec.messages)
         for rec in res.records]
     assert len({id(rec.before) for rec in res.records}) < len(fresh)
     assert res._replace(records=fresh).to_text() == res.to_text()
+
+
+def test_equal_rounds_of_a_run_share_one_block():
+    # a round on an equal snapshot from the same configuration object (and
+    # so the same states) is the memo entry's Block itself
+    claim = CLAIMS["ct_dispersion"]
+    res = run_claim(claim, claim.rows[0]).result
+    blocks = res.records
+    assert len({id(block) for block in blocks}) < len(blocks)
+    first = {}
+    for block in blocks:
+        key = (block.snapshot, id(block.before))
+        assert first.setdefault(key, block) is block
+
+
+def test_sorted_path_consults_its_oracle_once_per_configuration_and_states():
+    alg = make_algorithm("alg3")
+    memo, asked = {}, []
+
+    def oracle(snapshot, config, states):
+        asked.append((config, states))  # keeps every id unique
+        return round_step(snapshot, config, states, alg, "one", "f2f", memo)
+
+    placement = {a: 0 for a in range(1, 7)}
+    adv = make_adversary("sorted_path", 7, variant="comm")
+    adv.oracle = oracle
+    res = run(adv, placement, alg, communication="f2f", max_rounds=60)
+    pairs = [(id(config), id(states)) for config, states in asked]
+    assert len(set(pairs)) == len(pairs) < res.rounds
+    again = run(make_adversary("sorted_path", 7, variant="comm"), placement,
+                alg, communication="f2f", max_rounds=60)
+    assert res.to_text() == again.to_text()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_relabelling_nodes_is_a_symmetry_of_run(seed):
+    # agents see ports and agent IDs, never node names: renaming a
+    # schedule's nodes by a permutation, ports kept, and moving the
+    # placement with it leaves every action, message count and outcome
+    # round alone, and moves every configuration by the permutation
+    rng = random.Random(f"relabel:{seed}")
+    n = rng.randint(4, 8)
+    k = rng.randint(2, n - 1)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    sched = gen_random_with_property(seed, n, "t_path", 3, 0.3, 24)
+    moved = Schedule(Snapshot(n, [(perm[u], perm[v], pu, pv)
+                                  for u, v, pu, pv in oracles.edges_of(s)])
+                     for s in sched.snapshots)
+    start = {a: rng.randrange(n) for a in range(1, k + 1)}
+    moved_start = {a: perm[v] for a, v in start.items()}
+    outcomes = ("dispersed_at", "explored_at", "all_terminated_at",
+                "budget_exhausted")
+    for name in ALGORITHM_NAMES:
+        for visibility in ("zero", "one"):
+            for communication in ("global", "f2f"):
+                case = (name, visibility, communication)
+                kwargs = dict(visibility=visibility,
+                              communication=communication, max_rounds=24, T=3)
+                got = run(sched, start, make_algorithm(name, T=3), **kwargs)
+                want = run(moved, moved_start, make_algorithm(name, T=3),
+                           **kwargs)
+                assert [getattr(got, f) for f in outcomes] == [
+                    getattr(want, f) for f in outcomes], case
+                for x, y in zip(got.records, want.records, strict=True):
+                    assert x.actions == y.actions, case
+                    assert x.messages == y.messages, case
+                    assert {a: perm[v] for a, v in x.after.items()} == (
+                        y.after), case
 
 
 def test_identical_runs_are_byte_identical():
@@ -450,7 +521,9 @@ def test_round_memo_builds_no_key_for_inputs_it_has_seen(monkeypatch):
     # objects it has seen by their identity, so no (snapshot, config,
     # states) triple is ever keyed twice
     calls, keyed, current = [], [], []
-    original, inputs = engine.round_step, engine._inputs
+    # run, the oracle's round_step and the verifier's all reach the memo
+    # through _entry
+    original, inputs = engine._entry, engine._inputs
 
     def recording(snapshot, config, states, *rest):
         calls.append((snapshot, config, states))  # keeps every id unique
@@ -464,8 +537,7 @@ def test_round_memo_builds_no_key_for_inputs_it_has_seen(monkeypatch):
         keyed.append((current[-1], id(config), id(states)))
         return inputs(config, states)
 
-    monkeypatch.setattr(engine, "round_step", recording)
-    monkeypatch.setattr(harness, "round_step", recording)
+    monkeypatch.setattr(engine, "_entry", recording)
     monkeypatch.setattr(engine, "_inputs", keying)
     make_source, placement, rounds = MEMO_SOURCES["sorted_path:comm"]
     res = run(make_source(), placement, make_algorithm("alg3"),

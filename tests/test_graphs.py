@@ -196,9 +196,9 @@ def test_components_ordering():
 
 def test_components_are_computed_once_per_snapshot(monkeypatch):
     calls = []
-    real = graphs._components_from_pairs
-    monkeypatch.setattr(graphs, "_components_from_pairs",
-                        lambda n, pairs: calls.append(n) or real(n, pairs))
+    real = graphs._components
+    monkeypatch.setattr(graphs, "_components",
+                        lambda n, ports: calls.append(n) or real(n, ports))
     sch = random_schedule(random.Random(3), 5, 8)
     minimal_T(sch, "t_path")
     minimal_T(sch, "t_path")

@@ -2,28 +2,25 @@
 
 Exit codes: 0 success, 1 a check failed (trace violation, demo FAIL, or
 property does not hold), 2 bad usage or unparseable input.
+
+Only ``run`` and ``sweep`` import ``scenario``, inside their handlers, so
+``verify``, ``demo`` and ``classify`` do not compile it.  ``claims`` is
+imported here because ``demo``'s choices are its ids.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .adversary import AdversaryError
+from .claims import CLAIMS, demo
 from .engine import EngineError
 from .graphs import (
     PROPERTIES, GraphError, Schedule, check_property, minimal_T, read_text,
 )
-from .harness import (
-    CLAIMS,
-    ScenarioError,
-    demo,
-    parse_scenario,
-    read_int,
-    run_scenario,
-    sweep,
-    verify_trace,
-)
+from .harness import ScenarioError, read_int, verify_trace
 
 
 def _report(report, out) -> int:
@@ -38,6 +35,8 @@ def _report(report, out) -> int:
 
 
 def _cmd_run(args, out) -> int:
+    from .scenario import parse_scenario, run_scenario
+
     sc = parse_scenario(read_text(args.scenario))
     result = run_scenario(sc)
     text = result.to_text()
@@ -89,6 +88,8 @@ def _window(text: str) -> int:
 
 
 def _cmd_sweep(args, out) -> int:
+    from .scenario import sweep
+
     _, violations = sweep(read_text(args.template), _parse_seeds(args.seeds), out=out)
     return 1 if violations else 0
 
@@ -108,7 +109,10 @@ def _cmd_classify(args, out) -> int:
     return 0 if report.holds else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: parsing leaves
+    it unchanged, and building it at import would cost every import."""
     parser = argparse.ArgumentParser(
         prog="dispersim",
         description="simulate and verify agent dispersion and exploration"

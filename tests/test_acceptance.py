@@ -3,7 +3,7 @@
 Run order matters only for the audit: the algorithm sweeps (c04-c08)
 verify every trace they produce and pool the violations, which c11 then
 requires to be empty.  The lower bounds (c05-c08) and the blockers (c10)
-run the claims of ``harness.CLAIMS`` through ``run_claim``, the table
+run the claims of ``claims.CLAIMS`` through ``run_claim``, the table
 ``dispersim demo`` prints, on grids larger than the demo's.
 """
 
@@ -26,14 +26,9 @@ from dispersim.graphs import (
     check_property,
     minimal_T,
 )
-from dispersim.harness import (
-    CLAIMS,
-    Row,
-    parse_scenario,
-    run_claim,
-    run_scenario,
-    verify_trace,
-)
+from dispersim.claims import CLAIMS, Row, run_claim
+from dispersim.harness import verify_trace
+from dispersim.scenario import parse_scenario, run_scenario
 
 DATA = Path(__file__).parent / "data"
 

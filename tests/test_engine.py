@@ -29,7 +29,8 @@ from dispersim import adversary, algorithms, engine, harness
 from dispersim.adversary import gen_random_with_property, make_adversary
 from dispersim.algorithms import ALGORITHM_NAMES, make_algorithm
 from dispersim.graphs import GraphError, Schedule, Snapshot
-from dispersim.harness import CLAIMS, parse_scenario, run_claim, run_scenario
+from dispersim.claims import CLAIMS, run_claim
+from dispersim.scenario import parse_scenario, run_scenario
 
 import oracles
 from test_acceptance import C12_SCENARIOS

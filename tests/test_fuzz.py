@@ -31,9 +31,9 @@ from dispersim.graphs import (
     minimal_T,
 )
 from dispersim.harness import (
-    ScenarioError, TraceReport, build_source, parse_scenario, parse_trace,
-    verify_trace,
+    ScenarioError, TraceReport, parse_trace, verify_trace,
 )
+from dispersim.scenario import build_source, parse_scenario
 
 import oracles
 

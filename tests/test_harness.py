@@ -22,17 +22,16 @@ from dispersim.adversary import (
 )
 from dispersim.algorithms import ALGORITHM_NAMES, make_algorithm
 from dispersim.graphs import Schedule, Snapshot
-from dispersim.harness import (
+from dispersim.harness import ScenarioError, verify_trace
+from dispersim.scenario import (
     PLACEMENTS,
-    ScenarioError,
     build_placement,
     build_source,
     parse_scenario,
     run_scenario,
     sweep,
-    verify_trace,
 )
-from dispersim import cli, engine, harness
+from dispersim import claims, cli, engine, harness
 
 import oracles
 
@@ -938,11 +937,11 @@ def test_zero_hop_view_is_projection_of_one_hop():
 
 def test_demo_passes_and_prints_rows():
     lines = []
-    assert harness.demo("kt_lower", out=lines.append)
+    assert claims.demo("kt_lower", out=lines.append)
     assert lines[-1] == "demo kt_lower: PASS"
     assert sum("PASS" in line for line in lines) >= 6
     lines.clear()
-    assert harness.demo("dispersed_block", out=lines.append)
+    assert claims.demo("dispersed_block", out=lines.append)
     assert lines[-1] == "demo dispersed_block: PASS"
 
 
@@ -963,7 +962,7 @@ def test_cli_demo_all_passes(demo_all):
     code, text = demo_all
     assert code == 0
     assert "FAIL" not in text
-    assert text.count(": PASS\n") == len(harness.CLAIMS)
+    assert text.count(": PASS\n") == len(claims.CLAIMS)
 
 
 def test_cli_demo_all_matches_golden_hash(demo_all):
@@ -972,7 +971,7 @@ def test_cli_demo_all_matches_golden_hash(demo_all):
 
 def test_demo_unknown_id():
     with pytest.raises(ScenarioError, match="unknown demo"):
-        harness.demo("nope", out=lambda *_: None)
+        claims.demo("nope", out=lambda *_: None)
 
 
 def test_sweep_aggregates_and_verifies():
@@ -1141,22 +1140,88 @@ def test_seed_ranges_of_one_seed_and_negative_seeds_parse():
     assert cli._parse_seeds("-3,0") == [-3, 0]
 
 
-def test_runtime_imports_only_the_standard_library():
-    # a fresh interpreter, so that no other test's imports count
+def _fresh_python(code: str) -> str:
+    """Stdout of ``code`` in a fresh interpreter that imports dispersim from
+    this tree, so that no other test's imports count.  ``-I`` ignores
+    PYTHONDONTWRITEBYTECODE, so ``-B`` keeps it from writing bytecode."""
     src = Path(harness.__file__).resolve().parent.parent
-    code = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(src)!r})\n"
+    code = f"import sys\nsys.path.insert(0, {str(src)!r})\n" + code
+    return subprocess.run([sys.executable, "-I", "-B", "-c", code],
+                          check=True, capture_output=True, text=True).stdout
+
+
+def test_runtime_imports_only_the_standard_library():
+    out = _fresh_python(
         "before = set(sys.modules)\n"
         "import dispersim.cli\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
-    )
-    out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
-                         capture_output=True, text=True).stdout.split()
-    assert "dispersim.cli" in out
+    ).split()
+    assert {name for name in out if name.startswith("dispersim")} == {
+        "dispersim", "dispersim.graphs", "dispersim.engine",
+        "dispersim.algorithms", "dispersim.adversary", "dispersim.harness",
+        "dispersim.claims", "dispersim.cli",
+    }
     roots = {name.split(".")[0] for name in out}
     assert roots - {"dispersim"} <= set(sys.stdlib_module_names)
     assert not roots & {"dataclasses", "inspect"}
+
+
+def test_only_run_and_sweep_import_scenario(tmp_path):
+    scenario = tmp_path / "base.scn"
+    scenario.write_text(BASE)
+    out = _fresh_python(
+        "from dispersim import cli\n"
+        "print('dispersim.scenario' in sys.modules)\n"
+        f"print(cli.main(['run', {str(scenario)!r}]))\n"
+        "print('dispersim.scenario' in sys.modules)\n"
+        f"print(cli.main(['sweep', {str(scenario)!r}, '--seeds', '0..2']))\n"
+    )
+    assert out == (
+        "False\n"
+        "  n                  6\n"
+        "  k                  4\n"
+        "  rounds             5\n"
+        "  algorithm          alg1_explicit\n"
+        "  dispersed_at       2\n"
+        "  explored_at        -\n"
+        "  all_terminated_at  4\n"
+        "  budget_exhausted   0\n"
+        "  final_multinodes   0\n"
+        "  holes_start        5\n"
+        "  holes_end          2\n"
+        "  max_messages       16\n"
+        "violations: 0\n"
+        "0\n"
+        "True\n"
+        "runs: 3\n"
+        "dispersed_at: 2..3\n"
+        "explored_at: never\n"
+        "all_terminated_at: 4..5\n"
+        "violations: 0\n"
+        "0\n"
+    )
+
+
+def test_cached_parser_answers_as_a_fresh_one(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    schedule = str(Path(__file__).parent / "data" / "ctime_demo.sched")
+    calls = (["classify", schedule], ["demo", "nope"], ["-h"], ["demo", "-h"],
+             ["classify", schedule, "--T", "x"], ["classify", schedule])
+
+    def answers():
+        got = []
+        for argv in calls:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            got.append((*capsys.readouterr(), code))
+        return got
+
+    cached = answers()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert answers() == cached
+    assert [code for *_, code in cached] == [0, 2, 0, 0, 2, 0]
 
 
 def test_cli_usage_errors(tmp_path):

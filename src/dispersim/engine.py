@@ -120,9 +120,10 @@ class AgentState(NamedTuple):
 
 class Configuration(dict):
     """Placement of agents on nodes at the start of a round, agent -> node;
-    ``at`` lists each occupied node's agents in order.  Must not be mutated."""
+    ``at`` lists each occupied node's agents in order, and ``text`` keeps
+    its trace text once written.  Must not be mutated."""
 
-    __slots__ = ("n", "at")
+    __slots__ = ("n", "at", "text")
 
     def __init__(self, n: int, placement: Mapping[int, int]) -> None:
         super().__init__(placement)
@@ -134,6 +135,7 @@ class Configuration(dict):
                 raise GraphError(f"agent {a} placed on node {node}, n={n}")
             at.setdefault(node, []).append(a)
         self.at = {node: tuple(ids) for node, ids in at.items()}
+        self.text = None
 
     def ids_at(self, node: int) -> tuple[int, ...]:
         return self.at.get(node, ())
@@ -192,20 +194,17 @@ def deliver(
     config: Configuration,
     mode: str,
     *,
-    visibility: str = "one",
+    views: Mapping[int, LocalView],
     terminated: frozenset[int] | set[int] = frozenset(),
-    views: Mapping[int, LocalView] | None = None,
 ) -> dict[int, Bundle]:
-    """Broadcasts each live agent receives this round, sorted by sender.
+    """Broadcasts each live agent receives this round, sorted by sender;
+    ``views`` are this round's node views.
 
     Terminated agents neither broadcast nor receive, but they still appear
-    in views (they physically occupy their node).  ``views`` takes this
-    round's node views when the caller already has them.
+    in views (they physically occupy their node).
     """
     if mode not in COMMUNICATIONS:
         raise GraphError(f"unknown communication mode {mode!r}")
-    if views is None:
-        views = node_views(snapshot, config, visibility)
     node_casts: dict[int, list[Broadcast]] = {}
     for node, ids in config.at.items():
         node_casts[node] = [
@@ -476,11 +475,9 @@ class RunResult(NamedTuple):
         return Schedule(rec.snapshot for rec in self.records)
 
     def to_text(self) -> str:
-        # the round memo and parse_blocks share a Block and its values
-        # between equal rounds, and the records keep them alive, so their
-        # ids are theirs: each distinct block is formatted once, and in it
-        # each distinct value of a field once
-        texts: dict[tuple, str] = {}
+        # the round memo and parse_blocks share a Block between equal
+        # rounds, and the records keep it alive, so its id is its own: each
+        # distinct block is formatted once
         blocks: dict[int, str] = {}
         lines = [
             f"trace v=1 n={self.n} k={self.k} T={self.T if self.T else '-'}"
@@ -490,13 +487,9 @@ class RunResult(NamedTuple):
         for r, block in enumerate(self.records):
             text = blocks.get(id(block))
             if text is None:
-                parts = []
-                for prefix, value, fmt in zip(FIELDS, block, _FORMATS):
-                    part = texts.get((fmt, id(value)))
-                    if part is None:
-                        part = texts[fmt, id(value)] = fmt(value)
-                    parts.append(prefix + part)
-                text = blocks[id(block)] = "\n".join(parts)
+                text = blocks[id(block)] = "\n".join(
+                    prefix + fmt(value)
+                    for prefix, value, fmt in zip(FIELDS, block, _FORMATS))
             lines.append(f"round r={r}")
             lines.append(text)
         out = lambda v: "-" if v is None else str(v)
@@ -533,8 +526,12 @@ _COMP_FIELD = re.compile(r"\d+(?:,\d+)*(?:\|\d+(?:,\d+)*)*")
 
 
 def _placement_text(config: Configuration) -> str:
-    return " " + " ".join(f"{node}:{','.join(map(str, ids))}"
-                          for node, ids in sorted(config.at.items()))
+    """Written once per configuration, which one round's ``post:`` and the
+    next round's ``pos:`` share."""
+    if config.text is None:
+        config.text = " " + " ".join(f"{node}:{','.join(map(str, ids))}"
+                                     for node, ids in sorted(config.at.items()))
+    return config.text
 
 
 # how each field's value is written, in FIELDS order

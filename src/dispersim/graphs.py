@@ -78,9 +78,14 @@ class Snapshot:
     a permutation of 0..deg-1.  It keeps its pair set and its port maps;
     ``ports`` maps only the nodes that have edges, and the methods treat
     any other node as having degree 0.
+
+    A snapshot is shared by every round that repeats it, so it keeps what
+    is derived from it, each computed at its first use: ``comps`` by
+    ``components``, ``text`` by ``format_edges`` and ``table`` by
+    ``check_property``.
     """
 
-    __slots__ = ("n", "pairs", "ports", "comps")
+    __slots__ = ("n", "pairs", "ports", "comps", "text", "table")
 
     def __init__(self, n: int, edges) -> None:
         if n < 1:
@@ -116,7 +121,7 @@ class Snapshot:
         self.n = n
         self.pairs = frozenset(pairs)
         self.ports = ports
-        self.comps = None
+        self.comps = self.text = self.table = None
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Snapshot":
@@ -142,7 +147,8 @@ class Snapshot:
             nbrs.setdefault(u, []).append(v)
             nbrs.setdefault(v, []).append(u)
         snap = cls.__new__(cls)
-        snap.n, snap.pairs, snap.comps = n, frozenset(seen), None
+        snap.n, snap.pairs = n, frozenset(seen)
+        snap.comps = snap.text = snap.table = None
         snap.ports = {v: dict(enumerate(sorted(ws))) for v, ws in nbrs.items()}
         return snap
 
@@ -269,11 +275,14 @@ def parse_edges(field: str) -> list[tuple[int, int, int, int]]:
 
 
 def format_edges(snapshot: Snapshot) -> str:
-    """The edges as ``u-v:pu,pv`` tokens in (u, v) order, each after a space."""
-    port_of = {v: {w: p for p, w in pmap.items()}
-               for v, pmap in snapshot.ports.items()}
-    return "".join(f" {u}-{v}:{port_of[u][v]},{port_of[v][u]}"
-                   for u, v in sorted(snapshot.pairs))
+    """The edges as ``u-v:pu,pv`` tokens in (u, v) order, each after a space;
+    formatted once per snapshot and shared."""
+    if snapshot.text is None:
+        port_of = {v: {w: p for p, w in pmap.items()}
+                   for v, pmap in snapshot.ports.items()}
+        snapshot.text = "".join(f" {u}-{v}:{port_of[u][v]},{port_of[v][u]}"
+                                for u, v in sorted(snapshot.pairs))
+    return snapshot.text
 
 
 class Memo(dict):
@@ -336,10 +345,6 @@ class Schedule:
                 raise GraphError(f"round {i} has n={s.n}, expected {n}")
         self.n = n
         self.snapshots = tuple(snapshots)
-        self._diameter_cache: float | None = None
-        # check_property's t_path table of each distinct snapshot, by id:
-        # the schedule keeps its snapshots, so the ids stay theirs
-        self._t_path_tables: dict[int, tuple] = {}
 
     @property
     def rounds(self) -> int:
@@ -356,22 +361,12 @@ class Schedule:
 
     def dynamic_diameter(self) -> float:
         """Max over rounds of the per-round diameter (inf if ever split)."""
-        if self._diameter_cache is None:
-            self._diameter_cache = max(
-                _diameter(self.n, s.pairs) for s in self.snapshots
-            )
-        return self._diameter_cache
+        return max(_diameter(self.n, s.pairs) for s in self.snapshots)
 
     def to_text(self) -> str:
-        # the snapshots outlive this call, so their ids are theirs: each
-        # distinct snapshot is formatted once
-        fields: dict[int, str] = {}
         lines = [f"n={self.n} rounds={self.rounds}"]
         for r, s in enumerate(self.snapshots):
-            field = fields.get(id(s))
-            if field is None:
-                field = fields[id(s)] = format_edges(s)
-            lines.append(f"r={r}:{field}")
+            lines.append(f"r={r}:{format_edges(s)}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -467,7 +462,7 @@ class ConnectivityReport(NamedTuple):
 
     @property
     def dynamic_diameter(self) -> float:
-        """Dynamic diameter of the checked schedule, computed on first use."""
+        """Dynamic diameter of the checked schedule, computed when read."""
         return self.schedule.dynamic_diameter()
 
     def describe(self) -> str:
@@ -528,16 +523,13 @@ def check_property(schedule: Schedule, prop: str, T: int) -> ConnectivityReport:
     n = schedule.n
     if prop == "t_path":
         full = (1 << n) - 1
-        # per distinct snapshot: its components, each node's component and
-        # each component's node bitmask, kept on the schedule for its later
-        # checks.  A mask is kept only where it costs no more than a list of
-        # its members (64 bits a member), so a table stays O(n); a sparser
-        # one is rebuilt where it is used
-        tables = schedule._t_path_tables
-
+        # per snapshot: its components, each node's component and each
+        # component's node bitmask, kept on the snapshot for later checks.
+        # A mask is kept only where it costs no more than a list of its
+        # members (64 bits a member), so a table stays O(n); a sparser one
+        # is rebuilt where it is used
         def table(s):
-            t = tables.get(id(s))
-            if t is None:
+            if s.table is None:
                 comps = components(s)
                 label = [0] * n
                 masks = []
@@ -547,8 +539,8 @@ def check_property(schedule: Schedule, prop: str, T: int) -> ConnectivityReport:
                     masks.append(
                         _mask(comp) if comp[-1] < 64 * len(comp) else None
                     )
-                t = tables[id(s)] = (comps, label, masks)
-            return t
+                s.table = (comps, label, masks)
+            return s.table
 
         def split(distinct):
             ts = [table(s) for s in distinct]

@@ -109,6 +109,9 @@ def verify_trace(text: str) -> TraceReport:
                        ("communication", COMMUNICATIONS)):
         if header[key] not in known:
             raise EngineError(f"line 1: unknown {key} {header[key]!r}")
+    if header["T"] == 0:
+        # to_text writes a T of 0 as "-", so only a forged header has T=0
+        raise EngineError("line 1: T must be >= 1, got 0")
     violations: list[str] = []
     note = violations.append
 

@@ -474,6 +474,8 @@ def verify_trace_reference(text):
         alg = make_algorithm(algorithm, T=header["T"])
     except ValueError as exc:
         raise EngineError(f"line 1: {exc}") from None
+    if header["T"] == 0:
+        raise EngineError("line 1: T must be >= 1, got 0")
     violations = []
     note = violations.append
     all_ids = set(range(1, k + 1))

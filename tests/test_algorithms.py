@@ -6,7 +6,9 @@ import pytest
 
 from dispersim import algorithms
 from dispersim.algorithms import disp_plan, make_algorithm
-from dispersim.engine import Configuration, NodeKnowledge, deliver, run
+from dispersim.engine import (
+    Configuration, NodeKnowledge, deliver, node_views, run,
+)
 from dispersim.graphs import Schedule, Snapshot
 
 
@@ -84,11 +86,13 @@ def test_a_bundle_keeps_whether_it_hears_a_multinode(monkeypatch):
     scans = []
     monkeypatch.setattr(algorithms, "any", lambda it: scans.append(1) or any(it),
                         raising=False)
-    inbox = deliver(path4(), Configuration(4, {1: 0, 2: 0, 3: 2}), "global")
+    s, c = path4(), Configuration(4, {1: 0, 2: 0, 3: 2})
+    inbox = deliver(s, c, "global", views=node_views(s, c, "one"))
     assert len({id(b) for b in inbox.values()}) == 1
     assert all(algorithms._hears_multinode(b) for b in inbox.values())
     assert inbox[1].multinode is True and len(scans) == 1
-    quiet = deliver(path4(), Configuration(4, {1: 0, 2: 2}), "f2f")
+    s, c = path4(), Configuration(4, {1: 0, 2: 2})
+    quiet = deliver(s, c, "f2f", views=node_views(s, c, "one"))
     assert not any(algorithms._hears_multinode(b) for b in quiet.values())
     # a plain tuple of broadcasts is answered, and keeps nothing
     assert algorithms._hears_multinode(tuple(inbox[1]))

@@ -112,10 +112,10 @@ def test_per_port_is_indexed_by_port():
 def test_deliver_global_vs_f2f():
     s = path4()
     c = Configuration(4, {1: 0, 2: 2, 3: 2})
-    inbox = deliver(s, c, "global")
+    inbox = deliver(s, c, "global", views=node_views(s, c, "one"))
     assert [b.sender for b in inbox[1]] == [1, 2, 3]  # own broadcast included
     assert inbox[1] is inbox[2]  # one shared bundle per component
-    inbox_f2f = deliver(s, c, "f2f")
+    inbox_f2f = deliver(s, c, "f2f", views=node_views(s, c, "one"))
     assert [b.sender for b in inbox_f2f[1]] == [1]
     assert [b.sender for b in inbox_f2f[2]] == [2, 3]
 
@@ -123,7 +123,8 @@ def test_deliver_global_vs_f2f():
 def test_deliver_excludes_terminated_but_views_keep_them():
     s = path4()
     c = Configuration(4, {1: 1, 2: 2})
-    inbox = deliver(s, c, "global", terminated={2})
+    inbox = deliver(s, c, "global", views=node_views(s, c, "one"),
+                    terminated={2})
     assert 2 not in inbox
     assert [b.sender for b in inbox[1]] == [1]
     # the terminated agent still occupies node 2 in agent 1's view
@@ -134,7 +135,7 @@ def test_deliver_excludes_terminated_but_views_keep_them():
 def test_stitch_component_builds_node_graph():
     s = path4()
     c = Configuration(4, {1: 1, 2: 1, 3: 2})
-    inbox = deliver(s, c, "global")
+    inbox = deliver(s, c, "global", views=node_views(s, c, "one"))
     nodes = stitch_component(inbox[1])
     assert set(nodes) == {1, 3}
     assert nodes[1].ids == (1, 2)
@@ -267,9 +268,9 @@ def test_records_share_the_configurations_of_the_run():
 
 
 def test_trace_text_does_not_depend_on_shared_values():
-    # to_text formats each distinct Block once, by its id, and each value
-    # in it once; fresh Blocks of fresh equal values, one per round, write
-    # the same bytes
+    # to_text formats each distinct Block once, by its id, and a snapshot
+    # or configuration keeps its text; fresh Blocks of fresh equal values,
+    # one per round, write the same bytes
     claim = CLAIMS["ct_dispersion"]
     res = run_claim(claim, claim.rows[0]).result
     fresh = [Block(
@@ -293,6 +294,19 @@ def test_equal_rounds_of_a_run_share_one_block():
     for block in blocks:
         key = (block.snapshot, id(block.before))
         assert first.setdefault(key, block) is block
+
+
+def test_a_post_and_the_next_pos_share_one_placement_text():
+    claim = CLAIMS["ct_dispersion"]
+    res = run_claim(claim, claim.rows[0]).result
+    blocks = res.records
+    assert len({id(block) for block in blocks}) < len(blocks)
+    text = res.to_text()
+    for prev, block in zip(blocks, blocks[1:]):
+        post = engine._placement_text(prev.after)
+        assert post is engine._placement_text(block.before)
+        assert f"\npost:{post}\n" in text
+    assert res.to_text() == text
 
 
 def test_sorted_path_consults_its_oracle_once_per_configuration_and_states():

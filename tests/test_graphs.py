@@ -354,13 +354,40 @@ def test_tpath_reference_trace():
     assert rep2.dynamic_diameter == math.inf
 
 
-def test_dynamic_diameter_is_computed_on_access():
+def test_dynamic_diameter_is_computed_on_access(monkeypatch):
+    calls = []
+    diameter = graphs._diameter
+    monkeypatch.setattr(graphs, "_diameter",
+                        lambda n, pairs: calls.append(n) or diameter(n, pairs))
     path = Snapshot.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
     sch = Schedule([path, path])
     report = check_property(sch, "t_interval", 1)
-    assert sch._diameter_cache is None
+    assert calls == []
     assert report.describe() == "t_interval at T=1: holds; dynamic diameter 3"
+    assert calls
     assert report.dynamic_diameter == 3
+
+
+def test_a_snapshot_keeps_its_t_path_table_across_schedules(monkeypatch):
+    snaps = [Snapshot.from_pairs(4, [(0, 1), (2, 3)]),
+             Snapshot.from_pairs(4, [(1, 2)]),
+             Snapshot.from_pairs(4, [(0, 3)])]
+    first = check_property(Schedule(snaps), "t_path", 3)
+    tables = [s.table for s in snaps]
+    assert None not in tables
+    calls = []
+    monkeypatch.setattr(graphs, "components",
+                        lambda s: calls.append(s) or components(s))
+    second = check_property(Schedule(snaps[::-1] + snaps), "t_path", 3)
+    assert calls == []
+    assert all(s.table is t for s, t in zip(snaps, tables))
+    assert (first.holds, first.witness) == (second.holds, second.witness)
+
+
+def test_format_edges_formats_a_snapshot_once():
+    s = Snapshot(3, [(0, 1, 0, 0), (1, 2, 1, 0)])
+    assert format_edges(s) == " 0-1:0,0 1-2:1,0"
+    assert format_edges(s) is format_edges(s)
 
 
 def test_ctime_reference_trace():

@@ -601,6 +601,24 @@ def test_unknown_header_visibility_or_communication_names_line_1(
     assert len(err) == 1 and err[0].startswith("error: line 1: ")
 
 
+@pytest.mark.parametrize("algorithm", ["alg1_implicit", "greedy_port0"])
+def test_trace_header_T_0_names_line_1(tmp_path, capsys, algorithm):
+    # to_text writes a T of 0 as "-", so a header with T=0 is malformed
+    # whatever the algorithm does with T
+    sched = gen_random_with_property(7, 5, "t_path", 2, 0.4, 60)
+    text = run(sched, {1: 0, 2: 0, 3: 0, 4: 0}, make_algorithm(algorithm),
+               max_rounds=60, T=2).to_text()
+    assert verify_trace(text).ok
+    broken = _tamper(text, " T=2 ", " T=0 ")
+    with pytest.raises(EngineError, match="^line 1: T must be >= 1, got 0$"):
+        verify_trace(broken)
+    path = tmp_path / "broken.trace"
+    path.write_text(broken)
+    assert cli.main(["verify", str(path)], out=lambda *_: None) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: line 1: T must be >= 1, got 0"]
+
+
 def test_verify_reports_pos_agent_outside_1_to_k():
     text = _rewrite_first(_clean_run().to_text(), "pos: ", lambda l: l + " 4:9")
     report = verify_trace(text)

@@ -98,21 +98,28 @@ def _kept(msgs: tuple[Broadcast, ...], name: str, compute):
     return value
 
 
-def component_plan(msgs: tuple[Broadcast, ...]) -> dict[int, int]:
-    """Each agent's exit port under the sliding plan of a broadcast
-    bundle; empty when there is no plan.  A ``Bundle`` keeps it."""
-    return _kept(msgs, "plan",
-                 lambda m: dict(disp_plan(stitch_component(m)) or ()))
+def _plan(msgs: tuple[Broadcast, ...]) -> dict[int, Action]:
+    """Each agent's ``Action`` under the sliding plan stitched from the
+    broadcasts, none when there is no plan; ``disp`` keeps it as
+    ``plan``."""
+    plan = disp_plan(stitch_component(msgs)) or ()
+    return {a: Action(port=p) for a, p in plan}
 
 
-def _plan_action(agent: int, msgs: tuple[Broadcast, ...]) -> Action:
-    port = component_plan(msgs).get(agent)
-    return STAY if port is None else Action(port=port)
+def _plan_actions(msgs: tuple[Broadcast, ...]) -> dict[int, Action] | bool:
+    """``_plan``, or False when no multinode is heard (nothing is then
+    stitched); ``alg1``, ``alg2`` and ``alg3`` keep it as ``actions``."""
+    return any(len(b.view.colocated) > 1 for b in msgs) and _plan(msgs)
 
 
-def _hears_multinode(msgs: tuple[Broadcast, ...]) -> bool:
-    return _kept(msgs, "multinode",
-                 lambda m: any(len(b.view.colocated) > 1 for b in m))
+def _walker(msgs: tuple[Broadcast, ...]) -> dict[int, Action]:
+    """A quiet bundle's walker, the least-ID sender whose view has a hole,
+    and its move through the least hole port; kept as ``walker``."""
+    for b in msgs:  # by sender
+        holes = b.view.hole_ports()
+        if holes:
+            return {b.sender: Action(port=holes[0])}
+    return {}
 
 
 def _make_alg1(T: int | None, explicit: bool) -> Algorithm:
@@ -120,34 +127,34 @@ def _make_alg1(T: int | None, explicit: bool) -> Algorithm:
         raise ValueError("alg1_explicit needs the window length T >= 1")
 
     def step(state: AgentState, view: LocalView, msgs):
-        if _hears_multinode(msgs):
-            action, t = _plan_action(state.id, msgs), 0
-        else:
-            t = state.t + 1
-            action = Action(terminate=True) if explicit and t >= T else STAY
+        actions = _kept(msgs, "actions", _plan_actions)
+        if actions is not False:
+            if state.t:
+                state = AgentState(state.id, 0, state.terminated)
+            return actions.get(state.id, STAY), state
+        t = state.t + 1
+        action = Action(terminate=True) if explicit and t >= T else STAY
         return action, AgentState(state.id, t, state.terminated)
 
     return Algorithm("alg1_explicit" if explicit else "alg1_implicit", step)
 
 
 def _alg2_step(state: AgentState, view: LocalView, msgs):
-    if _hears_multinode(msgs):
-        return _plan_action(state.id, msgs), state
-    return _one_round_step(state, view, msgs)
+    actions = _kept(msgs, "actions", _plan_actions)
+    if actions is False:
+        return _one_round_step(state, view, msgs)
+    return actions.get(state.id, STAY), state
 
 
 def _alg3_step(state: AgentState, view: LocalView, msgs):
-    if _hears_multinode(msgs):
-        return _plan_action(state.id, msgs), state
-    # quiet component: the least-ID agent seeing a hole walks into it
-    walkers = [b.sender for b in msgs if b.view.hole_ports()]
-    if walkers and min(walkers) == state.id:
-        return Action(port=min(view.hole_ports())), state
-    return STAY, state
+    actions = _kept(msgs, "actions", _plan_actions)
+    if actions is False:
+        actions = _kept(msgs, "walker", _walker)
+    return actions.get(state.id, STAY), state
 
 
 def _disp_step(state: AgentState, view: LocalView, msgs):
-    return _plan_action(state.id, msgs), state
+    return _kept(msgs, "plan", _plan).get(state.id, STAY), state
 
 
 def _one_round_step(state: AgentState, view: LocalView, msgs):

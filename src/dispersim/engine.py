@@ -169,24 +169,24 @@ def node_views(
     """One shared LocalView per occupied node."""
     if visibility not in VISIBILITIES:
         raise GraphError(f"unknown visibility {visibility!r}")
+    ports, at = snapshot.ports, config.at
+    one = visibility == "one"
     views = {}
-    for node, ids in config.at.items():
-        per_port = None
-        if visibility == "one":
-            per_port = tuple(
-                config.ids_at(nbr) for _, nbr in snapshot.port_items(node)
-            )
+    for node, ids in at.items():
+        # the ports at a node are 0..d-1 (Snapshot checks), in port order
+        pmap = ports.get(node, ())
+        d = len(pmap)
         views[node] = LocalView(
-            degree=snapshot.degree(node), colocated=ids, per_port=per_port
-        )
+            d, ids, tuple([at.get(pmap[p], ()) for p in range(d)]) if one else None)
     return views
 
 
 class Bundle(tuple):
     """Broadcasts heard together, by sender.  ``deliver`` hands every agent
     of a component (of a node, under ``f2f``) the same Bundle, so the
-    algorithms keep the bundle's sliding plan on it as ``plan``, and
-    whether it comes from a multinode as ``multinode``."""
+    algorithms keep on it each agent's move under its sliding plan, as
+    ``plan`` (``disp``) or as ``actions`` (False when no multinode is
+    heard), and a quiet bundle's walker as ``walker``."""
 
 
 def deliver(
@@ -205,22 +205,23 @@ def deliver(
     """
     if mode not in COMMUNICATIONS:
         raise GraphError(f"unknown communication mode {mode!r}")
-    node_casts: dict[int, list[Broadcast]] = {}
-    for node, ids in config.at.items():
-        node_casts[node] = [
-            Broadcast(a, views[node]) for a in ids if a not in terminated
-        ]
+    at = config.at
     inbox: dict[int, Bundle] = {}
     # the nodes whose agents hear each other: a node, or a component
-    groups = [[v] for v in node_casts] if mode == "f2f" else components(snapshot)
-    for group in groups:
-        casts = [b for node in group for b in node_casts.get(node, ())]
-        casts.sort(key=lambda b: b.sender)
-        bundle = Bundle(casts)
+    for group in ([v] for v in at) if mode == "f2f" else components(snapshot):
+        casts: list[Broadcast] = []
         for node in group:
-            for a in config.ids_at(node):
-                if a not in terminated:
-                    inbox[a] = bundle
+            ids = at.get(node)
+            if ids is not None:
+                view = views[node]
+                casts += [Broadcast(a, view) for a in ids if a not in terminated]
+        if not casts:
+            continue
+        if len(group) > 1:
+            casts.sort()  # senders are distinct, so only they are compared
+        bundle = Bundle(casts)
+        for b in casts:
+            inbox[b.sender] = bundle
     return inbox
 
 
@@ -250,7 +251,7 @@ def stitch_component(broadcasts: Iterable[Broadcast]) -> dict[int, NodeKnowledge
         prev = by_node.get(b.view.colocated)
         if prev is None:
             by_node[b.view.colocated] = b.view
-        elif prev != b.view:
+        elif prev is not b.view and prev != b.view:
             raise EngineError(
                 f"agents {b.view.colocated} report conflicting views"
             )
@@ -276,13 +277,14 @@ def apply_actions(
 ) -> Configuration:
     """Simultaneously apply moves; illegal ports are engine faults."""
     positions = dict(config)
+    ports = snapshot.ports
     for a, act in actions.items():
         if act.port is None:
             continue
         node = config[a]
         try:
-            positions[a] = snapshot.neighbor(node, act.port)
-        except GraphError:
+            positions[a] = ports[node][act.port]
+        except KeyError:
             raise EngineError(
                 f"agent {a} at node {node} moved through missing port {act.port}"
             ) from None
@@ -405,7 +407,7 @@ def _step(snapshot, config, states, algorithm, visibility, communication):
             state = AgentState(state.id, state.t, action.terminate)
         new_states[a] = state
         actions[a] = action
-    messages = sum(len(bundle) for bundle in inbox.values())
+    messages = sum(map(len, inbox.values()))
     return RoundStep(actions, new_states, comps, messages,
                      apply_actions(snapshot, config, actions),
                      all(st.terminated for st in new_states.values()))

@@ -349,3 +349,27 @@ def test_c12_traces_match_golden_hashes():
     for text, want in zip(C12_SCENARIOS, C12_TRACE_SHA256, strict=True):
         trace = run_scenario(parse_scenario(text)).to_text()
         assert hashlib.sha256(trace.encode()).hexdigest() == want, text
+
+
+# kernel paths that c12 does not reach: alg3's quiet walker under
+# global/one (a greatest-ID walker changes its hash), alg2, and disp under
+# f2f; each hash was recorded before the kernel kept them per bundle
+KERNEL_SCENARIOS = (
+    "n = 12\nk = 8\nschedule = random:t_path\nT = 3\nalgorithm = alg3\n"
+    "max_rounds = 60\nseed = 5\n",
+    "n = 12\nk = 8\nschedule = random:t_path\nT = 2\nalgorithm = alg2\n"
+    "max_rounds = 40\nseed = 6\n",
+    "n = 10\nk = 7\nschedule = random:t_path\nT = 2\nalgorithm = disp\n"
+    "max_rounds = 40\nseed = 7\ncommunication = f2f\n",
+)
+KERNEL_TRACE_SHA256 = (
+    "709dc21bc2ea22c7ff4419bd80e44a63e0373e49bfca3214451891a357c70b12",
+    "7e1fa6fe7ecd6e1aa34978aa153f33ba77dabc4322eba374c9835cb2952ea9db",
+    "847ffeb301988fd0c6358e71352acf675c1fab54e5117f24ad8628cd355c4cff",
+)
+
+
+def test_kernel_paths_match_golden_hashes():
+    for text, want in zip(KERNEL_SCENARIOS, KERNEL_TRACE_SHA256, strict=True):
+        trace = run_scenario(parse_scenario(text)).to_text()
+        assert hashlib.sha256(trace.encode()).hexdigest() == want, text

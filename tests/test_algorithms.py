@@ -7,7 +7,8 @@ import pytest
 from dispersim import algorithms
 from dispersim.algorithms import disp_plan, make_algorithm
 from dispersim.engine import (
-    Configuration, NodeKnowledge, deliver, node_views, run,
+    STAY, Action, AgentState, Broadcast, Bundle, Configuration, EngineError,
+    LocalView, NodeKnowledge, deliver, node_views, run,
 )
 from dispersim.graphs import Schedule, Snapshot
 
@@ -86,16 +87,53 @@ def test_a_bundle_keeps_whether_it_hears_a_multinode(monkeypatch):
     scans = []
     monkeypatch.setattr(algorithms, "any", lambda it: scans.append(1) or any(it),
                         raising=False)
-    s, c = path4(), Configuration(4, {1: 0, 2: 0, 3: 2})
-    inbox = deliver(s, c, "global", views=node_views(s, c, "one"))
+    alg2 = make_algorithm("alg2")
+
+    def step_all(s, c, mode):
+        views = node_views(s, c, "one")
+        inbox = deliver(s, c, mode, views=views)
+        for a, bundle in inbox.items():
+            alg2.step(AgentState(a), views[c[a]], bundle)
+        return inbox
+
+    inbox = step_all(path4(), Configuration(4, {1: 0, 2: 0, 3: 2}), "global")
     assert len({id(b) for b in inbox.values()}) == 1
-    assert all(algorithms._hears_multinode(b) for b in inbox.values())
-    assert inbox[1].multinode is True and len(scans) == 1
-    s, c = path4(), Configuration(4, {1: 0, 2: 2})
-    quiet = deliver(s, c, "f2f", views=node_views(s, c, "one"))
-    assert not any(algorithms._hears_multinode(b) for b in quiet.values())
+    assert inbox[1].actions is not False and len(scans) == 1
+    quiet = step_all(path4(), Configuration(4, {1: 0, 2: 2}), "f2f")
+    assert all(b.actions is False for b in quiet.values())
     # a plain tuple of broadcasts is answered, and keeps nothing
-    assert algorithms._hears_multinode(tuple(inbox[1]))
+    assert algorithms._kept(tuple(inbox[1]), "actions",
+                            algorithms._plan_actions) == inbox[1].actions
+
+
+def test_disp_stitches_a_quiet_bundle():
+    # disp stitches every bundle, so conflicting views are an engine fault
+    # even where no multinode is heard
+    a = LocalView(degree=1, colocated=(1,), per_port=((),))
+    b = LocalView(degree=2, colocated=(1,), per_port=((), ()))
+    bundle = Bundle((Broadcast(1, a), Broadcast(2, b)))
+    with pytest.raises(EngineError, match="conflicting views"):
+        make_algorithm("disp").step(AgentState(1), a, bundle)
+
+
+def test_a_quiet_bundle_keeps_its_walker(monkeypatch):
+    # agents 1 and 4 both see a hole and no multinode is heard: only the
+    # lesser ID walks, through its least hole port, whichever agent asks
+    # first, and the bundle scans for its walker once
+    scans = []
+    walker = algorithms._walker
+    monkeypatch.setattr(algorithms, "_walker",
+                        lambda m: scans.append(1) or walker(m))
+    s = Snapshot.from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    c = Configuration(5, {1: 2, 4: 1})
+    views = node_views(s, c, "one")
+    assert views[2].hole_ports() == (1,) and views[1].hole_ports() == (0,)
+    inbox = deliver(s, c, "global", views=views)
+    alg3 = make_algorithm("alg3")
+    moves = {a: alg3.step(AgentState(a), views[c[a]], inbox[a])[0]
+             for a in (4, 1)}
+    assert moves == {4: STAY, 1: Action(port=1)}
+    assert len(scans) == 1 and inbox[4].walker == {1: Action(port=1)}
 
 
 def test_alg1_explicit_on_static_path():

@@ -1169,15 +1169,23 @@ def _fresh_python(code: str) -> str:
 
 
 def test_runtime_imports_only_the_standard_library():
+    schedule = str(Path(__file__).parent / "data" / "ctime_demo.sched")
     out = _fresh_python(
         "before = set(sys.modules)\n"
         "import dispersim.cli\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
-    ).split()
+        f"dispersim.cli.main(['classify', {schedule!r}], out=len)\n"
+        "print('dispersim.claims' in sys.modules)\n"
+        "dispersim.cli.main(['demo', 'nope'])\n"
+        "print('dispersim.claims' in sys.modules)\n"
+    ).splitlines()
+    # only demo compiles claims, and checks its id against them
+    assert out[1:] == ["False", "True"]
+    out = out[0].split()
     assert {name for name in out if name.startswith("dispersim")} == {
         "dispersim", "dispersim.graphs", "dispersim.engine",
         "dispersim.algorithms", "dispersim.adversary", "dispersim.harness",
-        "dispersim.claims", "dispersim.cli",
+        "dispersim.cli",
     }
     roots = {name.split(".")[0] for name in out}
     assert roots - {"dispersim"} <= set(sys.stdlib_module_names)

@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import random
 
-from .graphs import PROPERTIES, GraphError, Memo, Schedule, Snapshot
-
-
-class AdversaryError(ValueError):
-    """Bad adversary parameters or an unusable starting configuration."""
+from .graphs import (
+    PROPERTIES, AdversaryError, GraphError, Memo, Schedule, Snapshot,
+)
 
 
 # --- fixed reference traces ---

@@ -6,7 +6,8 @@ property does not hold), 2 bad usage or unparseable input.
 Only ``run`` and ``sweep`` import ``scenario``, inside their handlers, so
 ``verify``, ``demo`` and ``classify`` do not compile it.  Only ``demo``
 imports ``claims``, inside its handler, which also rejects an unknown claim
-id, so no other command compiles it.
+id, so no other command compiles it.  ``AdversaryError`` comes from
+``graphs``, so ``verify`` and ``classify`` do not compile ``adversary``.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import argparse
 import functools
 import sys
 
-from .adversary import AdversaryError
 from .engine import EngineError
 from .graphs import (
-    PROPERTIES, GraphError, Schedule, check_property, minimal_T, read_text,
+    PROPERTIES, AdversaryError, GraphError, Schedule, check_property,
+    minimal_T, read_text,
 )
 from .harness import ScenarioError, read_int, verify_trace
 

@@ -23,7 +23,7 @@ Runs stop early once every agent has terminated.  Outcome rounds are
 measured on the configuration reached AFTER each round, so a run that is
 already dispersed and stays put reports dispersed_at = 0.
 
-``RunResult.to_text`` writes a run as a trace and ``parse_blocks`` reads
+``RunResult.to_text`` writes a run as a trace and ``parse_trace`` reads
 one back into equal ``Block``s; a block's placements are
 ``Configuration``s, and one round's ``after`` is the next round's
 ``before``.
@@ -428,19 +428,6 @@ def compute_preview(
     ).actions
 
 
-class RoundRecord(NamedTuple):
-    """One round of a parsed trace with its recorded index ``r``, which a
-    forged trace may get wrong; the rest is its ``Block``."""
-
-    r: int
-    snapshot: Snapshot
-    before: Configuration
-    actions: dict[int, Action]
-    after: Configuration
-    components: list[list[int]]
-    messages: int
-
-
 class Block(NamedTuple):
     """One round of a run or of a parsed trace, in ``FIELDS`` order; one
     round's ``after`` is the next round's ``before``.  A run's rounds on one
@@ -477,7 +464,7 @@ class RunResult(NamedTuple):
         return Schedule(rec.snapshot for rec in self.records)
 
     def to_text(self) -> str:
-        # the round memo and parse_blocks share a Block between equal
+        # the round memo and parse_trace share a Block between equal
         # rounds, and the records keep it alive, so its id is its own: each
         # distinct block is formatted once
         blocks: dict[int, str] = {}
@@ -600,9 +587,9 @@ def _parse_msgs(text: str) -> int:
     return parse_int(text)
 
 
-def parse_blocks(text: str):
-    """Header, rounds and trailer of a trace; each round is its index and
-    its ``Block``.
+def parse_trace(text: str):
+    """Header, rounds and trailer of a trace; each round is its recorded
+    index, which a forged trace may get wrong, and its ``Block``.
 
     Each distinct field text is parsed once and its value shared by every
     line that repeats it: rounds on the same graph share one Snapshot, and
@@ -737,13 +724,6 @@ def _trailer(em: re.Match, line: int) -> dict:
         }
     except GraphError as exc:
         raise EngineError(f"line {line}: {exc}") from None
-
-
-def parse_trace(text: str):
-    """Header, rounds and trailer of a trace; each round is a RoundRecord
-    of the values ``parse_blocks`` shares."""
-    header, rounds, trailer = parse_blocks(text)
-    return header, [RoundRecord(r, *block) for r, block in rounds], trailer
 
 
 def run(

@@ -29,6 +29,12 @@ class GraphError(ValueError):
     """Malformed snapshot, schedule, or window query."""
 
 
+class AdversaryError(ValueError):
+    """Bad adversary parameters or an unusable starting configuration.
+    It is defined here, not in ``adversary``, so that ``cli`` can catch it
+    without importing ``adversary``."""
+
+
 _ENDPOINTS = itemgetter(0, 1)
 _PAIRS = attrgetter("pairs")
 
@@ -76,8 +82,8 @@ class Snapshot:
     Validates on construction that endpoints are in range, there are no
     self-loops or duplicate edges, and the ports at every node are exactly
     a permutation of 0..deg-1.  It keeps its pair set and its port maps;
-    ``ports`` maps only the nodes that have edges, and the methods treat
-    any other node as having degree 0.
+    ``ports`` maps only the nodes that have edges, so a node it lacks has
+    degree 0.
 
     A snapshot is shared by every round that repeats it, so it keeps what
     is derived from it, each computed at its first use: ``comps`` by
@@ -152,21 +158,12 @@ class Snapshot:
         snap.ports = {v: dict(enumerate(sorted(ws))) for v, ws in nbrs.items()}
         return snap
 
-    def degree(self, v: int) -> int:
-        pmap = self.ports.get(v)
-        return 0 if pmap is None else len(pmap)
-
     def neighbor(self, v: int, port: int) -> int:
         """Node reached from v through the given port."""
         try:
             return self.ports[v][port]
         except KeyError:
             raise GraphError(f"node {v} has no port {port}") from None
-
-    def port_items(self, v: int):
-        """(port, neighbor) pairs at v in ascending port order."""
-        pmap = self.ports.get(v)
-        return [] if pmap is None else sorted(pmap.items())
 
     def __eq__(self, other) -> bool:
         return (
@@ -308,12 +305,9 @@ def snapshot_cache(n: int) -> Memo:
     return Memo(lambda text: Snapshot(n, parse_edges(text)))
 
 
-def _diameter(n: int, pairs) -> float:
-    """Longest shortest path; math.inf when disconnected."""
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
+def _diameter(n: int, ports) -> float:
+    """Longest shortest path in the graph of these port maps on n nodes;
+    math.inf when disconnected."""
     best = 0
     for s in range(n):
         dist = {s: 0}
@@ -321,7 +315,7 @@ def _diameter(n: int, pairs) -> float:
         while frontier:
             nxt = []
             for x in frontier:
-                for y in adj[x]:
+                for y in ports.get(x, {}).values():
                     if y not in dist:
                         dist[y] = dist[x] + 1
                         nxt.append(y)
@@ -361,7 +355,7 @@ class Schedule:
 
     def dynamic_diameter(self) -> float:
         """Max over rounds of the per-round diameter (inf if ever split)."""
-        return max(_diameter(self.n, s.pairs) for s in self.snapshots)
+        return max(_diameter(self.n, s.ports) for s in self.snapshots)
 
     def to_text(self) -> str:
         lines = [f"n={self.n} rounds={self.rounds}"]

@@ -23,8 +23,6 @@ from .engine import (
     VISIBILITIES,
     AgentState,
     EngineError,
-    parse_blocks,
-    # unused here, but bench/tracer.py times parse_trace by this name
     parse_trace,
     round_step,
 )
@@ -85,7 +83,7 @@ def verify_trace(text: str) -> TraceReport:
     Each round is replayed through ``round_step`` on the recorded snapshot
     and positions, carrying the replayed agent states forward.
 
-    A round's transition key is its ``Block``, which ``parse_blocks``
+    A round's transition key is its ``Block``, which ``parse_trace``
     shares between rounds with equal field lines, the replayed agent
     states it starts from, which the replay's memo shares between equal
     steps, and the number of agents terminated before it.  These fix every
@@ -98,7 +96,7 @@ def verify_trace(text: str) -> TraceReport:
     round index and ``pos`` against the previous ``post`` are checked on
     every round.
     """
-    header, rounds, trailer = parse_blocks(text)
+    header, rounds, trailer = parse_trace(text)
     n, k = header["n"], header["k"]
     algorithm = header["algorithm"]
     try:
@@ -115,7 +113,7 @@ def verify_trace(text: str) -> TraceReport:
     violations: list[str] = []
     note = violations.append
 
-    # parse_blocks bounds k by the first pos: field, and a trace without
+    # parse_trace bounds k by the first pos: field, and a trace without
     # rounds builds nothing of size k
     all_ids = set(range(1, k + 1)) if rounds else set()
     states = {a: AgentState(id=a) for a in all_ids}

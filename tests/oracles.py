@@ -10,12 +10,14 @@ does not list every node once or a header k above the number of agents the
 first pos field places, and builds a fresh Snapshot for every round,
 a snapshot check that tests every edge in turn, a window's reach grown by
 sweeping its pairs, a run loop that computes every round afresh, and a
-trace verifier that replays and checks every round afresh.  The fixed
-demo schedules the tests read live here too.
+trace verifier that replays and checks every round afresh.  A diameter is
+found by Floyd-Warshall.  The fixed demo schedules the tests read live here
+too.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 
@@ -99,6 +101,19 @@ def partition(n, pairs):
 
 def is_connected(n, pairs):
     return len(partition(n, pairs)) == 1
+
+
+def diameter_reference(n, pairs):
+    """Longest shortest path of one edge set by Floyd-Warshall, or
+    math.inf when some pair is not connected."""
+    dist = [[0 if u == v else math.inf for v in range(n)] for u in range(n)]
+    for u, v in pairs:
+        dist[u][v] = dist[v][u] = 1
+    for m in range(n):
+        for u in range(n):
+            for v in range(n):
+                dist[u][v] = min(dist[u][v], dist[u][m] + dist[m][v])
+    return max(map(max, dist))
 
 
 def window_pairs(pair_sets, r, T, union):
@@ -360,8 +375,8 @@ def _ref_placement(text, n, lineno):
 
 def parse_trace_reference(text):
     """(header, rounds, trailer) of a trace, one regex per token and a
-    fresh Snapshot for every round; each round is the tuple
-    (r, snapshot, before, actions, after, components, messages)."""
+    fresh Snapshot for every round; each round is the pair
+    (r, (snapshot, before, actions, after, components, messages))."""
     lines = text.splitlines()
     if not lines:
         raise EngineError("empty trace")
@@ -444,8 +459,8 @@ def parse_trace_reference(text):
                 f"line {at['pos']}: header k={header['k']} exceeds the"
                 f" {len(pos)} agents of the first pos field"
             )
-        rounds.append((int(rm.group(1)), snapshot, pos, actions, post, comp,
-                       int(fields["msgs"])))
+        rounds.append((int(rm.group(1)), (snapshot, pos, actions, post, comp,
+                                          int(fields["msgs"]))))
         i += 7
     if i >= len(lines) or not lines[i].startswith("end "):
         raise EngineError("trace missing end line")
@@ -468,6 +483,7 @@ def verify_trace_reference(text):
     ``parse_trace_reference``, and every round gets a fresh Configuration,
     a replay without a memo and every check."""
     header, rounds, trailer = parse_trace_reference(text)
+    rounds = [(r, *block) for r, block in rounds]
     n, k = header["n"], header["k"]
     algorithm = header["algorithm"]
     try:

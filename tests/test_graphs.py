@@ -151,7 +151,7 @@ def test_snapshot_accepts_any_port_permutation():
     s = Snapshot(3, [(0, 1, 1, 0), (0, 2, 0, 0)])
     assert s.neighbor(0, 1) == 1
     assert s.neighbor(0, 0) == 2
-    assert s.degree(0) == 2
+    assert len(s.ports[0]) == 2
 
 
 def test_from_pairs_canonical_ports():
@@ -298,7 +298,7 @@ def test_port_maps_only_for_nodes_with_edges():
     for s in (Snapshot(5, parse_edges("1-0:0,0")),
               Snapshot.from_pairs(5, [(1, 0)])):
         assert set(s.ports) == {0, 1}
-        assert s.degree(3) == 0 and s.port_items(3) == []
+        assert 3 not in s.ports
         with pytest.raises(GraphError, match="^node 3 has no port 0$"):
             s.neighbor(3, 0)
     # ports are checked node by node in ascending order, whatever the
@@ -448,6 +448,19 @@ def test_checkers_match_oracle_spot():
                 assert got == want, (n, rounds, prop, T, pair_sets)
 
 
+def test_dynamic_diameter_matches_floyd_warshall():
+    rng = random.Random("diameter")
+    values = set()
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        sch = random_schedule(rng, n, rng.randint(1, 4))
+        want = max(oracles.diameter_reference(n, s.pairs)
+                   for s in sch.snapshots)
+        assert sch.dynamic_diameter() == want, (n, sch.to_text())
+        values.add(want)
+    assert math.inf in values and {0, 1, 2, 3} <= values
+
+
 def test_minimal_T_matches_trying_every_T():
     # t_interval is decided by its T=1 check alone; the oracle tries every T
     rng = random.Random("minimal-T")
@@ -594,10 +607,11 @@ def test_port_relabeling_does_not_change_results():
         for s in sch.snapshots:
             edges = []
             for v in range(n):
-                perm = list(range(s.degree(v)))
+                pmap = s.ports.get(v, {})
+                perm = list(range(len(pmap)))
                 rng.shuffle(perm)
                 # perm[i] is the new label of old port i
-                for old, nbr in s.port_items(v):
+                for old, nbr in sorted(pmap.items()):
                     edges.append((v, nbr, perm[old]))
             by_pair = {}
             for v, nbr, port in edges:

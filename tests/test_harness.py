@@ -529,7 +529,7 @@ def _repeating_trace():
 
 def test_parse_trace_shares_each_distinct_field_value():
     text = _repeating_trace()
-    _, rounds, _ = harness.parse_trace(text)
+    rounds = [block for _, block in harness.parse_trace(text)[1]]
     edges = [line for _, line in _field_lines(text, "edges:")]
     assert len(set(edges)) < len(edges)
     for r, tr in enumerate(rounds):
@@ -538,6 +538,17 @@ def test_parse_trace_shares_each_distinct_field_value():
     for prev, tr in zip(rounds, rounds[1:]):
         assert tr.before is prev.after
     assert oracles.parse_trace_reference(text) == harness.parse_trace(text)
+
+
+def test_verify_reads_its_trace_through_parse_trace_once(monkeypatch):
+    # bench/tracer.py times the verifier's parse by wrapping this name
+    calls = []
+    original = harness.parse_trace
+    monkeypatch.setattr(harness, "parse_trace",
+                        lambda text: calls.append(text) or original(text))
+    text = _repeating_trace()
+    assert verify_trace(text).ok
+    assert calls == [text]
 
 
 def test_repeated_malformed_line_is_reported_at_its_first_line():
@@ -627,7 +638,7 @@ def test_verify_reports_pos_agent_outside_1_to_k():
 
 def _forge_action(text, r, agent, code):
     """Change one agent's action in round r, moving it in post to match."""
-    tr = harness.parse_trace(text)[1][r]
+    _, tr = harness.parse_trace(text)[1][r]
     port = Action.from_code(code).port
     post = dict(tr.after)
     post[agent] = tr.before[agent] if port is None else tr.snapshot.neighbor(
@@ -653,7 +664,7 @@ def test_verify_catches_forged_legal_action():
         "algorithm = alg3\nseed = 5\nmax_rounds = 30\n"
     )
     text = run_scenario(sc).to_text()
-    assert harness.parse_trace(text)[1][29].actions[4].code() == "m0"
+    assert harness.parse_trace(text)[1][29][1].actions[4].code() == "m0"
     assert verify_trace(text).ok
     report = verify_trace(_forge_action(text, 29, 4, "s"))
     assert any(v.startswith("round 29: agent 4 ") for v in report.violations)
@@ -665,7 +676,7 @@ def test_forged_action_on_a_repeated_round_is_reported(monkeypatch):
     text = run(make_adversary("ct_dispersion", 6, k=4, T=3),
                {a: 0 for a in range(1, 5)}, make_algorithm("alg3"),
                max_rounds=30, T=3).to_text()
-    rounds = harness.parse_trace(text)[1]
+    rounds = [block for _, block in harness.parse_trace(text)[1]]
     r = max(i for i, tr in enumerate(rounds) if any(
         prev.snapshot is tr.snapshot and prev.before == tr.before
         for prev in rounds[:i]
@@ -1168,24 +1179,29 @@ def _fresh_python(code: str) -> str:
                           check=True, capture_output=True, text=True).stdout
 
 
-def test_runtime_imports_only_the_standard_library():
+def test_runtime_imports_only_the_standard_library(tmp_path):
     schedule = str(Path(__file__).parent / "data" / "ctime_demo.sched")
+    trace = tmp_path / "run.trace"
+    trace.write_text(_clean_run().to_text())
     out = _fresh_python(
         "before = set(sys.modules)\n"
         "import dispersim.cli\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
-        f"dispersim.cli.main(['classify', {schedule!r}], out=len)\n"
-        "print('dispersim.claims' in sys.modules)\n"
-        "dispersim.cli.main(['demo', 'nope'])\n"
-        "print('dispersim.claims' in sys.modules)\n"
+        "loaded = lambda: [name in sys.modules for name in"
+        " ('dispersim.adversary', 'dispersim.claims')]\n"
+        f"print(dispersim.cli.main(['verify', {str(trace)!r}], out=len),"
+        " *loaded())\n"
+        f"print(dispersim.cli.main(['classify', {schedule!r}], out=len),"
+        " *loaded())\n"
+        "print(dispersim.cli.main(['demo', 'nope']), *loaded())\n"
     ).splitlines()
-    # only demo compiles claims, and checks its id against them
-    assert out[1:] == ["False", "True"]
+    # verify and classify compile neither adversary nor claims; only demo
+    # compiles claims, and checks its id against them
+    assert out[1:] == ["0 False False", "0 False False", "2 True True"]
     out = out[0].split()
     assert {name for name in out if name.startswith("dispersim")} == {
         "dispersim", "dispersim.graphs", "dispersim.engine",
-        "dispersim.algorithms", "dispersim.adversary", "dispersim.harness",
-        "dispersim.cli",
+        "dispersim.algorithms", "dispersim.harness", "dispersim.cli",
     }
     roots = {name.split(".")[0] for name in out}
     assert roots - {"dispersim"} <= set(sys.stdlib_module_names)

@@ -171,20 +171,10 @@ class Adversary:
         self.oracle = None
         self._next_r = 0
         self._graphs = Memo(lambda pairs: Snapshot.from_pairs(n, pairs))
-        self._kept: dict[tuple, tuple] = {}
 
     def _graph(self, pairs) -> Snapshot:
         """``Snapshot.from_pairs`` on n nodes, one object per pair set."""
         return self._graphs[frozenset(pairs)]
-
-    def _per_config(self, config, key, make):
-        """``make()``, kept under ``key`` and the id of ``config`` together
-        with ``config``, which keeps the id unique; a call that raises keeps
-        nothing, so it raises again."""
-        hit = self._kept.get((id(config), key))
-        if hit is None:
-            hit = self._kept[id(config), key] = (config, make())
-        return hit[1]
 
     def next_snapshot(self, r: int, config, states=None) -> Snapshot:
         if r != self._next_r:
@@ -254,13 +244,20 @@ class CtDispersion(Adversary):
         self.k = k
         self.T = T
         self._phase_graph: Snapshot | None = None
+        # each (configuration, parity)'s phase graph, under the
+        # configuration's id and with it, keeping the id unique; a phase
+        # that raises keeps nothing, so it raises again
+        self._phases: dict[tuple[int, int], tuple] = {}
 
     def _emit(self, r, config, states) -> Snapshot:
         span = self.T - 1
         if r % span == 0:
             parity = r // span % 2
-            self._phase_graph = self._per_config(
-                config, parity, lambda: self._phase(config, parity))
+            hit = self._phases.get((id(config), parity))
+            if hit is None:
+                hit = self._phases[id(config), parity] = (
+                    config, self._phase(config, parity))
+            self._phase_graph = hit[1]
         return self._phase_graph
 
     def _phase(self, config, parity: int) -> Snapshot:
@@ -539,10 +536,10 @@ class SortedPath(Adversary):
         step = self.oracle(straight, config, states)
         if self.variant == "dispersed" and config.is_dispersed():
             w2_ids = config.ids_at(order[1])
-            mover = step.actions.get(w2_ids[0]) if w2_ids else None
+            mover = step.block.actions.get(w2_ids[0]) if w2_ids else None
             if mover is not None and mover.port == 0:
                 return self._layouts[self._flipped_w2, order]
-        elif step.after.is_dispersed() and self.n >= 7:
+        elif step.block.after.is_dispersed() and self.n >= 7:
             return self._layouts[self._swapped, order]
         return straight
 

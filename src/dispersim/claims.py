@@ -20,14 +20,12 @@ from .harness import ScenarioError
 
 class Row(NamedTuple):
     """One run of a claim.  ``T`` goes to the algorithm, the adversary and
-    the run; ``placement`` and ``rounds`` override the claim's own."""
+    the run."""
 
     n: int
     k: int
     alg: str
     T: int | None = None
-    placement: str | None = None
-    rounds: int | None = None
 
 
 # the start node of agent a; "shifted" leaves node 0 the only hole
@@ -73,11 +71,11 @@ def run_claim(claim: Claim, row: Row) -> ClaimRun:
     """One run of a claim's row, judged as ``demo`` reports it."""
     adv = make_adversary(claim.adversary, row.n, k=row.k, T=row.T,
                          variant=claim.variant)
-    start = PLACEMENT_OF[row.placement or claim.placement]
+    start = PLACEMENT_OF[claim.placement]
     res = run(adv, {a: start(a) for a in range(1, row.k + 1)},
               make_algorithm(row.alg, T=row.T), visibility=claim.visibility,
               communication=claim.communication,
-              max_rounds=row.rounds or claim.budget(row), T=row.T)
+              max_rounds=claim.budget(row), T=row.T)
     seen = set(res.records[0].before.values())
     seen.update(*(rec.after.values() for rec in res.records))
     target = getattr(adv, "target", None)

@@ -15,10 +15,11 @@ Each round over the current snapshot:
    stepping, and moving.
 
 ``round_step`` performs all four steps of one round and returns them as a
-``RoundStep``, ending in the configuration the moves lead to.  ``run``
-records each round as a ``Block`` of that step, shared by every round
-that repeats it; the oracle it hands an adaptive adversary returns the
-same step for a candidate snapshot.
+``RoundStep``: the round's ``Block``, ending in the configuration the
+moves lead to, and the agent states after it.  It is the one round
+kernel: ``run`` records each round's block, the oracle ``run`` hands an
+adaptive adversary returns the step for a candidate snapshot, and the
+verifier replays a trace through it.
 Runs stop early once every agent has terminated.  Outcome rounds are
 measured on the configuration reached AFTER each round, so a run that is
 already dispersed and stays put reports dispersed_at = 0.
@@ -291,16 +292,27 @@ def apply_actions(
     return Configuration(config.n, positions)
 
 
-class RoundStep(NamedTuple):
-    """What the live agents do in one round on one snapshot, the
-    configuration their moves lead to and whether every agent has
-    terminated after it."""
+class Block(NamedTuple):
+    """One round of a run or of a parsed trace, in ``FIELDS`` order; one
+    round's ``after`` is the next round's ``before``.  A run's rounds that
+    repeat a step from the same objects, and a trace's rounds with the same
+    six field lines, share this tuple and its values, which must not be
+    mutated."""
 
+    snapshot: Snapshot
+    before: Configuration
     actions: dict[int, Action]
-    states: dict[int, AgentState]
+    after: Configuration
     components: list[list[int]]
     messages: int
-    after: Configuration
+
+
+class RoundStep(NamedTuple):
+    """One round on one snapshot: its ``Block``, the agent states after it
+    and whether every agent has terminated after it."""
+
+    block: Block
+    states: dict[int, AgentState]
     all_terminated: bool
 
 
@@ -311,72 +323,71 @@ def round_step(
     algorithm: Algorithm,
     visibility: str,
     communication: str,
-    memo: dict | None = None,
+    memo: dict,
 ) -> RoundStep:
     """Look, Broadcast, Compute and Move for one round.
 
     Components and node views are built once and shared by delivery and
-    every agent.  Returns each live agent's action, the states after the
-    round and the configuration its moves lead to; steps are pure, so the
-    caller's ``config`` and ``states`` are left untouched.
+    every agent.  Returns the round's ``Block``, which starts from the
+    caller's ``snapshot`` and ``config`` objects, and the states after the
+    round; steps are pure, so the caller's ``config`` and ``states`` are
+    left untouched.
 
     ``memo`` is a dict that one caller keeps for one algorithm,
-    visibility and communication.  It maps the round's inputs (snapshot,
-    positions and agent states, each in its order) to their step, so a
-    round that repeats an earlier one returns the earlier step itself:
-    its dicts and lists are shared and must not be mutated.  A graph's
-    first round is kept with its configuration and states themselves, and
-    keyed only when the graph comes again with other inputs, so a run
-    whose graphs never repeat, and a round that follows its own preview,
-    build no key.  From then on each step is also kept under the identity
-    of the configuration and states objects that reached it, with those
-    objects, so a call with the very same objects finds its step without
-    building a key; a memo hit hands back the step's own ``after`` and
-    ``states``, so repeated rounds arrive with such objects.  Each such
-    entry also holds the ``Block`` that ``run`` records for it.  The memo
-    keeps all these inputs, so they must not be mutated either.
+    visibility and communication; a fresh ``{}`` shares nothing.  It maps
+    the round's inputs (snapshot, positions and agent states, each in its
+    order) to their step, so a round that repeats an earlier one returns
+    the earlier step's values, which are shared and must not be mutated.
+    A graph's first round is kept as its states and step, and keyed only
+    when the graph comes again with other inputs, so a run whose graphs
+    never repeat, and a round that follows its own preview, build no key.
+    Each later step is also kept under the ids of the configuration and
+    states objects that reached it, with those objects, so the very same
+    objects find it without a key.  A hit hands back the step's own
+    ``after`` and ``states``, so repeated rounds arrive with objects seen
+    before.  The memo keeps all these inputs, so they must not be mutated
+    either.
     """
-    if memo is None:
-        return _step(snapshot, config, states, algorithm, visibility,
-                     communication)
-    return _entry(snapshot, config, states, algorithm, visibility,
-                  communication, memo)[2]
-
-
-def _entry(snapshot, config, states, algorithm, visibility, communication,
-           memo):
-    """The memo's ``[config, states, step, block]`` for these very objects;
-    ``block`` is None until ``run`` records the round."""
     steps = memo.get(snapshot)
     if steps is None:
         step = _step(snapshot, config, states, algorithm, visibility,
                      communication)
-        entry = memo[snapshot] = [config, states, step, None]
-        return entry
-    if type(steps) is list:
-        if steps[0] is config and steps[1] is states:
-            return steps
-        keyed = _Steps({_inputs(steps[0], steps[1]): steps[2]})
-        keyed.seen = {(id(steps[0]), id(steps[1])): steps}
-        steps = memo[snapshot] = keyed
+        memo[snapshot] = (states, step)
+        return step
+    if type(steps) is tuple:
+        first, step = steps
+        before = step.block.before
+        hit = steps if before is config and first is states else None
+        if hit is None:
+            keyed = _Steps({_inputs(before, first): step})
+            keyed.seen = {(id(before), id(first)): steps}
+            steps = memo[snapshot] = keyed
     else:
-        entry = steps.seen.get((id(config), id(states)))
-        if entry is not None:
-            return entry
-    key = _inputs(config, states)
-    step = steps.get(key)
-    if step is None:
-        step = steps[key] = _step(
-            snapshot, config, states, algorithm, visibility, communication
-        )
-    entry = steps.seen[id(config), id(states)] = [config, states, step, None]
-    return entry
+        hit = steps.seen.get((id(config), id(states)))
+    if hit is None:
+        key = _inputs(config, states)
+        step = steps.get(key)
+        if step is None:
+            step = steps[key] = _step(
+                snapshot, config, states, algorithm, visibility, communication
+            )
+        else:
+            step = step._replace(block=step.block._replace(
+                snapshot=snapshot, before=config))
+        steps.seen[id(config), id(states)] = (states, step)
+        return step
+    step = hit[1]
+    if step.block.snapshot is not snapshot:
+        # an equal graph in another object
+        step = step._replace(block=step.block._replace(snapshot=snapshot))
+    return step
 
 
 class _Steps(dict):
     """The steps of one graph by their inputs; ``seen`` maps the ids of
-    each (configuration, states) pair that reached one to its entry, which
-    keeps those ids unique."""
+    each (configuration, states) pair that reached one to those states and
+    that step, whose block holds the configuration, which keeps the pair
+    alive and its ids unique."""
 
     __slots__ = ("seen",)
 
@@ -408,8 +419,9 @@ def _step(snapshot, config, states, algorithm, visibility, communication):
         new_states[a] = state
         actions[a] = action
     messages = sum(map(len, inbox.values()))
-    return RoundStep(actions, new_states, comps, messages,
-                     apply_actions(snapshot, config, actions),
+    block = Block(snapshot, config, actions,
+                  apply_actions(snapshot, config, actions), comps, messages)
+    return RoundStep(block, new_states,
                      all(st.terminated for st in new_states.values()))
 
 
@@ -424,22 +436,8 @@ def compute_preview(
     """Side-effect-free compute phase: what every live agent would do on
     this snapshot.  States are not advanced."""
     return round_step(
-        snapshot, config, states, algorithm, visibility, communication
-    ).actions
-
-
-class Block(NamedTuple):
-    """One round of a run or of a parsed trace, in ``FIELDS`` order; one
-    round's ``after`` is the next round's ``before``.  A run's rounds on one
-    memo entry, and a trace's rounds with the same six field lines, share
-    this tuple and its values, which must not be mutated."""
-
-    snapshot: Snapshot
-    before: Configuration
-    actions: dict[int, Action]
-    after: Configuration
-    components: list[list[int]]
-    messages: int
+        snapshot, config, states, algorithm, visibility, communication, {}
+    ).block.actions
 
 
 class RunResult(NamedTuple):
@@ -776,20 +774,20 @@ def run(
             raise GraphError(
                 f"round {r}: snapshot has n={snapshot.n}, expected {config.n}"
             )
-        entry = _entry(snapshot, config, states, algorithm, visibility,
-                       communication, memo)
-        step, block = entry[2], entry[3]
-        if block is None:
-            block = entry[3] = Block(snapshot, config, step.actions, step.after,
-                                     step.components, step.messages)
-            # a repeat of the block has the same after: it changes none of these
-            visited.update(step.after.at)
-            if dispersed_at is None and step.after.is_dispersed():
+        step = round_step(snapshot, config, states, algorithm, visibility,
+                          communication, memo)
+        block = step.block
+        config, states = block.after, step.states
+        # a repeat of the last round's block leads where it did, and changes
+        # no outcome
+        if not records or block is not records[-1]:
+            if dispersed_at is None and config.is_dispersed():
                 dispersed_at = r
-            if explored_at is None and len(visited) == config.n:
-                explored_at = r
+            if explored_at is None:
+                visited.update(config.at)
+                if len(visited) == n:
+                    explored_at = r
         records.append(block)
-        config, states = step.after, step.states
         if step.all_terminated:
             all_terminated_at = r
             budget_exhausted = False

@@ -354,8 +354,9 @@ class Schedule:
         return self.snapshots[r]
 
     def dynamic_diameter(self) -> float:
-        """Max over rounds of the per-round diameter (inf if ever split)."""
-        return max(_diameter(self.n, s.ports) for s in self.snapshots)
+        """Max over rounds of the per-round diameter (inf if ever split),
+        searched once per distinct snapshot."""
+        return max(_diameter(self.n, s.ports) for s in set(self.snapshots))
 
     def to_text(self) -> str:
         lines = [f"n={self.n} rounds={self.rounds}"]

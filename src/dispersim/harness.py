@@ -1,9 +1,10 @@
 """Trace verification.
 
 ``verify_trace`` re-checks a trace from its text alone.  It replays the
-rounds through ``engine.round_step`` with the algorithm the header names,
-so the recorded actions, component partitions and message counts must be
-exactly what that algorithm does on the recorded snapshots and positions.
+rounds through ``engine.round_step``, the kernel that ``run`` calls, with
+the algorithm the header names and a memo of its own, so the recorded
+actions, component partitions and message counts must be exactly those
+of the replayed step's block on the recorded snapshots and positions.
 It also checks conservation, move legality, termination monotonicity,
 multinode monotonicity and per-window hole progress, and recomputes every
 outcome round.  A round that repeats a clean round's block from the same
@@ -186,17 +187,17 @@ def verify_trace(text: str) -> TraceReport:
                     header["communication"], memo,
                 )
                 states = step.states
-                for a in sorted(actions.keys() | step.actions.keys()):
-                    got, want = actions.get(a), step.actions.get(a)
+                for a in sorted(actions.keys() | step.block.actions.keys()):
+                    got, want = actions.get(a), step.block.actions.get(a)
                     if got != want:
                         note(f"{where}: agent {a} recorded"
                              f" {got.code() if got else '-'}, {algorithm}"
                              f" computes {want.code() if want else '-'}")
-                if comps != step.components:
+                if comps != step.block.components:
                     note(f"{where}: component partition mismatch")
-                if messages != step.messages:
+                if messages != step.block.messages:
                     note(f"{where}: msgs={messages},"
-                         f" recomputed {step.messages}")
+                         f" recomputed {step.block.messages}")
             multi = len(before.multinodes())
             # cooperative moves never create new multinodes; terminal moves
             # may legally stack agents into the same hole, so skip rounds

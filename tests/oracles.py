@@ -276,15 +276,15 @@ def perpetual_demo_schedule(rounds=18):
 def run_text(source, placement, algorithm, *, visibility="one",
              communication="global", max_rounds, T=None):
     """Trace text of a run in which nothing is shared between rounds: every
-    round, and every oracle preview, calls ``round_step`` without a memo on
-    a fresh copy of the snapshot, the moves are applied again outside the
+    round, and every oracle preview, calls ``round_step`` with a fresh memo
+    on a fresh copy of the snapshot, the moves are applied again outside the
     kernel, and every line is formatted on its own."""
     def fresh(snap):
         return Snapshot(snap.n, edges_of(snap))
 
     if getattr(source, "needs_oracle", False):
         source.oracle = lambda snap, cfg, sts: round_step(
-            fresh(snap), cfg, sts, algorithm, visibility, communication
+            fresh(snap), cfg, sts, algorithm, visibility, communication, {}
         )
 
     def placement_text(pos):
@@ -306,19 +306,19 @@ def run_text(source, placement, algorithm, *, visibility="one",
     for r in range(max_rounds):
         snap = fresh(source.next_snapshot(r, config, states))
         step = round_step(snap, config, states, algorithm, visibility,
-                          communication)
-        after = apply_actions(snap, config, step.actions)
+                          communication, {})
+        after = apply_actions(snap, config, step.block.actions)
         lines += [
             f"round r={r}",
             "edges:" + "".join(f" {u}-{v}:{pu},{pv}"
                                for u, v, pu, pv in edges_of(snap)),
             "pos: " + placement_text(config),
-            "act: " + " ".join(f"{a}:{step.actions[a].code()}"
-                               for a in sorted(step.actions)),
+            "act: " + " ".join(f"{a}:{step.block.actions[a].code()}"
+                               for a in sorted(step.block.actions)),
             "post: " + placement_text(after),
             "comp: " + "|".join(",".join(str(v) for v in c)
-                                for c in step.components),
-            f"msgs: {step.messages}",
+                                for c in step.block.components),
+            f"msgs: {step.block.messages}",
         ]
         rounds += 1
         config, states = after, step.states
@@ -481,7 +481,7 @@ def parse_trace_reference(text):
 def verify_trace_reference(text):
     """``harness.verify_trace`` without sharing: the trace is read by
     ``parse_trace_reference``, and every round gets a fresh Configuration,
-    a replay without a memo and every check."""
+    a replay with a fresh memo and every check."""
     header, rounds, trailer = parse_trace_reference(text)
     rounds = [(r, *block) for r, block in rounds]
     n, k = header["n"], header["k"]
@@ -534,18 +534,19 @@ def verify_trace_reference(text):
         config = Configuration(n, pos)
         if pos.keys() <= all_ids:
             step = round_step(snapshot, config, states, alg,
-                              header["visibility"], header["communication"])
+                              header["visibility"], header["communication"],
+                              {})
             states = step.states
-            for a in sorted(actions.keys() | step.actions.keys()):
-                got, want = actions.get(a), step.actions.get(a)
+            for a in sorted(actions.keys() | step.block.actions.keys()):
+                got, want = actions.get(a), step.block.actions.get(a)
                 if got != want:
                     note(f"{where}: agent {a} recorded"
                          f" {got.code() if got else '-'}, {algorithm}"
                          f" computes {want.code() if want else '-'}")
-            if comp != step.components:
+            if comp != step.block.components:
                 note(f"{where}: component partition mismatch")
-            if msgs != step.messages:
-                note(f"{where}: msgs={msgs}, recomputed {step.messages}")
+            if msgs != step.block.messages:
+                note(f"{where}: msgs={msgs}, recomputed {step.block.messages}")
         max_messages = max(max_messages, msgs)
         post_config = Configuration(n, post)
         multis.append(len(config.multinodes()))

@@ -208,9 +208,9 @@ def test_c07_alg2_explores_within_2n_and_two_stars_forces_n_minus_2():
         _audit(res)
     # unlike the demo rows, these runs declare T=1, so their traces also
     # get the verifier's T=1 window audit, and have one round more
-    claim = CLAIMS["time_1int"]
+    claim = CLAIMS["time_1int"]._replace(budget=lambda w: 2 * w.n + 1)
     for n in range(4, 21):
-        got = run_claim(claim, Row(n, n - 1, "alg2", T=1, rounds=2 * n + 1))
+        got = run_claim(claim, Row(n, n - 1, "alg2", T=1))
         res = got.result
         assert res.T == 1
         assert res.explored_at is not None, n
@@ -279,9 +279,9 @@ def test_c10_exploration_blockers_never_let_the_target_fall():
     claim = CLAIMS["exp_n_minus_2"]
     for n in range(4, 13):
         for alg, placement in C10_PLACEMENTS:
-            row = Row(n, n - 2, alg, placement=placement)
+            row = Row(n, n - 2, alg)
             assert claim.budget(row) == 50 * n
-            got = run_claim(claim, row)
+            got = run_claim(claim._replace(placement=placement), row)
             res = got.result
             assert n - 1 not in _visited(res), (n, alg)
             assert got.target_visited is False, (n, alg)
@@ -292,9 +292,9 @@ def test_c10_exploration_blockers_never_let_the_target_fall():
     for n in range(6, 13):
         for T in (2, 3, 4):
             for alg, placement in C10_PLACEMENTS:
-                row = Row(n, n - 2, alg, T, placement)
+                row = Row(n, n - 2, alg, T)
                 assert claim.budget(row) == 50 * n * T
-                got = run_claim(claim, row)
+                got = run_claim(claim._replace(placement=placement), row)
                 res = got.result
                 # the protected node is the second-least initial hole:
                 # n-1 from the dispersed start, node 2 from the co-located

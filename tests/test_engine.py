@@ -284,7 +284,7 @@ def test_trace_text_does_not_depend_on_shared_values():
 
 def test_equal_rounds_of_a_run_share_one_block():
     # a round on an equal snapshot from the same configuration object (and
-    # so the same states) is the memo entry's Block itself
+    # so the same states) is the Block of the memo's step itself
     claim = CLAIMS["ct_dispersion"]
     res = run_claim(claim, claim.rows[0]).result
     blocks = res.records
@@ -377,12 +377,13 @@ def test_round_step_leaves_caller_states_alone():
     s = path4()
     config = Configuration(4, {1: 0, 2: 2})
     states = {a: AgentState(id=a) for a in (1, 2)}
-    step = round_step(s, config, states, make_algorithm("alg2"), "one", "global")
-    assert all(act.terminate for act in step.actions.values())
+    step = round_step(s, config, states, make_algorithm("alg2"), "one",
+                      "global", {})
+    assert all(act.terminate for act in step.block.actions.values())
     assert all(st.terminated for st in step.states.values())
     assert states == {a: AgentState(id=a) for a in (1, 2)}
-    assert step.components == [[0, 1, 2, 3]]
-    assert step.messages == 4
+    assert step.block.components == [[0, 1, 2, 3]]
+    assert step.block.messages == 4
 
 
 def test_plan_is_stitched_once_per_component_per_round(monkeypatch):
@@ -494,11 +495,16 @@ def test_round_memo_returns_the_step_of_equal_inputs():
             {a: AgentState(id=a) for a in (1, 2)}, alg, "one", "global")
     step = round_step(*args, memo)
     assert round_step(*args, memo) is step
-    # equal inputs in new objects find the same step
+    # equal inputs in new objects find the same step: nothing is computed
+    # again, and the hit's block starts from their own snapshot and
+    # configuration
     again = (Snapshot.from_pairs(4, [(0, 1), (1, 2), (2, 3)]),
              Configuration(4, {1: 0, 2: 0}),
              {a: AgentState(id=a) for a in (1, 2)}, alg, "one", "global")
-    assert round_step(*again, memo) is step
+    hit = round_step(*again, memo)
+    assert hit.states is step.states
+    assert hit.block.actions is step.block.actions
+    assert hit.block.before is again[1] and hit.block.snapshot is again[0]
     # a different state, or the same placement in another order, is a miss
     other = (args[0], args[1], {1: AgentState(1, t=1), 2: AgentState(2)},
              alg, "one", "global")
@@ -508,7 +514,7 @@ def test_round_memo_returns_the_step_of_equal_inputs():
     assert round_step(*swapped, memo) is not step
     # one graph, three distinct rounds on it
     assert len(memo) == 1 and len(memo[args[0]]) == 3
-    assert round_step(*args) == step
+    assert round_step(*args, {}) == step
 
 
 def test_round_memo_builds_no_key_when_no_graph_repeats(monkeypatch):
@@ -535,9 +541,9 @@ def test_round_memo_builds_no_key_for_inputs_it_has_seen(monkeypatch):
     # objects it has seen by their identity, so no (snapshot, config,
     # states) triple is ever keyed twice
     calls, keyed, current = [], [], []
-    # run, the oracle's round_step and the verifier's all reach the memo
-    # through _entry
-    original, inputs = engine._entry, engine._inputs
+    # run, the oracle and the verifier's replay all reach the memo through
+    # round_step
+    original, inputs = engine.round_step, engine._inputs
 
     def recording(snapshot, config, states, *rest):
         calls.append((snapshot, config, states))  # keeps every id unique
@@ -551,7 +557,8 @@ def test_round_memo_builds_no_key_for_inputs_it_has_seen(monkeypatch):
         keyed.append((current[-1], id(config), id(states)))
         return inputs(config, states)
 
-    monkeypatch.setattr(engine, "_entry", recording)
+    monkeypatch.setattr(engine, "round_step", recording)
+    monkeypatch.setattr(harness, "round_step", recording)
     monkeypatch.setattr(engine, "_inputs", keying)
     make_source, placement, rounds = MEMO_SOURCES["sorted_path:comm"]
     res = run(make_source(), placement, make_algorithm("alg3"),
@@ -563,7 +570,9 @@ def test_round_memo_builds_no_key_for_inputs_it_has_seen(monkeypatch):
 
 
 # every source repeats graphs and placements; agents in dispersed_n start
-# one per node behind the hole at node 0.  The adversaries keep what they
+# one per node behind the hole at node 0, and in equal_graphs one per node
+# on a path whose every round is an equal graph in an object of its own, so
+# its rounds repeat only by value.  The adversaries keep what they
 # derive per configuration object; oracles.run_text hands them a fresh
 # configuration every round, so it takes their uncached path
 MEMO_SOURCES = {
@@ -594,7 +603,21 @@ MEMO_SOURCES = {
     "random:t_path": (lambda: gen_random_with_property(3, 7, "t_path", 3,
                                                        0.15, 24),
                       {a: 0 for a in range(1, 6)}, 24),
+    "equal_graphs": (lambda: Schedule(
+        Snapshot.from_pairs(6, [(v, v + 1) for v in range(5)])
+        for _ in range(24)), {a: a for a in range(1, 5)}, 24),
 }
+
+
+def _run_text(source, placement, algorithm, **kwargs):
+    """``run(...).to_text()``; a schedule's records are its own rounds,
+    each starting where the last one led."""
+    res = run(source, placement, algorithm, **kwargs)
+    if isinstance(source, Schedule):
+        for r, block in enumerate(res.records):
+            assert block.snapshot is source.snapshots[r]
+            assert r == 0 or block.before is res.records[r - 1].after
+    return res.to_text()
 
 
 def _outcome(fn):
@@ -613,9 +636,9 @@ def test_round_memo_cannot_be_observed(source):
                 kwargs = dict(visibility=visibility,
                               communication=communication,
                               max_rounds=rounds, T=3)
-                got = _outcome(lambda: run(
+                got = _outcome(lambda: _run_text(
                     make_source(), placement,
-                    make_algorithm(name, T=3), **kwargs).to_text())
+                    make_algorithm(name, T=3), **kwargs))
                 want = _outcome(lambda: oracles.run_text(
                     make_source(), placement,
                     make_algorithm(name, T=3), **kwargs))

@@ -368,6 +368,30 @@ def test_dynamic_diameter_is_computed_on_access(monkeypatch):
     assert report.dynamic_diameter == 3
 
 
+@pytest.mark.parametrize("name,distinct", [
+    ("perpetual_demo", 6), ("tpath_demo", 3), ("ctime_demo", 2)])
+def test_dynamic_diameter_searches_each_distinct_snapshot_once(
+        name, distinct, monkeypatch, capsys):
+    # the schedule files repeat their graphs, and every round of a graph
+    # shares one Snapshot; a copy in another object is no new graph either
+    calls = []
+    diameter = graphs._diameter
+    monkeypatch.setattr(graphs, "_diameter",
+                        lambda n, ports: calls.append(n) or diameter(n, ports))
+    path = str(DATA / f"{name}.sched")
+    cli.main(["classify", path, "--property", "t_path", "--T", "6"])
+    assert "dynamic diameter" in capsys.readouterr().out
+    sch = load(name)
+    assert len(set(sch.snapshots)) == distinct
+    assert len(calls) == distinct
+    want = sch.dynamic_diameter()
+    copies = Schedule([*sch.snapshots, *(Snapshot(4, oracles.edges_of(s))
+                                         for s in sch.snapshots)])
+    calls.clear()
+    assert copies.dynamic_diameter() == want
+    assert len(calls) == distinct
+
+
 def test_a_snapshot_keeps_its_t_path_table_across_schedules(monkeypatch):
     snaps = [Snapshot.from_pairs(4, [(0, 1), (2, 3)]),
              Snapshot.from_pairs(4, [(1, 2)]),

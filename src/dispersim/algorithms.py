@@ -12,7 +12,8 @@ Registered names:
 
 * ``disp``               execute a sliding plan whenever one exists, else stay
 * ``alg1_explicit``      dispersion that terminates after T quiet rounds
-* ``alg1_implicit``      dispersion without termination
+* ``alg1_implicit``      ``disp``'s rule under its own name: dispersion
+                         without termination
 * ``alg2``               exploration with termination (needs 1-hop views)
 * ``alg3``               perpetual exploration: dispersion plans plus a
                          least-ID hole walker when no multinode is around
@@ -100,15 +101,16 @@ def _kept(msgs: tuple[Broadcast, ...], name: str, compute):
 
 def _plan(msgs: tuple[Broadcast, ...]) -> dict[int, Action]:
     """Each agent's ``Action`` under the sliding plan stitched from the
-    broadcasts, none when there is no plan; ``disp`` keeps it as
-    ``plan``."""
+    broadcasts, none when there is no plan; ``disp`` and ``alg1_implicit``
+    keep it as ``plan``."""
     plan = disp_plan(stitch_component(msgs)) or ()
     return {a: Action(port=p) for a, p in plan}
 
 
 def _plan_actions(msgs: tuple[Broadcast, ...]) -> dict[int, Action] | bool:
     """``_plan``, or False when no multinode is heard (nothing is then
-    stitched); ``alg1``, ``alg2`` and ``alg3`` keep it as ``actions``."""
+    stitched); ``alg1_explicit``, ``alg2`` and ``alg3`` keep it as
+    ``actions``."""
     return any(len(b.view.colocated) > 1 for b in msgs) and _plan(msgs)
 
 
@@ -122,21 +124,21 @@ def _walker(msgs: tuple[Broadcast, ...]) -> dict[int, Action]:
     return {}
 
 
-def _make_alg1(T: int | None, explicit: bool) -> Algorithm:
-    if explicit and (T is None or T < 1):
+def _make_alg1(T: int | None) -> Algorithm:
+    if T is None or T < 1:
         raise ValueError("alg1_explicit needs the window length T >= 1")
 
     def step(state: AgentState, view: LocalView, msgs):
         actions = _kept(msgs, "actions", _plan_actions)
         if actions is not False:
             if state.t:
-                state = AgentState(state.id, 0, state.terminated)
+                state = AgentState(state.id, 0)
             return actions.get(state.id, STAY), state
         t = state.t + 1
-        action = Action(terminate=True) if explicit and t >= T else STAY
-        return action, AgentState(state.id, t, state.terminated)
+        return (Action(terminate=True) if t >= T else STAY,
+                AgentState(state.id, t))
 
-    return Algorithm("alg1_explicit" if explicit else "alg1_implicit", step)
+    return Algorithm("alg1_explicit", step)
 
 
 def _alg2_step(state: AgentState, view: LocalView, msgs):
@@ -177,8 +179,8 @@ def _stay_step(state: AgentState, view: LocalView, msgs):
 # each name's builder of the window length T; only alg1_explicit needs it
 ALGORITHMS = {
     "disp": lambda T: Algorithm("disp", _disp_step),
-    "alg1_explicit": lambda T: _make_alg1(T, explicit=True),
-    "alg1_implicit": lambda T: _make_alg1(T, explicit=False),
+    "alg1_explicit": _make_alg1,
+    "alg1_implicit": lambda T: Algorithm("alg1_implicit", _disp_step),
     "alg2": lambda T: Algorithm("alg2", _alg2_step),
     "alg3": lambda T: Algorithm("alg3", _alg3_step),
     "dispersed_one_round": lambda T: Algorithm(

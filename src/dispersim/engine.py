@@ -12,7 +12,7 @@ Each round over the current snapshot:
    view, and its received broadcasts (agents never write to nodes),
 4. all moves apply simultaneously; an agent whose action sets ``terminate``
    keeps occupying its node forever but stops broadcasting, receiving,
-   stepping, and moving.
+   stepping, and moving, and its state is dropped.
 
 ``round_step`` performs all four steps of one round and returns them as a
 ``RoundStep``: the round's ``Block``, ending in the configuration the
@@ -112,11 +112,11 @@ STAY = Action()
 
 
 class AgentState(NamedTuple):
-    """Constant-size private memory of one agent; a step returns a new one."""
+    """Constant-size private memory of one live agent; a step returns a new
+    one.  A terminated agent has no state."""
 
     id: int
     t: int = 0
-    terminated: bool = False
 
 
 class Configuration(dict):
@@ -186,8 +186,9 @@ class Bundle(tuple):
     """Broadcasts heard together, by sender.  ``deliver`` hands every agent
     of a component (of a node, under ``f2f``) the same Bundle, so the
     algorithms keep on it each agent's move under its sliding plan, as
-    ``plan`` (``disp``) or as ``actions`` (False when no multinode is
-    heard), and a quiet bundle's walker as ``walker``."""
+    ``plan`` (``disp`` and ``alg1_implicit``, which stitch every bundle)
+    or as ``actions`` (False when no multinode is heard), and a quiet
+    bundle's walker as ``walker``."""
 
 
 def deliver(
@@ -308,12 +309,11 @@ class Block(NamedTuple):
 
 
 class RoundStep(NamedTuple):
-    """One round on one snapshot: its ``Block``, the agent states after it
-    and whether every agent has terminated after it."""
+    """One round on one snapshot: its ``Block`` and the agent states after
+    it, which leave out every agent that has terminated."""
 
     block: Block
     states: dict[int, AgentState]
-    all_terminated: bool
 
 
 def round_step(
@@ -399,30 +399,25 @@ def _inputs(config: Configuration, states: Mapping[int, AgentState]) -> tuple:
 
 
 def _step(snapshot, config, states, algorithm, visibility, communication):
-    """``round_step`` without a memo."""
+    """``round_step`` without a memo.  The agents of ``config`` without a
+    state have terminated; an agent that ``config`` leaves out keeps its
+    state."""
     comps = components(snapshot)
     views = node_views(snapshot, config, visibility)
-    terminated = {a for a, st in states.items() if st.terminated}
-    inbox = deliver(
-        snapshot, config, communication, terminated=terminated, views=views
-    )
+    inbox = deliver(snapshot, config, communication,
+                    terminated=config.keys() - states.keys(), views=views)
     actions: dict[int, Action] = {}
     new_states = dict(states)
-    for a in sorted(config):
-        if a in terminated:
-            continue
-        action, state = algorithm.step(
-            states[a], views[config[a]], inbox[a]
-        )
-        if state.terminated != action.terminate:
-            state = AgentState(state.id, state.t, action.terminate)
-        new_states[a] = state
+    for a in sorted(config.keys() & states.keys()):
+        action, new_states[a] = algorithm.step(states[a], views[config[a]],
+                                               inbox[a])
+        if action.terminate:
+            del new_states[a]
         actions[a] = action
     messages = sum(map(len, inbox.values()))
     block = Block(snapshot, config, actions,
                   apply_actions(snapshot, config, actions), comps, messages)
-    return RoundStep(block, new_states,
-                     all(st.terminated for st in new_states.values()))
+    return RoundStep(block, new_states)
 
 
 def compute_preview(
@@ -788,7 +783,7 @@ def run(
                 if len(visited) == n:
                     explored_at = r
         records.append(block)
-        if step.all_terminated:
+        if not states:
             all_terminated_at = r
             budget_exhausted = False
             break

@@ -327,7 +327,7 @@ def run_text(source, placement, algorithm, *, visibility="one",
             dispersed = r
         if explored is None and len(visited) == source.n:
             explored = r
-        if all(st.terminated for st in states.values()):
+        if not states:
             terminated = r
             break
     out = lambda v: "-" if v is None else str(v)

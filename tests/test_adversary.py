@@ -17,7 +17,8 @@ from dispersim.adversary import (
     gen_random_with_property,
     make_adversary,
 )
-from dispersim.algorithms import make_algorithm
+from dispersim.algorithms import ALGORITHM_NAMES, make_algorithm
+from dispersim.claims import CLAIMS, run_claim
 from dispersim.engine import (
     Action, Algorithm, Configuration, STAY, compute_preview, run,
 )
@@ -386,6 +387,48 @@ def test_adaptive_replays_are_byte_identical():
                    max_rounds=40).to_text()
 
     assert go_oracle() == go_oracle()
+
+
+# --- every claimed bound against every registered algorithm ---
+
+# the outcome round that a lower bound claim bounds from below
+LOWER_BOUNDS = {"kt_lower": "dispersed_at", "time_1int": "explored_at",
+                "time_tpath": "explored_at"}
+
+
+def test_no_registered_algorithm_refutes_an_impossibility_or_lower_bound():
+    # an impossibility or a lower bound holds for every algorithm, not only
+    # for the ones its rows name; dispersed_block is about blind movers
+    refuted, runs = [], 0
+    for cid, claim in CLAIMS.items():
+        if cid == "dispersed_block":
+            continue
+        for row in claim.rows:
+            for name in ALGORITHM_NAMES:
+                try:
+                    make_algorithm(name, T=row.T)
+                except ValueError:
+                    continue
+                runs += 1
+                probe = row._replace(alg=name)
+                try:
+                    got = run_claim(claim, probe)
+                except AdversaryError as exc:
+                    refuted.append((cid, probe, str(exc)))
+                    continue
+                res = got.result
+                field = LOWER_BOUNDS.get(cid)
+                at = getattr(res, field) if field else None
+                if got.prop is False:
+                    refuted.append((cid, probe, f"{claim.prop} fails"))
+                if got.target_visited:
+                    refuted.append((cid, probe, "target visited"))
+                if at is not None and at < got.bound:
+                    refuted.append((cid, probe, f"{at} < bound {got.bound}"))
+                if cid == "ct_dispersion" and res.dispersed_at is not None:
+                    refuted.append((cid, probe, "dispersed"))
+    assert runs == 269
+    assert refuted == []
 
 
 # --- what the adversaries keep per configuration ---

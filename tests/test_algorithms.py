@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from dispersim import algorithms
+from dispersim.adversary import gen_random_with_property
 from dispersim.algorithms import disp_plan, make_algorithm
 from dispersim.engine import (
-    STAY, Action, AgentState, Broadcast, Bundle, Configuration, EngineError,
-    LocalView, NodeKnowledge, deliver, node_views, run,
+    COMMUNICATIONS, STAY, VISIBILITIES, Action, AgentState, Broadcast, Bundle,
+    Configuration, EngineError, LocalView, NodeKnowledge, deliver,
+    node_views, run,
 )
-from dispersim.graphs import Schedule, Snapshot
+from dispersim.graphs import PROPERTIES, Schedule, Snapshot
 
 
 def ck_of(*nodes):
@@ -114,6 +118,26 @@ def test_disp_stitches_a_quiet_bundle():
     bundle = Bundle((Broadcast(1, a), Broadcast(2, b)))
     with pytest.raises(EngineError, match="conflicting views"):
         make_algorithm("disp").step(AgentState(1), a, bundle)
+
+
+def test_alg1_implicit_is_disp_under_another_name():
+    rng = random.Random(22)
+    for prop in PROPERTIES:
+        for visibility in VISIBILITIES:
+            for communication in COMMUNICATIONS:
+                for _ in range(10):
+                    n, T = rng.randint(3, 8), rng.randint(1, 3)
+                    sched = gen_random_with_property(
+                        rng.randrange(10**6), n, prop, T, rng.random() / 2, 16)
+                    placement = {a: rng.randrange(n)
+                                 for a in range(1, rng.randint(2, n) + 1)}
+                    disp, alg1 = (run(sched, placement, make_algorithm(name),
+                                      visibility=visibility,
+                                      communication=communication,
+                                      max_rounds=16).to_text()
+                                  for name in ("disp", "alg1_implicit"))
+                    assert alg1 == disp.replace(" algorithm=disp ",
+                                                " algorithm=alg1_implicit ", 1)
 
 
 def test_a_quiet_bundle_keeps_its_walker(monkeypatch):

@@ -827,6 +827,54 @@ def test_repeated_round_with_other_replayed_states_is_checked_again():
     ]
 
 
+def _without_agent_2(placement_line):
+    toks = []
+    for tok in placement_line.split()[1:]:
+        node, ids = tok.split(":")
+        ids = [a for a in ids.split(",") if a != "2"]
+        if ids:
+            toks.append(f"{node}:{','.join(ids)}")
+    return "pos: " + " ".join(toks)
+
+
+@pytest.mark.parametrize("name, T, want", [
+    ("alg1_explicit", 3, [
+        "round 2: pos does not cover agents 1..3",
+        "round 2: pos does not match previous post",
+        "round 2: agent 2 recorded s, alg1_explicit computes -",
+        "round 2: msgs=9, recomputed 4",
+        "round 4: agent 2 recorded s!, alg1_explicit computes s",
+    ]),
+    ("alg3", None, [
+        "round 2: pos does not cover agents 1..3",
+        "round 2: pos does not match previous post",
+        "round 2: agent 1 recorded m1, alg3 computes m0",
+        "round 2: agent 2 recorded s, alg3 computes -",
+        "round 2: msgs=9, recomputed 4",
+    ]),
+    ("alg1_implicit", None, [
+        "round 2: pos does not cover agents 1..3",
+        "round 2: pos does not match previous post",
+        "round 2: agent 2 recorded s, alg1_implicit computes -",
+        "round 2: msgs=9, recomputed 4",
+    ]),
+])
+def test_an_agent_left_out_of_a_pos_keeps_its_replayed_state(name, T, want):
+    # the replay steps only the agents a pos: places, and agent 2, left
+    # out of round 2's, keeps its state: later rounds replay from it as if
+    # it had stayed put, and it is not taken for terminated
+    snap = Snapshot.from_pairs(5, [(v, v + 1) for v in range(4)])
+    text = run(Schedule([snap] * 12), {1: 0, 2: 0, 3: 0},
+               make_algorithm(name, T=T), max_rounds=12, T=T).to_text()
+    lines = text.splitlines()
+    i = lines.index("round r=2") + 2
+    lines[i] = _without_agent_2(lines[i])
+    forged = "\n".join(lines) + "\n"
+    report = verify_trace(forged)
+    assert report.violations == want
+    assert report == oracles.verify_trace_reference(forged)
+
+
 def test_crlf_trace_verifies_like_its_lf_copy():
     text = _ct_trace("alg1_implicit")
     forged = _forge_field(text, len(_blocks(text)) - 1, "act:")

@@ -334,62 +334,50 @@ def round_step(
     left untouched.
 
     ``memo`` is a dict that one caller keeps for one algorithm,
-    visibility and communication; a fresh ``{}`` shares nothing.  It maps
-    the round's inputs (snapshot, positions and agent states, each in its
-    order) to their step, so a round that repeats an earlier one returns
-    the earlier step's values, which are shared and must not be mutated.
-    A graph's first round is kept as its states and step, and keyed only
-    when the graph comes again with other inputs, so a run whose graphs
-    never repeat, and a round that follows its own preview, build no key.
-    Each later step is also kept under the ids of the configuration and
-    states objects that reached it, with those objects, so the very same
-    objects find it without a key.  A hit hands back the step's own
+    visibility and communication; a fresh ``{}`` shares nothing.  It finds
+    a round first by the ids of its snapshot, configuration and states,
+    whose entry holds those states and the step, whose block holds the
+    other two, so the ids stay theirs.  On a miss it maps the round's
+    inputs (snapshot, positions and agent states, each in its order) to
+    their step, so a round that repeats an earlier one returns the earlier
+    step's values, which are shared and must not be mutated.  A graph's
+    first round is kept as its states and step, and keyed only when the
+    graph comes again with other inputs, so a run whose graphs never
+    repeat builds no key of values.  A hit hands back the step's own
     ``after`` and ``states``, so repeated rounds arrive with objects seen
     before.  The memo keeps all these inputs, so they must not be mutated
     either.
     """
+    key = id(snapshot), id(config), id(states)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit[1]
     steps = memo.get(snapshot)
     if steps is None:
         step = _step(snapshot, config, states, algorithm, visibility,
                      communication)
-        memo[snapshot] = (states, step)
+        memo[snapshot] = memo[key] = (states, step)
         return step
     if type(steps) is tuple:
         first, step = steps
         before = step.block.before
-        hit = steps if before is config and first is states else None
-        if hit is None:
-            keyed = _Steps({_inputs(before, first): step})
-            keyed.seen = {(id(before), id(first)): steps}
-            steps = memo[snapshot] = keyed
+        if before is config and first is states:
+            # an equal graph in another object
+            step = step._replace(block=step.block._replace(snapshot=snapshot))
+            memo[key] = (states, step)
+            return step
+        steps = memo[snapshot] = {_inputs(before, first): step}
+    inputs = _inputs(config, states)
+    step = steps.get(inputs)
+    if step is None:
+        step = steps[inputs] = _step(
+            snapshot, config, states, algorithm, visibility, communication
+        )
     else:
-        hit = steps.seen.get((id(config), id(states)))
-    if hit is None:
-        key = _inputs(config, states)
-        step = steps.get(key)
-        if step is None:
-            step = steps[key] = _step(
-                snapshot, config, states, algorithm, visibility, communication
-            )
-        else:
-            step = step._replace(block=step.block._replace(
-                snapshot=snapshot, before=config))
-        steps.seen[id(config), id(states)] = (states, step)
-        return step
-    step = hit[1]
-    if step.block.snapshot is not snapshot:
-        # an equal graph in another object
-        step = step._replace(block=step.block._replace(snapshot=snapshot))
+        step = step._replace(block=step.block._replace(
+            snapshot=snapshot, before=config))
+    memo[key] = (states, step)
     return step
-
-
-class _Steps(dict):
-    """The steps of one graph by their inputs; ``seen`` maps the ids of
-    each (configuration, states) pair that reached one to those states and
-    that step, whose block holds the configuration, which keeps the pair
-    alive and its ids unique."""
-
-    __slots__ = ("seen",)
 
 
 def _inputs(config: Configuration, states: Mapping[int, AgentState]) -> tuple:
@@ -401,19 +389,24 @@ def _inputs(config: Configuration, states: Mapping[int, AgentState]) -> tuple:
 def _step(snapshot, config, states, algorithm, visibility, communication):
     """``round_step`` without a memo.  The agents of ``config`` without a
     state have terminated; an agent that ``config`` leaves out keeps its
-    state."""
+    state.  When no agent's state changes, the states returned are the
+    caller's ``states`` object."""
     comps = components(snapshot)
     views = node_views(snapshot, config, visibility)
     inbox = deliver(snapshot, config, communication,
                     terminated=config.keys() - states.keys(), views=views)
     actions: dict[int, Action] = {}
-    new_states = dict(states)
+    new_states = states
     for a in sorted(config.keys() & states.keys()):
-        action, new_states[a] = algorithm.step(states[a], views[config[a]],
-                                               inbox[a])
-        if action.terminate:
-            del new_states[a]
+        state = states[a]
+        action, new = algorithm.step(state, views[config[a]], inbox[a])
         actions[a] = action
+        if new is not state or action.terminate:
+            if new_states is states:
+                new_states = dict(states)
+            new_states[a] = new
+            if action.terminate:
+                del new_states[a]
     messages = sum(map(len, inbox.values()))
     block = Block(snapshot, config, actions,
                   apply_actions(snapshot, config, actions), comps, messages)
@@ -761,6 +754,7 @@ def run(
     visited = set(config.at)
     dispersed_at = explored_at = all_terminated_at = None
     records: list[Block] = []
+    blocks: set[int] = set()
     budget_exhausted = True
 
     for r in range(max_rounds):
@@ -773,9 +767,10 @@ def run(
                           communication, memo)
         block = step.block
         config, states = block.after, step.states
-        # a repeat of the last round's block leads where it did, and changes
-        # no outcome
-        if not records or block is not records[-1]:
+        # a block seen before leads where it did, and changes no outcome;
+        # the records keep every block, so its id is its own
+        if id(block) not in blocks:
+            blocks.add(id(block))
             if dispersed_at is None and config.is_dispersed():
                 dispersed_at = r
             if explored_at is None:

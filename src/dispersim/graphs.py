@@ -37,6 +37,7 @@ class AdversaryError(ValueError):
 
 _ENDPOINTS = itemgetter(0, 1)
 _PAIRS = attrgetter("pairs")
+_N = attrgetter("n")
 
 
 def _checked(n: int, edges) -> tuple[set, dict]:
@@ -330,15 +331,15 @@ class Schedule:
     """A finite trace of snapshots over a fixed node set."""
 
     def __init__(self, snapshots) -> None:
-        snapshots = list(snapshots)
+        snapshots = tuple(snapshots)
         if not snapshots:
             raise GraphError("schedule needs at least one round")
-        n = snapshots[0].n
-        for i, s in enumerate(snapshots):
-            if s.n != n:
-                raise GraphError(f"round {i} has n={s.n}, expected {n}")
-        self.n = n
-        self.snapshots = tuple(snapshots)
+        ns = list(map(_N, snapshots))
+        if ns.count(ns[0]) != len(ns):
+            i = next(i for i, n in enumerate(ns) if n != ns[0])
+            raise GraphError(f"round {i} has n={ns[i]}, expected {ns[0]}")
+        self.n = ns[0]
+        self.snapshots = snapshots
 
     @property
     def rounds(self) -> int:
@@ -501,6 +502,51 @@ def _mask(nodes) -> int:
     return sum(map(_BIT, nodes))
 
 
+def _table(s: Snapshot) -> tuple:
+    """A snapshot's components, each node's component and each component's
+    node bitmask, kept on the snapshot for later ``t_path`` checks.  A mask
+    is kept only where it costs no more than a list of its members (64
+    bits a member), so a table stays O(n); a sparser one is rebuilt where
+    it is used."""
+    if s.table is None:
+        comps = components(s)
+        label = [0] * s.n
+        masks = []
+        for i, comp in enumerate(comps):
+            for v in comp:
+                label[v] = i
+            masks.append(_mask(comp) if comp[-1] < 64 * len(comp) else None)
+        s.table = (comps, label, masks)
+    return s.table
+
+
+def _split(prop: str, n: int, distinct) -> tuple[int, int] | None:
+    """The least node pair that a window of these distinct snapshots on n
+    nodes leaves apart under ``prop``, or None when the window holds."""
+    if prop == "t_path":
+        ts = [_table(s) for s in distinct]
+        if any(len(comps) == 1 for comps, _, _ in ts):
+            return None  # a connected round joins every pair
+        full = (1 << n) - 1
+        for u in range(n):
+            reach = 0
+            for comps, label, masks in ts:
+                i = label[u]
+                mask = masks[i]
+                reach |= _mask(comps[i]) if mask is None else mask
+            if reach != full:
+                # the first node to miss anyone misses only greater nodes (a
+                # lesser one would miss it back); report its least miss
+                missing = full & ~reach
+                return u, (missing & -missing).bit_length() - 1
+        return None
+    if prop == "connectivity_time" or len(distinct) == 1:
+        return _split_from_0(n, [s.ports for s in distinct])
+    comps = _components_from_pairs(
+        n, frozenset.intersection(*map(_PAIRS, distinct)))
+    return (comps[0][0], comps[1][0]) if len(comps) > 1 else None
+
+
 def check_property(schedule: Schedule, prop: str, T: int) -> ConnectivityReport:
     """Check one window property over all complete windows of the trace.
 
@@ -515,73 +561,28 @@ def check_property(schedule: Schedule, prop: str, T: int) -> ConnectivityReport:
         raise GraphError(
             f"insufficient trace: T={T} but only {schedule.rounds} rounds"
         )
-    n = schedule.n
-    if prop == "t_path":
-        full = (1 << n) - 1
-        # per snapshot: its components, each node's component and each
-        # component's node bitmask, kept on the snapshot for later checks.
-        # A mask is kept only where it costs no more than a list of its
-        # members (64 bits a member), so a table stays O(n); a sparser one
-        # is rebuilt where it is used
-        def table(s):
-            if s.table is None:
-                comps = components(s)
-                label = [0] * n
-                masks = []
-                for i, comp in enumerate(comps):
-                    for v in comp:
-                        label[v] = i
-                    masks.append(
-                        _mask(comp) if comp[-1] < 64 * len(comp) else None
-                    )
-                s.table = (comps, label, masks)
-            return s.table
-
-        def split(distinct):
-            ts = [table(s) for s in distinct]
-            if any(len(comps) == 1 for comps, _, _ in ts):
-                return None  # a connected round joins every pair
-            for u in range(n):
-                reach = 0
-                for comps, label, masks in ts:
-                    i = label[u]
-                    mask = masks[i]
-                    reach |= _mask(comps[i]) if mask is None else mask
-                if reach != full:
-                    # the first node to miss anyone misses only greater
-                    # nodes (a lesser one would miss it back); report its
-                    # least miss
-                    missing = full & ~reach
-                    return u, (missing & -missing).bit_length() - 1
-            return None
-    else:
-        union = prop == "connectivity_time"
-
-        def split(distinct):
-            if union or len(distinct) == 1:
-                return _split_from_0(n, [s.ports for s in distinct])
-            comps = _components_from_pairs(
-                n, frozenset.intersection(*map(_PAIRS, distinct))
-            )
-            return (comps[0][0], comps[1][0]) if len(comps) > 1 else None
-
     # union, intersection and a pair's meeting in some round all ignore
     # repeats and order, so a window's verdict depends only on the set of
-    # its snapshots, and a set that held once holds again.  Keys are built
-    # only once a window has held: most minimal_T steps fail at the first
-    # window, and a key costs O(T)
+    # its snapshots, and a set that held once holds again; only a window
+    # not seen before as a slice of the rounds' ids builds its set
+    ids = tuple(map(id, schedule.snapshots))
     witness = None
+    seen: set[tuple] = set()
     held: set[frozenset] = set()
     for r in range(schedule.rounds - T + 1):
-        snaps = schedule.snapshots[r : r + T]
-        key = frozenset(map(id, snaps)) if held else None
+        window = ids[r : r + T]
+        if window in seen:
+            continue
+        seen.add(window)
+        key = frozenset(window)
         if key in held:
             continue
-        pair = split(dict(zip(map(id, snaps), snaps)).values())
+        snaps = schedule.snapshots[r : r + T]
+        pair = _split(prop, schedule.n, dict(zip(window, snaps)).values())
         if pair is not None:
             witness = (r, pair)
             break
-        held.add(key or frozenset(map(id, snaps)))
+        held.add(key)
     return ConnectivityReport(
         property=prop,
         T=T,

@@ -86,12 +86,12 @@ def verify_trace(text: str) -> TraceReport:
 
     A round's transition key is its ``Block``, which ``parse_trace``
     shares between rounds with equal field lines, the replayed agent
-    states it starts from, which the replay's memo shares between equal
-    steps, and the number of agents terminated before it.  These fix every
-    value the round's checks read: the states fix the replayed step, and
-    terminated agents only grow.  So a round whose key passed every check
-    before passes again: it calls no ``round_step``, builds no key of
-    values, and takes the states it leads to and its multinode count from
+    states it starts from, which equal steps share (a stateless step keeps
+    its input's), and the number of agents terminated before it.  These
+    fix every value the round's checks read: the states fix the replayed
+    step, and terminated agents only grow.  So a round whose key passed
+    every check before passes again: it calls no ``round_step``, builds no
+    key of values, and takes the states it leads to and its counts from
     that round; its other outcomes were counted when that round was.  A
     round that failed a check is checked, and reported, every time.  The
     round index and ``pos`` against the previous ``post`` are checked on
@@ -122,25 +122,24 @@ def verify_trace(text: str) -> TraceReport:
     # computed once
     memo: dict = {}
     # each clean round's transition, by its key: the block and the states
-    # that keep the key's ids unique, the states it leads to and the
-    # multinodes before it
+    # that keep the key's ids unique, the states it leads to and its counts
     transitions: dict[tuple, tuple] = {}
     terminated: set[int] = set()
     visited: set[int] = set(rounds[0][1].before.values()) if rounds else set()
-    # multinodes at the start of each round, and nodes visited by its end
-    multis: list[int] = []
+    # each round's multinodes at its start and holes at its start and end,
+    # and the nodes visited by its end
+    counts: list[tuple[int, int, int]] = []
     visited_counts: list[int] = []
     dispersed_at = explored_at = all_terminated_at = None
     max_messages = 0
     prev_after = None
 
     for idx, (r, block) in enumerate(rounds):
-        size = len(violations)
         if r != idx:
             note(f"round {r}: expected round index {idx}")
-        snapshot, before, actions, after, comps, messages = block
+        before = block.before
         follows = idx == 0 or before is prev_after or before == prev_after
-        prev_after = after
+        prev_after = block.after
         key = (id(block), id(states), len(terminated))
         transition = transitions.get(key)
         if transition is not None:
@@ -148,8 +147,10 @@ def verify_trace(text: str) -> TraceReport:
                 note(f"round {r}: pos does not match previous post")
             # terminated, visited, max_messages and the outcome rounds
             # already hold what the round of this key added to them
-            _, _, states, multi = transition
+            _, _, states, round_counts = transition
         else:
+            size = len(violations)
+            snapshot, _, actions, after, comps, messages = block
             where = f"round {r}"
             for name, pos in (("pos", before), ("post", after)):
                 if set(pos) != all_ids:
@@ -199,6 +200,7 @@ def verify_trace(text: str) -> TraceReport:
                     note(f"{where}: msgs={messages},"
                          f" recomputed {step.block.messages}")
             multi = len(before.multinodes())
+            round_counts = multi, n - len(before.at), n - len(after.at)
             # cooperative moves never create new multinodes; terminal moves
             # may legally stack agents into the same hole, so skip rounds
             # that contain a terminate action
@@ -216,8 +218,8 @@ def verify_trace(text: str) -> TraceReport:
             if all_terminated_at is None and terminated == all_ids:
                 all_terminated_at = r
             if len(violations) == size:
-                transitions[key] = (block, start, states, multi)
-        multis.append(multi)
+                transitions[key] = (block, start, states, round_counts)
+        counts.append(round_counts)
         visited_counts.append(len(visited))
 
     # per-window hole progress, only meaningful when the trace's own
@@ -234,10 +236,10 @@ def verify_trace(text: str) -> TraceReport:
         prefix = Schedule(block.snapshot for _, block in rounds)
         if prefix.rounds >= T and check_property(prefix, "t_path", T).holds:
             for r in range(len(rounds) - T + 1):
-                if multis[r] == 0:
+                multi, before, _ = counts[r]
+                if multi == 0:
                     continue
-                before = n - len(rounds[r][1].before.at)
-                after = n - len(rounds[r + T - 1][1].after.at)
+                after = counts[r + T - 1][2]
                 explored_by_then = visited_counts[r + T - 1] == n
                 if after >= before and not (
                     algorithm == "alg3" and explored_by_then

@@ -488,7 +488,11 @@ def test_kernel_applies_the_moves_of_each_computed_step_once(monkeypatch):
 # --- the round memo ---
 
 
-def test_round_memo_returns_the_step_of_equal_inputs():
+def test_round_memo_returns_the_step_of_equal_inputs(monkeypatch):
+    computed = []
+    original = engine._step
+    monkeypatch.setattr(engine, "_step",
+                        lambda *args: computed.append(1) or original(*args))
     alg = make_algorithm("alg3")
     memo: dict = {}
     args = (path4(), Configuration(4, {1: 0, 2: 0}),
@@ -512,8 +516,8 @@ def test_round_memo_returns_the_step_of_equal_inputs():
     swapped = (args[0], Configuration(4, {2: 0, 1: 0}), args[2], alg, "one",
                "global")
     assert round_step(*swapped, memo) is not step
-    # one graph, three distinct rounds on it
-    assert len(memo) == 1 and len(memo[args[0]]) == 3
+    # one graph, three distinct rounds on it, each computed once
+    assert len(computed) == 3
     assert round_step(*args, {}) == step
 
 
@@ -621,6 +625,59 @@ MEMO_SOURCES = {
         Snapshot.from_pairs(6, [(v, v + 1) for v in range(5)])
         for _ in range(24)), {a: a for a in range(1, 5)}, 24),
 }
+
+
+# stateless algorithms on the cycling adversaries: each step hands back
+# the states object it was given
+STATELESS_RUNS = {
+    "alg1_implicit:ct_dispersion": (
+        lambda: make_adversary("ct_dispersion", 8, k=6, T=3),
+        {a: 0 for a in range(1, 7)}, "alg1_implicit", "global", 360),
+    "alg3:sorted_path": (
+        lambda: make_adversary("sorted_path", 7, variant="comm"),
+        {a: 0 for a in range(1, 7)}, "alg3", "f2f", 60),
+}
+
+
+def _stateless_run(name):
+    """The run of ``STATELESS_RUNS[name]`` and the states object that its
+    source was handed in each round."""
+    make_source, placement, alg, communication, rounds = STATELESS_RUNS[name]
+    source, handed = make_source(), []
+    emit = source.next_snapshot
+
+    def recording(r, config, states):
+        handed.append(states)
+        return emit(r, config, states)
+
+    source.next_snapshot = recording
+    res = run(source, placement, make_algorithm(alg, T=3),
+              communication=communication, max_rounds=rounds, T=3)
+    return res, handed
+
+
+@pytest.mark.parametrize("name", sorted(STATELESS_RUNS))
+def test_a_stateless_run_carries_one_states_object(name):
+    res, handed = _stateless_run(name)
+    assert len(handed) == res.rounds == STATELESS_RUNS[name][-1]
+    assert handed[0] == {a: AgentState(id=a) for a in res.records[0].before}
+    assert all(states is handed[0] for states in handed)
+
+
+@pytest.mark.parametrize("name", sorted(STATELESS_RUNS))
+def test_verify_replays_each_distinct_block_of_a_stateless_run_once(
+    monkeypatch, name
+):
+    text = _stateless_run(name)[0].to_text()
+    _, rounds, _ = parse_trace(text)
+    distinct = {id(block) for _, block in rounds}
+    assert len(distinct) < len(rounds)
+    calls = []
+    original = harness.round_step
+    monkeypatch.setattr(harness, "round_step",
+                        lambda *args: calls.append(1) or original(*args))
+    assert harness.verify_trace(text).ok
+    assert len(calls) == len(distinct)
 
 
 def _run_text(source, placement, algorithm, **kwargs):

@@ -408,6 +408,38 @@ def test_a_snapshot_keeps_its_t_path_table_across_schedules(monkeypatch):
     assert (first.holds, first.witness) == (second.holds, second.witness)
 
 
+def test_check_property_splits_each_distinct_window_set_once(monkeypatch):
+    # a window's verdict depends only on the set of its snapshots, so a
+    # 1,000-round schedule that cycles between two graphs is split at most
+    # once per set: {a} and {b} at T=1, and {a, b} at every longer T
+    a = Snapshot.from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    b = Snapshot.from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    apart = Snapshot.from_pairs(5, [(0, 1), (2, 3)])
+    calls = []
+    split = graphs._split
+    monkeypatch.setattr(graphs, "_split",
+                        lambda *args: calls.append(1) or split(*args))
+    for snaps in ([a, b] * 500, [a, apart] * 500):
+        sch = Schedule(snaps)
+        for prop in graphs.PROPERTIES:
+            for T in (1, 2, 3, 999, 1000):
+                calls.clear()
+                report = check_property(sch, prop, T)
+                last = report.witness[0] if report.witness else sch.rounds - T
+                sets = {frozenset(map(id, sch.snapshots[r:r + T]))
+                        for r in range(last + 1)}
+                assert len(calls) == len(sets) <= 2, (prop, T)
+                want = (oracles.t_path_witness(sch, T) if prop == "t_path"
+                        else oracles.window_witness_reference(sch, prop, T))
+                assert report.witness == want, (prop, T)
+
+
+def test_schedule_names_the_first_round_of_another_node_count():
+    four, five = Snapshot(4, []), Snapshot(5, [])
+    with pytest.raises(GraphError, match=r"^round 2 has n=5, expected 4$"):
+        Schedule([four, four, five, four, five])
+
+
 def test_format_edges_formats_a_snapshot_once():
     s = Snapshot(3, [(0, 1, 0, 0), (1, 2, 1, 0)])
     assert format_edges(s) == " 0-1:0,0 1-2:1,0"

@@ -37,7 +37,6 @@ class AdversaryError(ValueError):
 
 _ENDPOINTS = itemgetter(0, 1)
 _PAIRS = attrgetter("pairs")
-_N = attrgetter("n")
 
 
 def _checked(n: int, edges) -> tuple[set, dict]:
@@ -331,15 +330,15 @@ class Schedule:
     """A finite trace of snapshots over a fixed node set."""
 
     def __init__(self, snapshots) -> None:
-        snapshots = tuple(snapshots)
+        snapshots = list(snapshots)
         if not snapshots:
             raise GraphError("schedule needs at least one round")
-        ns = list(map(_N, snapshots))
-        if ns.count(ns[0]) != len(ns):
-            i = next(i for i, n in enumerate(ns) if n != ns[0])
-            raise GraphError(f"round {i} has n={ns[i]}, expected {ns[0]}")
-        self.n = ns[0]
-        self.snapshots = snapshots
+        n = snapshots[0].n
+        for i, s in enumerate(snapshots):
+            if s.n != n:
+                raise GraphError(f"round {i} has n={s.n}, expected {n}")
+        self.n = n
+        self.snapshots = tuple(snapshots)
 
     @property
     def rounds(self) -> int:
@@ -563,18 +562,18 @@ def check_property(schedule: Schedule, prop: str, T: int) -> ConnectivityReport:
         )
     # union, intersection and a pair's meeting in some round all ignore
     # repeats and order, so a window's verdict depends only on the set of
-    # its snapshots, and a set that held once holds again; only a window
-    # not seen before as a slice of the rounds' ids builds its set
+    # its snapshots, and a set that held once holds again; a window whose
+    # entering round is its leaving one has the set of the window before,
+    # which held.  Keys are built only once a window has held: most
+    # minimal_T steps fail at the first window, and a key costs O(T)
     ids = tuple(map(id, schedule.snapshots))
     witness = None
-    seen: set[tuple] = set()
     held: set[frozenset] = set()
     for r in range(schedule.rounds - T + 1):
-        window = ids[r : r + T]
-        if window in seen:
+        if r and ids[r - 1] == ids[r + T - 1]:
             continue
-        seen.add(window)
-        key = frozenset(window)
+        window = ids[r : r + T]
+        key = frozenset(window) if held else None
         if key in held:
             continue
         snaps = schedule.snapshots[r : r + T]
@@ -582,7 +581,7 @@ def check_property(schedule: Schedule, prop: str, T: int) -> ConnectivityReport:
         if pair is not None:
             witness = (r, pair)
             break
-        held.add(key)
+        held.add(key or frozenset(window))
     return ConnectivityReport(
         property=prop,
         T=T,

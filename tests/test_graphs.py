@@ -434,6 +434,23 @@ def test_check_property_splits_each_distinct_window_set_once(monkeypatch):
                 assert report.witness == want, (prop, T)
 
 
+def test_check_property_memory_follows_its_window_sets_not_its_windows():
+    # two graphs in the Thue-Morse order, which never repeats, so almost
+    # every window of 2,000 rounds is a sequence not seen before, while
+    # all of them are the one set {a, b}
+    a = Snapshot.from_pairs(3, [(0, 1)])
+    b = Snapshot.from_pairs(3, [(1, 2)])
+    sch = Schedule(b if bin(r).count("1") % 2 else a for r in range(4000))
+    tracemalloc.start()
+    try:
+        for prop in graphs.PROPERTIES:
+            check_property(sch, prop, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_schedule_names_the_first_round_of_another_node_count():
     four, five = Snapshot(4, []), Snapshot(5, [])
     with pytest.raises(GraphError, match=r"^round 2 has n=5, expected 4$"):

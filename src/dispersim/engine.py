@@ -97,12 +97,16 @@ class Action(NamedTuple):
         return out + ("!" if self.terminate else "")
 
     @classmethod
-    def from_code(cls, code: str) -> "Action":
+    def from_code(cls, code: str, ints: Memo | None = None) -> "Action":
+        """The action a code names; ``ints`` is an integer table, as
+        ``parse_trace`` keeps one for a whole trace."""
         m = _ACTION_CODE.fullmatch(code)
         if not m:
             raise EngineError(f"bad action code {code!r}")
+        if ints is None:
+            ints = Memo(parse_int)
         try:
-            port = None if m.group(1) == "s" else parse_int(m.group(2))
+            port = None if m.group(1) == "s" else ints[m.group(2)]
         except GraphError as exc:
             raise EngineError(f"bad action code: {exc}") from None
         return cls(port=port, terminate=bool(m.group(3)))
@@ -340,22 +344,28 @@ def round_step(
     other two, so the ids stay theirs.  On a miss it maps the round's
     inputs (snapshot, positions and agent states, each in its order) to
     their step, so a round that repeats an earlier one returns the earlier
-    step's values, which are shared and must not be mutated.  A graph's
-    first round is kept as its states and step, and keyed only when the
-    graph comes again with other inputs, so a run whose graphs never
-    repeat builds no key of values.  A hit hands back the step's own
-    ``after`` and ``states``, so repeated rounds arrive with objects seen
-    before.  The memo keeps all these inputs, so they must not be mutated
-    either.
+    step's values, which are shared and must not be mutated.  Under the
+    key ``Configuration`` it keeps one Configuration per placement that a
+    computed step ends in, so a run that comes back to a placement by
+    another step brings the same object, and its round is found by
+    identity.  A graph's first round is kept as its states and step, and
+    keyed only when the graph comes again with other inputs, so a run
+    whose graphs never repeat builds no key of values.  A hit hands back
+    the step's own ``after`` and ``states``, so repeated rounds arrive
+    with objects seen before.  The memo keeps all these inputs, so they
+    must not be mutated either.
     """
     key = id(snapshot), id(config), id(states)
     hit = memo.get(key)
     if hit is not None:
         return hit[1]
+    placements = memo.get(Configuration)
+    if placements is None:
+        placements = memo[Configuration] = {}
     steps = memo.get(snapshot)
     if steps is None:
         step = _step(snapshot, config, states, algorithm, visibility,
-                     communication)
+                     communication, placements)
         memo[snapshot] = memo[key] = (states, step)
         return step
     if type(steps) is tuple:
@@ -370,9 +380,8 @@ def round_step(
     inputs = _inputs(config, states)
     step = steps.get(inputs)
     if step is None:
-        step = steps[inputs] = _step(
-            snapshot, config, states, algorithm, visibility, communication
-        )
+        step = steps[inputs] = _step(snapshot, config, states, algorithm,
+                                     visibility, communication, placements)
     else:
         step = step._replace(block=step.block._replace(
             snapshot=snapshot, before=config))
@@ -386,11 +395,13 @@ def _inputs(config: Configuration, states: Mapping[int, AgentState]) -> tuple:
     return tuple(config.items()), tuple(states.items())
 
 
-def _step(snapshot, config, states, algorithm, visibility, communication):
+def _step(snapshot, config, states, algorithm, visibility, communication,
+          placements):
     """``round_step`` without a memo.  The agents of ``config`` without a
     state have terminated; an agent that ``config`` leaves out keeps its
     state.  When no agent's state changes, the states returned are the
-    caller's ``states`` object."""
+    caller's ``states`` object.  ``placements`` maps each placement, its
+    items in order, to one Configuration, which the step ends in."""
     comps = components(snapshot)
     views = node_views(snapshot, config, visibility)
     inbox = deliver(snapshot, config, communication,
@@ -408,8 +419,9 @@ def _step(snapshot, config, states, algorithm, visibility, communication):
             if action.terminate:
                 del new_states[a]
     messages = sum(map(len, inbox.values()))
-    block = Block(snapshot, config, actions,
-                  apply_actions(snapshot, config, actions), comps, messages)
+    after = apply_actions(snapshot, config, actions)
+    after = placements.setdefault(tuple(after.items()), after)
+    block = Block(snapshot, config, actions, after, comps, messages)
     return RoundStep(block, new_states)
 
 
@@ -521,7 +533,7 @@ _FORMATS = (
 )
 
 
-def _parse_placement(text: str, n: int) -> Configuration:
+def _parse_placement(text: str, n: int, ints: Memo) -> Configuration:
     placement: dict[int, int] = {}
     for tok in text.split():
         node, sep, ids = tok.partition(":")
@@ -530,28 +542,28 @@ def _parse_placement(text: str, n: int) -> Configuration:
         # would also take "+1", " 1" and "1_0"
         if not (sep and node.isdecimal() and all(a.isdecimal() for a in agents)):
             raise EngineError(f"bad placement token {tok!r}")
-        node = parse_int(node)
-        for a in map(parse_int, agents):
+        node = ints[node]
+        for a in map(ints.__getitem__, agents):
             if a in placement:
                 raise EngineError(f"agent {a} listed twice")
             placement[a] = node
     return Configuration(n, placement)
 
 
-def _parse_actions(text: str, codes: Memo) -> dict[int, Action]:
+def _parse_actions(text: str, codes: Memo, ints: Memo) -> dict[int, Action]:
     actions = {}
     for tok in text.split():
         agent, sep, code = tok.partition(":")
         if not (sep and agent.isdecimal() and code):
             raise EngineError(f"bad action token {tok!r}")
-        a = parse_int(agent)
+        a = ints[agent]
         if a in actions:
             raise EngineError(f"agent {a} listed twice")
         actions[a] = codes[code]
     return actions
 
 
-def _parse_comp(text: str, n: int) -> list[list[int]]:
+def _parse_comp(text: str, n: int, ints: Memo) -> list[list[int]]:
     """A partition that lists each node 0..n-1 exactly once.  Its nodes
     are counted before anything of size n is built: an honest field takes
     about 2n bytes, so the header's n cannot outgrow the trace."""
@@ -560,17 +572,17 @@ def _parse_comp(text: str, n: int) -> list[list[int]]:
     elif not _COMP_FIELD.fullmatch(text):
         raise EngineError(f"bad comp field {text!r}")
     else:
-        comp = [[parse_int(x) for x in part.split(",")]
+        comp = [list(map(ints.__getitem__, part.split(",")))
                 for part in text.split("|")]
     if sum(map(len, comp)) != n or set().union(*comp) != set(range(n)):
         raise EngineError(f"comp field must list each of the {n} nodes once")
     return comp
 
 
-def _parse_msgs(text: str) -> int:
+def _parse_msgs(text: str, ints: Memo) -> int:
     if not text.isdecimal():
         raise EngineError(f"bad msgs field {text!r}")
-    return parse_int(text)
+    return ints[text]
 
 
 def parse_trace(text: str):
@@ -580,8 +592,11 @@ def parse_trace(text: str):
     Each distinct field text is parsed once and its value shared by every
     line that repeats it: rounds on the same graph share one Snapshot, and
     a ``pos:`` that repeats the previous ``post:`` is the same
-    Configuration.  A block whose six field lines repeat an earlier
-    block's is that block's ``Block``.  In the shape ``to_text`` writes
+    Configuration.  Below the fields, the trace keeps one integer table,
+    a ``Memo(parse_int)`` that every field's parser, the header and the
+    end line read, so each distinct number text is converted once.  A
+    block whose six field lines repeat an earlier block's is that
+    block's ``Block``.  In the shape ``to_text`` writes
     (every line ended by "\\n" alone, round ``r`` on the line
     ``round r=<r>`` and the end line last) such a block is found with one
     lookup on its text; from the first line out of that shape on, the
@@ -601,11 +616,13 @@ def parse_trace(text: str):
         if not m:
             raise EngineError(f"bad trace header: {lines[0]!r}")
         chunks = ()
+    # the trace's integer table: each distinct number text is converted once
+    ints = Memo(parse_int)
     try:
         header = {
-            "n": parse_int(m.group(1)),
-            "k": parse_int(m.group(2)),
-            "T": None if m.group(3) == "-" else parse_int(m.group(3)),
+            "n": ints[m.group(1)],
+            "k": ints[m.group(2)],
+            "T": None if m.group(3) == "-" else ints[m.group(3)],
             "algorithm": m.group(4),
             "visibility": m.group(5),
             "communication": m.group(6),
@@ -613,15 +630,15 @@ def parse_trace(text: str):
     except GraphError as exc:
         raise EngineError(f"line 1: {exc}") from None
     n = header["n"]
-    codes = Memo(Action.from_code)
-    placements = Memo(lambda text: _parse_placement(text, n))
+    codes = Memo(lambda code: Action.from_code(code, ints))
+    placements = Memo(lambda text: _parse_placement(text, n, ints))
     parsers = (
-        snapshot_cache(n),
+        snapshot_cache(n, ints),
         placements,
-        Memo(lambda text: _parse_actions(text, codes)),
+        Memo(lambda text: _parse_actions(text, codes, ints)),
         placements,
-        Memo(lambda text: _parse_comp(text, n)),
-        Memo(_parse_msgs),
+        Memo(lambda text: _parse_comp(text, n, ints)),
+        Memo(lambda text: _parse_msgs(text, ints)),
     )
     # each distinct block's six field lines, joined by "\n", and its Block;
     # only a block that parsed cleanly is stored, so errors keep their lines
@@ -668,7 +685,7 @@ def parse_trace(text: str):
         # is its last
         em = lines is None and _END_LINE.fullmatch(end)
         if em:
-            return header, rounds, _trailer(em, 7 * len(rounds) + 2)
+            return header, rounds, _trailer(em, 7 * len(rounds) + 2, ints)
     if lines is None:
         lines = text.splitlines()
     i = 7 * len(rounds) + 1
@@ -681,7 +698,7 @@ def parse_trace(text: str):
             if not rm:
                 raise EngineError(f"line {i + 1}: bad round line")
             try:
-                r = parse_int(rm.group(1))
+                r = ints[rm.group(1)]
             except GraphError as exc:
                 raise EngineError(f"line {i + 1}: {exc}") from None
         fields = lines[i + 1:i + 7]
@@ -694,15 +711,15 @@ def parse_trace(text: str):
     em = _END_LINE.fullmatch(lines[i])
     if not em:
         raise EngineError(f"bad end line: {lines[i]!r}")
-    return header, rounds, _trailer(em, i + 1)
+    return header, rounds, _trailer(em, i + 1, ints)
 
 
-def _trailer(em: re.Match, line: int) -> dict:
+def _trailer(em: re.Match, line: int, ints: Memo) -> dict:
     """The outcomes an end line states; ``line`` is its line number."""
-    opt = lambda s: None if s == "-" else parse_int(s)
+    opt = lambda s: None if s == "-" else ints[s]
     try:
         return {
-            "rounds": parse_int(em.group(1)),
+            "rounds": ints[em.group(1)],
             "dispersed_at": opt(em.group(2)),
             "explored_at": opt(em.group(3)),
             "all_terminated_at": opt(em.group(4)),

@@ -251,23 +251,31 @@ _EDGE_SEPARATORS = str.maketrans("-:,", "   ")
 _ROUND_LINE = re.compile(r"r=(\d+):(.*)")
 
 
-def parse_edges(field: str) -> list[tuple[int, int, int, int]]:
+def parse_edges(
+    field: str, ints: Memo | None = None
+) -> list[tuple[int, int, int, int]]:
     """``(u, v, pu, pv)`` edges of whitespace-separated ``u-v:pu,pv`` tokens,
-    read in one pass; the token loop only names a bad token or number."""
+    read in one pass; the token loop only names a bad token or number.
+    ``ints`` is the text's integer table, a ``Memo(parse_int)`` that
+    converts each distinct number text once; by default the field gets
+    its own."""
+    if ints is None:
+        ints = Memo(parse_int)
+    number = ints.__getitem__
     if _EDGE_FIELD.fullmatch(field):
         # a matched field is its numbers, four a token, between separators
         # and whitespace (``\s`` and ``str.split`` agree on whitespace)
-        numbers = map(int, field.translate(_EDGE_SEPARATORS).split())
+        numbers = map(number, field.translate(_EDGE_SEPARATORS).split())
         try:
             return list(zip(numbers, numbers, numbers, numbers))
-        except ValueError:
+        except GraphError:
             pass  # a number too long for int; the loop names it
     edges = []
     for tok in field.split():
         m = _EDGE_TOKEN.fullmatch(tok)
         if not m:
             raise GraphError(f"bad edge token {tok!r}")
-        edges.append(tuple(map(parse_int, m.groups())))
+        edges.append(tuple(map(number, m.groups())))
     return edges
 
 
@@ -299,10 +307,13 @@ class Memo(dict):
         return value
 
 
-def snapshot_cache(n: int) -> Memo:
+def snapshot_cache(n: int, ints: Memo) -> Memo:
     """One validated Snapshot on n nodes per distinct edge-token text, so
-    rounds that repeat a graph share its Snapshot and its components."""
-    return Memo(lambda text: Snapshot(n, parse_edges(text)))
+    rounds that repeat a graph share its Snapshot and its components.
+    ``ints``, the integer table of the text being parsed, converts each
+    distinct number text once: node and port numbers repeat on every
+    line."""
+    return Memo(lambda text: Snapshot(n, parse_edges(text, ints)))
 
 
 def _diameter(n: int, ports) -> float:
@@ -378,11 +389,12 @@ class Schedule:
             break
         if header is None:
             raise GraphError("empty schedule file")
+        ints = Memo(parse_int)
         try:
             m = re.fullmatch(r"n=(\d+) rounds=(\d+)", header)
             if not m:
                 raise GraphError(f"bad header {header!r}")
-            n, rounds = parse_int(m.group(1)), parse_int(m.group(2))
+            n, rounds = ints[m.group(1)], ints[m.group(2)]
         except GraphError as exc:
             raise GraphError(f"line {body_start}: {exc}") from None
         body = [
@@ -397,13 +409,13 @@ class Schedule:
                 f" rounds={rounds} but only {len(body)} round lines follow"
             )
         snaps: list[Snapshot | None] = [None] * rounds
-        parsed = snapshot_cache(n)
+        parsed = snapshot_cache(n, ints)
         for lineno, line in body:
             try:
                 m = _ROUND_LINE.fullmatch(line)
                 if not m:
                     raise GraphError("expected 'r=<r>: <edges>'")
-                r = parse_int(m.group(1))
+                r = ints[m.group(1)]
                 if not 0 <= r < rounds:
                     raise GraphError(f"round {r} outside 0..{rounds - 1}")
                 if snaps[r] is not None:
@@ -521,11 +533,23 @@ def _table(s: Snapshot) -> tuple:
 
 def _split(prop: str, n: int, distinct) -> tuple[int, int] | None:
     """The least node pair that a window of these distinct snapshots on n
-    nodes leaves apart under ``prop``, or None when the window holds."""
+    nodes leaves apart under ``prop``, or None when the window holds.
+
+    The snapshots' kept components decide first: under ``t_path`` and
+    ``connectivity_time`` a connected round joins every pair, so a window
+    with one holds, and under every property a window of one snapshot
+    splits 0 from the least member of its second component.  Only a
+    window that these leave open builds ``t_path`` tables or searches a
+    union or an intersection.
+    """
+    if prop != "t_interval" or len(distinct) == 1:
+        comps = [s.comps or components(s) for s in distinct]
+        if 1 in map(len, comps):
+            return None
+        if len(comps) == 1:
+            return 0, comps[0][1][0]
     if prop == "t_path":
         ts = [_table(s) for s in distinct]
-        if any(len(comps) == 1 for comps, _, _ in ts):
-            return None  # a connected round joins every pair
         full = (1 << n) - 1
         for u in range(n):
             reach = 0
@@ -539,7 +563,7 @@ def _split(prop: str, n: int, distinct) -> tuple[int, int] | None:
                 missing = full & ~reach
                 return u, (missing & -missing).bit_length() - 1
         return None
-    if prop == "connectivity_time" or len(distinct) == 1:
+    if prop == "connectivity_time":
         return _split_from_0(n, [s.ports for s in distinct])
     comps = _components_from_pairs(
         n, frozenset.intersection(*map(_PAIRS, distinct)))
@@ -550,7 +574,11 @@ def check_property(schedule: Schedule, prop: str, T: int) -> ConnectivityReport:
     """Check one window property over all complete windows of the trace.
 
     The witness of a failure is the first failing window start together
-    with the least node pair split by it.
+    with the least node pair split by it.  Each distinct window set is
+    split once; a window with a connected round, under ``t_path`` and
+    ``connectivity_time``, and a window of one snapshot, under every
+    property, are decided by the components its snapshots keep, without
+    a search.
     """
     if prop not in PROPERTIES:
         raise GraphError(f"unknown property {prop!r}")

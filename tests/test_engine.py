@@ -521,6 +521,21 @@ def test_round_memo_returns_the_step_of_equal_inputs(monkeypatch):
     assert round_step(*args, {}) == step
 
 
+def test_a_run_ends_its_steps_in_one_configuration_per_placement():
+    # a placement reached again is the same object, so a round that
+    # repeats an earlier one is found by identity and records its block:
+    # a run has one block per distinct block text
+    res = run(make_adversary("ct_dispersion", 5, k=4, T=3),
+              {a: 0 for a in range(1, 5)}, make_algorithm("alg1_implicit"),
+              max_rounds=240, T=3)
+    afters = {}
+    for rec in res.records:
+        assert afters.setdefault(tuple(rec.after.items()), rec.after) is rec.after
+    body = res.to_text().rsplit("\nend ", 1)[0]
+    texts = {chunk.split("\n", 1)[1] for chunk in body.split("\nround r=")[1:]}
+    assert len({id(rec) for rec in res.records}) == len(texts) < res.rounds
+
+
 def test_round_memo_builds_no_key_when_no_graph_repeats(monkeypatch):
     sched = gen_random_with_property(5, 12, "t_path", 3, 0.2, 30)
     assert len(set(sched.snapshots)) == sched.rounds

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from dispersim import cli, graphs
+from dispersim.adversary import gen_random_with_property
 from dispersim.graphs import (
     GraphError,
     Schedule,
@@ -269,6 +271,23 @@ def test_overlong_schedule_numbers_name_their_line(tmp_path, capsys, text,
     assert len(err) == 1 and err[0].startswith(f"error: line {lineno}: ")
 
 
+def test_a_schedule_converts_each_number_text_once(monkeypatch):
+    # one integer table serves the header, the round numbers and the edges
+    converted = []
+    original = graphs.parse_int
+    monkeypatch.setattr(graphs, "parse_int",
+                        lambda text: converted.append(text) or original(text))
+    text = (DATA / "random_tpath.sched").read_text()
+    Schedule.from_text(text)
+    assert sorted(converted) == sorted(set(re.findall(r"\d+", text)))
+    # a leading zero still reads as the number it pads, beside the
+    # unpadded text of the same number
+    assert Schedule.from_text(
+        "n=03 rounds=2\nr=00: 0-01:0,0 1-2:01,000\nr=1: 0-1:0,0\n"
+    ) == Schedule.from_text("n=3 rounds=2\nr=0: 0-1:0,0 1-2:1,0\nr=1: 0-1:0,0\n")
+    assert parse_edges("0-01:0,0 1-2:01,000") == [(0, 1, 0, 0), (1, 2, 1, 0)]
+
+
 def test_schedule_header_cannot_outgrow_its_body():
     # the header alone must not size an allocation
     with pytest.raises(GraphError, match="line 1: .*rounds=1000000000000"):
@@ -449,6 +468,58 @@ def test_check_property_memory_follows_its_window_sets_not_its_windows():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def test_a_connected_round_decides_its_window_without_a_search(monkeypatch):
+    # a connected round joins every pair, so under t_path and
+    # connectivity_time its windows hold from the kept components alone;
+    # so does every window of one snapshot, under every property
+    searched = []
+    for name in ("_split_from_0", "_table"):
+        original = getattr(graphs, name)
+        monkeypatch.setattr(graphs, name, lambda *args, name=name, f=original:
+                            searched.append(name) or f(*args))
+    joined = Snapshot.from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    left = Snapshot.from_pairs(5, [(0, 1), (1, 2)])
+    right = Snapshot.from_pairs(5, [(2, 3), (3, 4)])
+    sch = Schedule([joined, left, joined, right, joined])
+    for prop in ("t_path", "connectivity_time"):
+        for T in (2, 3, 5):
+            assert check_property(sch, prop, T).holds
+        assert check_property(sch, prop, 1).witness == (1, (0, 3))
+    for prop in graphs.PROPERTIES:
+        for snap, want in ((joined, None), (left, (0, (0, 3))),
+                           (right, (0, (0, 1)))):
+            report = check_property(Schedule([snap] * 3), prop, 2)
+            assert report.witness == want, (prop, snap)
+    assert searched == []
+    # a window without a connected round is still searched
+    apart = Schedule([left, right])
+    assert check_property(apart, "t_path", 2).witness == (0, (0, 3))
+    assert searched == ["_table", "_table"]
+    assert check_property(apart, "connectivity_time", 2).holds
+    assert searched[2:] == ["_split_from_0"]
+
+
+def test_window_checks_match_the_references_on_random_schedules():
+    # seeded schedules that mix connected and disconnected rounds: the
+    # generator makes every T-th round connected and draws the others at
+    # the density, sparse or dense
+    for seed in range(6):
+        for T, density in ((1, 0.5), (2, 0.15), (3, 0.3), (4, 0.05)):
+            n = 4 + seed
+            rounds = 3 * T + seed
+            sch = gen_random_with_property(seed, n, "t_path", T, density,
+                                           rounds)
+            pair_sets = [s.pairs for s in sch.snapshots]
+            for prop in graphs.PROPERTIES:
+                for t in range(1, rounds + 1):
+                    want = (oracles.t_path_witness(sch, t) if prop == "t_path"
+                            else oracles.window_witness_reference(sch, prop, t))
+                    report = check_property(sch, prop, t)
+                    assert report.witness == want, (seed, T, prop, t)
+                assert (minimal_T(sch, prop)
+                        == oracles.minimal_T_reference(n, pair_sets, prop))
 
 
 def test_schedule_names_the_first_round_of_another_node_count():

@@ -540,6 +540,28 @@ def test_parse_trace_shares_each_distinct_field_value():
     assert oracles.parse_trace_reference(text) == harness.parse_trace(text)
 
 
+def test_a_trace_converts_each_number_text_once(monkeypatch):
+    # one integer table serves the header, every field and the end line
+    converted = []
+    original = engine.parse_int
+    monkeypatch.setattr(engine, "parse_int",
+                        lambda text: converted.append(text) or original(text))
+    text = _clean_run().to_text()
+    parsed = harness.parse_trace(text)
+    assert len(converted) == len(set(converted))
+    fields = [line.split(":", 1)[1] for line in text.splitlines()
+              if line.startswith(engine.FIELDS)]
+    assert set(re.findall(r"\d+", " ".join(fields))) <= set(converted)
+    assert set(converted) <= set(re.findall(r"\d+", text))
+    # a leading zero still reads as the number it pads
+    padded = _rewrite_first(text, "pos: ", lambda line: re.sub(
+        r"\d+", lambda m: "0" + m.group(), line))
+    padded = padded.replace("\nmsgs: ", "\nmsgs: 00", 1)
+    assert padded != text
+    assert harness.parse_trace(padded) == parsed
+    assert verify_trace(padded).ok
+
+
 def test_verify_reads_its_trace_through_parse_trace_once(monkeypatch):
     # bench/tracer.py times the verifier's parse by wrapping this name
     calls = []

@@ -339,69 +339,34 @@ def round_step(
 
     ``memo`` is a dict that one caller keeps for one algorithm,
     visibility and communication; a fresh ``{}`` shares nothing.  It finds
-    a round first by the ids of its snapshot, configuration and states,
-    whose entry holds those states and the step, whose block holds the
-    other two, so the ids stay theirs.  On a miss it maps the round's
-    inputs (snapshot, positions and agent states, each in its order) to
-    their step, so a round that repeats an earlier one returns the earlier
-    step's values, which are shared and must not be mutated.  Under the
-    key ``Configuration`` it keeps one Configuration per placement that a
-    computed step ends in, so a run that comes back to a placement by
-    another step brings the same object, and its round is found by
-    identity.  A graph's first round is kept as its states and step, and
-    keyed only when the graph comes again with other inputs, so a run
-    whose graphs never repeat builds no key of values.  A hit hands back
-    the step's own ``after`` and ``states``, so repeated rounds arrive
-    with objects seen before.  The memo keeps all these inputs, so they
-    must not be mutated either.
+    a round by the ids of its snapshot, configuration and states alone,
+    and its entry holds those objects, so the ids stay theirs.  A repeated
+    round arrives with the objects of the earlier one because every step
+    ends in canonical objects: the memo keeps one Configuration per
+    placement and one states dict per value, each the first it meets, as
+    input or as result.  A hit returns the earlier step, whose values are
+    shared; the memo keeps every input, so none may be mutated.
     """
     key = id(snapshot), id(config), id(states)
     hit = memo.get(key)
-    if hit is not None:
-        return hit[1]
-    placements = memo.get(Configuration)
-    if placements is None:
-        placements = memo[Configuration] = {}
-    steps = memo.get(snapshot)
-    if steps is None:
-        step = _step(snapshot, config, states, algorithm, visibility,
-                     communication, placements)
-        memo[snapshot] = memo[key] = (states, step)
-        return step
-    if type(steps) is tuple:
-        first, step = steps
-        before = step.block.before
-        if before is config and first is states:
-            # an equal graph in another object
-            step = step._replace(block=step.block._replace(snapshot=snapshot))
-            memo[key] = (states, step)
-            return step
-        steps = memo[snapshot] = {_inputs(before, first): step}
-    inputs = _inputs(config, states)
-    step = steps.get(inputs)
-    if step is None:
-        step = steps[inputs] = _step(snapshot, config, states, algorithm,
-                                     visibility, communication, placements)
-    else:
-        step = step._replace(block=step.block._replace(
-            snapshot=snapshot, before=config))
-    memo[key] = (states, step)
-    return step
-
-
-def _inputs(config: Configuration, states: Mapping[int, AgentState]) -> tuple:
-    """Memo key of a round on a given graph: positions and agent states,
-    each in its order."""
-    return tuple(config.items()), tuple(states.items())
+    if hit is None:
+        hit = memo[key] = snapshot, config, states, _step(
+            snapshot, config, states, algorithm, visibility, communication,
+            memo.setdefault(Configuration, {}), memo.setdefault(AgentState, {}))
+    return hit[3]
 
 
 def _step(snapshot, config, states, algorithm, visibility, communication,
-          placements):
+          placements, values):
     """``round_step`` without a memo.  The agents of ``config`` without a
     state have terminated; an agent that ``config`` leaves out keeps its
     state.  When no agent's state changes, the states returned are the
     caller's ``states`` object.  ``placements`` maps each placement, its
-    items in order, to one Configuration, which the step ends in."""
+    items in order, to one Configuration, and ``values`` each states value,
+    its items in order, to one dict; both take the step's inputs, and the
+    step ends in their objects."""
+    placements.setdefault(tuple(config.items()), config)
+    values.setdefault(tuple(states.items()), states)
     comps = components(snapshot)
     views = node_views(snapshot, config, visibility)
     inbox = deliver(snapshot, config, communication,
@@ -418,6 +383,8 @@ def _step(snapshot, config, states, algorithm, visibility, communication,
             new_states[a] = new
             if action.terminate:
                 del new_states[a]
+    if new_states is not states:
+        new_states = values.setdefault(tuple(new_states.items()), new_states)
     messages = sum(map(len, inbox.values()))
     after = apply_actions(snapshot, config, actions)
     after = placements.setdefault(tuple(after.items()), after)
@@ -462,9 +429,9 @@ class RunResult(NamedTuple):
         return Schedule(rec.snapshot for rec in self.records)
 
     def to_text(self) -> str:
-        # the round memo and parse_trace share a Block between equal
-        # rounds, and the records keep it alive, so its id is its own: each
-        # distinct block is formatted once
+        # the round memo shares a Block between rounds from the same
+        # objects, and parse_trace between equal rounds; the records keep it
+        # alive, so its id is its own: each distinct block is formatted once
         blocks: dict[int, str] = {}
         lines = [
             f"trace v=1 n={self.n} k={self.k} T={self.T if self.T else '-'}"
@@ -759,9 +726,11 @@ def run(
         raise GraphError("schedule source must expose its node count n")
     config = Configuration(n, placement)
     states = {a: AgentState(id=a) for a in ids}
-    # every step of this run, by its inputs: the adversaries repeat their
-    # graphs, so rounds repeat, and the oracle's previews share the memo, so
-    # a round that follows its preview is served from it
+    # every step of this run, by the ids of its inputs: an adversary emits a
+    # graph again as the same object and each step ends in the memo's
+    # objects, so a repeated round is found by identity; the oracle's
+    # previews share the memo, so a round that follows its preview is
+    # served from it
     memo: dict = {}
     if getattr(source, "needs_oracle", False) and getattr(source, "oracle", None) is None:
         source.oracle = lambda snap, cfg, sts: round_step(

@@ -174,7 +174,8 @@ class Snapshot:
 
     def __hash__(self) -> int:
         # equal snapshots have equal pairs, and a frozenset hashes in C and
-        # keeps its hash, so the round memo never hashes the port maps
+        # keeps its hash, so dynamic_diameter's set of snapshots (and a
+        # test's) never hashes the port maps
         return hash((self.n, self.pairs))
 
     def __repr__(self) -> str:

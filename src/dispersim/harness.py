@@ -86,12 +86,12 @@ def verify_trace(text: str) -> TraceReport:
 
     A round's transition key is its ``Block``, which ``parse_trace``
     shares between rounds with equal field lines, the replayed agent
-    states it starts from, which equal steps share (a stateless step keeps
-    its input's), and the number of agents terminated before it.  These
-    fix every value the round's checks read: the states fix the replayed
-    step, and terminated agents only grow.  So a round whose key passed
-    every check before passes again: it calls no ``round_step``, builds no
-    key of values, and takes the states it leads to and its counts from
+    states it starts from, one dict per value as the round memo keeps
+    them (a stateless step keeps its input's), and the number of agents
+    terminated before it.  These fix every value the round's checks read:
+    the states fix the replayed step, and terminated agents only grow.  So
+    a round whose key passed every check before passes again: it calls no
+    ``round_step`` and takes the states it leads to and its counts from
     that round; its other outcomes were counted when that round was.  A
     round that failed a check is checked, and reported, every time.  The
     round index and ``pos`` against the previous ``post`` are checked on
@@ -118,8 +118,9 @@ def verify_trace(text: str) -> TraceReport:
     # rounds builds nothing of size k
     all_ids = set(range(1, k + 1)) if rounds else set()
     states = {a: AgentState(id=a) for a in all_ids}
-    # the replay's steps by their inputs, as in run: repeated rounds are
-    # computed once
+    # the replay's steps by the ids of their inputs, as in run: a parsed
+    # placement and the replayed states are one object per value, so
+    # repeated rounds are computed once
     memo: dict = {}
     # each clean round's transition, by its key: the block and the states
     # that keep the key's ids unique, the states it leads to and its counts

@@ -407,7 +407,7 @@ def test_plan_is_stitched_once_per_component_per_round(monkeypatch):
 
 class _Reemit:
     """Wraps an oracle adversary and re-emits each snapshot as a new but
-    equal object, so the run finds the oracle's preview only by equality."""
+    equal object, so the run computes again each round it previewed."""
 
     needs_oracle = True
 
@@ -430,36 +430,18 @@ class _Reemit:
      "global"),
 ])
 def test_oracle_reuse_does_not_change_sorted_path_traces(
-    monkeypatch, variant, alg, placement, visibility, communication
+    variant, alg, placement, visibility, communication
 ):
-    steps = []
-    original = engine._step
-
-    def counting(*args):
-        steps.append(args)  # keeps every input alive, so ids stay unique
-        return original(*args)
-
-    monkeypatch.setattr(engine, "_step", counting)
-    texts, counts = [], []
+    # the run and the oracle share one memo; an adversary that emits an
+    # equal copy of the previewed graph writes the same trace
+    texts = []
     for wrap in (False, True):
-        steps.clear()
         adv = make_adversary("sorted_path", 7, variant=variant)
         res = run(_Reemit(adv) if wrap else adv, placement,
                   make_algorithm(alg), visibility=visibility,
                   communication=communication, max_rounds=40)
         texts.append(res.to_text())
-        # every round is previewed first, so the round itself is served
-        # from the memo: no inputs are ever computed twice, whether the
-        # adversary emits the previewed graph or an equal copy of it
-        keys = [(snap, engine._inputs(config, states))
-                for snap, config, states, *_ in steps]
-        assert len(set(keys)) == len(keys)
-        computed = {(snap, positions) for snap, (positions, _) in keys}
-        for rec in res.records:
-            assert (rec.snapshot, tuple(rec.before.items())) in computed
-        counts.append(len(keys))
     assert texts[0] == texts[1]
-    assert counts[0] == counts[1]
 
 
 def test_kernel_applies_the_moves_of_each_computed_step_once(monkeypatch):
@@ -488,39 +470,6 @@ def test_kernel_applies_the_moves_of_each_computed_step_once(monkeypatch):
 # --- the round memo ---
 
 
-def test_round_memo_returns_the_step_of_equal_inputs(monkeypatch):
-    computed = []
-    original = engine._step
-    monkeypatch.setattr(engine, "_step",
-                        lambda *args: computed.append(1) or original(*args))
-    alg = make_algorithm("alg3")
-    memo: dict = {}
-    args = (path4(), Configuration(4, {1: 0, 2: 0}),
-            {a: AgentState(id=a) for a in (1, 2)}, alg, "one", "global")
-    step = round_step(*args, memo)
-    assert round_step(*args, memo) is step
-    # equal inputs in new objects find the same step: nothing is computed
-    # again, and the hit's block starts from their own snapshot and
-    # configuration
-    again = (Snapshot.from_pairs(4, [(0, 1), (1, 2), (2, 3)]),
-             Configuration(4, {1: 0, 2: 0}),
-             {a: AgentState(id=a) for a in (1, 2)}, alg, "one", "global")
-    hit = round_step(*again, memo)
-    assert hit.states is step.states
-    assert hit.block.actions is step.block.actions
-    assert hit.block.before is again[1] and hit.block.snapshot is again[0]
-    # a different state, or the same placement in another order, is a miss
-    other = (args[0], args[1], {1: AgentState(1, t=1), 2: AgentState(2)},
-             alg, "one", "global")
-    assert round_step(*other, memo) is not step
-    swapped = (args[0], Configuration(4, {2: 0, 1: 0}), args[2], alg, "one",
-               "global")
-    assert round_step(*swapped, memo) is not step
-    # one graph, three distinct rounds on it, each computed once
-    assert len(computed) == 3
-    assert round_step(*args, {}) == step
-
-
 def test_a_run_ends_its_steps_in_one_configuration_per_placement():
     # a placement reached again is the same object, so a round that
     # repeats an earlier one is found by identity and records its block:
@@ -536,23 +485,6 @@ def test_a_run_ends_its_steps_in_one_configuration_per_placement():
     assert len({id(rec) for rec in res.records}) == len(texts) < res.rounds
 
 
-def test_round_memo_builds_no_key_when_no_graph_repeats(monkeypatch):
-    sched = gen_random_with_property(5, 12, "t_path", 3, 0.2, 30)
-    assert len(set(sched.snapshots)) == sched.rounds
-    keys = []
-    inputs = engine._inputs
-    monkeypatch.setattr(engine, "_inputs",
-                        lambda *args: keys.append(1) or inputs(*args))
-    run(sched, {a: 0 for a in range(1, 7)}, make_algorithm("alg1_implicit"),
-        max_rounds=30)
-    assert keys == []
-    # a graph that comes again keys its first round and the new one
-    again = Schedule([sched.snapshots[0], sched.snapshots[1], sched.snapshots[0]])
-    run(again, {a: 0 for a in range(1, 7)}, make_algorithm("alg1_implicit"),
-        max_rounds=3)
-    assert len(keys) == 2
-
-
 def test_a_quiet_alg1_implicit_run_computes_one_round(monkeypatch):
     # alg1_implicit keeps no counter: on a static path from a dispersed
     # start every round has the inputs of the first, which the memo serves
@@ -565,41 +497,6 @@ def test_a_quiet_alg1_implicit_run_computes_one_round(monkeypatch):
               make_algorithm("alg1_implicit"), max_rounds=50)
     assert res.rounds == 50 and res.budget_exhausted
     assert len(steps) == 1
-
-
-def test_round_memo_builds_no_key_for_inputs_it_has_seen(monkeypatch):
-    # an oracle round follows its preview with the very same configuration
-    # and states, and a memo hit hands run and the verifier's replay the
-    # step's own objects to carry forward; the memo finds the step of
-    # objects it has seen by their identity, so no (snapshot, config,
-    # states) triple is ever keyed twice
-    calls, keyed, current = [], [], []
-    # run, the oracle and the verifier's replay all reach the memo through
-    # round_step
-    original, inputs = engine.round_step, engine._inputs
-
-    def recording(snapshot, config, states, *rest):
-        calls.append((snapshot, config, states))  # keeps every id unique
-        current.append(snapshot)
-        try:
-            return original(snapshot, config, states, *rest)
-        finally:
-            current.pop()
-
-    def keying(config, states):
-        keyed.append((current[-1], id(config), id(states)))
-        return inputs(config, states)
-
-    monkeypatch.setattr(engine, "round_step", recording)
-    monkeypatch.setattr(harness, "round_step", recording)
-    monkeypatch.setattr(engine, "_inputs", keying)
-    make_source, placement, rounds = MEMO_SOURCES["sorted_path:comm"]
-    res = run(make_source(), placement, make_algorithm("alg3"),
-              communication="f2f", max_rounds=rounds)
-    in_run = len(keyed)
-    assert harness.verify_trace(res.to_text()).ok
-    assert 0 < in_run < len(keyed) < len(calls)
-    assert len(set(keyed)) == len(keyed)
 
 
 # every source repeats graphs and placements; agents in dispersed_n start
@@ -729,3 +626,68 @@ def test_round_memo_cannot_be_observed(source):
                     make_source(), placement,
                     make_algorithm(name, T=3), **kwargs))
                 assert got == want, (source, name, visibility, communication)
+
+
+@pytest.mark.parametrize("source", sorted(
+    set(MEMO_SOURCES) - {"equal_graphs", "random:t_path"}))
+def test_round_memo_computes_equal_rounds_on_a_shared_graph_once(
+    monkeypatch, source
+):
+    # these sources emit a graph that comes again as the same object, and
+    # every step ends in the memo's objects, so a round that repeats an
+    # earlier one by value is found by identity: neither run nor the
+    # verifier's replay computes equal inputs twice on one graph object
+    steps = []
+    original = engine._step
+
+    def recording(snapshot, config, states, *rest):
+        steps.append((snapshot, config, states))  # keeps every id unique
+        return original(snapshot, config, states, *rest)
+
+    monkeypatch.setattr(engine, "_step", recording)
+    make_source, placement, rounds = MEMO_SOURCES[source]
+    for name in ALGORITHM_NAMES:
+        for visibility in ("zero", "one"):
+            for communication in ("global", "f2f"):
+                case = (name, visibility, communication)
+                steps.clear()
+                res = run(make_source(), placement, make_algorithm(name, T=3),
+                          visibility=visibility, communication=communication,
+                          max_rounds=rounds, T=3)
+                in_run = len(steps)
+                harness.verify_trace(res.to_text())
+                assert 0 < in_run < len(steps), case
+                keys = [(id(snapshot), tuple(config.items()),
+                         tuple(states.items()))
+                        for snapshot, config, states in steps]
+                assert len(set(keys)) == len(keys), case
+
+
+def test_a_run_ends_its_steps_in_one_states_dict_per_value(monkeypatch):
+    # alg1_explicit keeps a round counter, which comes back to its earlier
+    # values with the adversary's phases; a states value reached again is
+    # the earlier dict, so its rounds are found by identity: run and the
+    # verifier's replay each compute 9 of 200 rounds
+    steps = []
+    original = engine._step
+    monkeypatch.setattr(engine, "_step",
+                        lambda *args: steps.append(1) or original(*args))
+    source, handed = make_adversary("ct_dispersion", 8, k=5, T=3), []
+    emit = source.next_snapshot
+
+    def recording(r, config, states):
+        handed.append(states)
+        return emit(r, config, states)
+
+    source.next_snapshot = recording
+    res = run(source, {a: 0 for a in range(1, 6)},
+              make_algorithm("alg1_explicit", T=3), max_rounds=200, T=3)
+    assert res.rounds == len(handed) == 200
+    assert len(steps) == 9
+    first = {}
+    for states in handed:
+        assert first.setdefault(tuple(states.items()), states) is states
+    assert len(first) < len(handed)
+    steps.clear()
+    assert harness.verify_trace(res.to_text()).ok
+    assert len(steps) == 9

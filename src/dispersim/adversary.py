@@ -58,6 +58,9 @@ class Periodic:
     def next_snapshot(self, r: int, config, states) -> Snapshot:
         return self._snaps[r % len(self._snaps)]
 
+    def state_key(self, r: int):
+        return r % len(self._snaps)
+
 
 # --- seeded random generator with a guaranteed property ---
 
@@ -155,10 +158,11 @@ def _star(nodes) -> set[tuple[int, int]]:
 class Adversary:
     """Base: deterministic function of the configuration history.
 
-    Subclasses implement _emit(r, config, states).  Rounds must be queried
-    in order, once each, which run() does.  A graph the adversary emits
-    again is the same Snapshot object, so its components are computed
-    once and the round memo finds it by identity.
+    Subclasses implement _emit(r, config, states) and state_key(r), which
+    must cover every attribute that _emit reads or writes.  An adversary
+    serves one run, which queries rounds in order, at most once each.  A
+    graph the adversary emits again is the same Snapshot object, so its
+    components are computed once and the round memo finds it by identity.
     """
 
     kind = "adversary"
@@ -209,6 +213,9 @@ class KtLower(Adversary):
             raise AdversaryError(f"kt_lower needs n > k, got n={n} k={k}")
         self.T = T
 
+    def state_key(self, r: int):
+        return min(r, 1), r % (self.T - 1)
+
     def _emit(self, r, config, states) -> Snapshot:
         if r == 0 and len(config.at) != 1:
             raise AdversaryError(
@@ -244,20 +251,15 @@ class CtDispersion(Adversary):
         self.k = k
         self.T = T
         self._phase_graph: Snapshot | None = None
-        # each (configuration, parity)'s phase graph, under the
-        # configuration's id and with it, keeping the id unique; a phase
-        # that raises keeps nothing, so it raises again
-        self._phases: dict[tuple[int, int], tuple] = {}
+
+    def state_key(self, r: int):
+        span = self.T - 1
+        return r % (2 * span), self._phase_graph if r % span else None
 
     def _emit(self, r, config, states) -> Snapshot:
         span = self.T - 1
         if r % span == 0:
-            parity = r // span % 2
-            hit = self._phases.get((id(config), parity))
-            if hit is None:
-                hit = self._phases[id(config), parity] = (
-                    config, self._phase(config, parity))
-            self._phase_graph = hit[1]
+            self._phase_graph = self._phase(config, r // span % 2)
         return self._phase_graph
 
     def _phase(self, config, parity: int) -> Snapshot:
@@ -306,6 +308,9 @@ class ExplorationStar(Adversary):
             )
         self.target = n - 1
 
+    def state_key(self, r: int):
+        return ()
+
     def _emit(self, r, config, states) -> Snapshot:
         holes = config.holes()
         if self.target not in holes:
@@ -339,6 +344,9 @@ class TwoStarsTime(Adversary):
         if T > 1:
             self.kind = "two_stars_time_tpath"
         self._visited: set[int] = set()
+
+    def state_key(self, r: int):
+        return min(r, 1), r % max(self.T - 1, 1), frozenset(self._visited)
 
     def _emit(self, r, config, states) -> Snapshot:
         if r == 0 and len(config.at) != 1:
@@ -381,6 +389,9 @@ class CtExploration(Adversary):
         self.partner: int | None = None
         self.target: int | None = None
         self._pending: tuple[int, int | None] | None = None
+
+    def state_key(self, r: int):
+        return min(r, 1), r % self.T, self.partner, self._pending
 
     def _emit(self, r, config, states) -> Snapshot:
         if r == 0:
@@ -447,9 +458,6 @@ class SortedPath(Adversary):
         self.target: int | None = None
         # one snapshot per (layout builder, path order)
         self._layouts = Memo(lambda key: key[0](key[1]))
-        # with the target fixed, each (configuration, states) pair's
-        # snapshot, under their ids and with the pair, keeping the ids unique
-        self._emitted: dict[tuple[int, int], tuple] = {}
 
     @staticmethod
     def _path(order) -> Snapshot:
@@ -495,6 +503,9 @@ class SortedPath(Adversary):
 
         return tuple(sorted(range(self.n), key=key))
 
+    def state_key(self, r: int):
+        return ()
+
     def _straight(self, config) -> tuple[tuple[int, ...], Snapshot]:
         """The path order for ``config`` and its straight layout; the
         ``dispersed`` variant puts the hole first while it is dispersed."""
@@ -525,13 +536,6 @@ class SortedPath(Adversary):
                     f"sorted_path {self.variant} needs k <= n-1"
                 )
             self.target = max(config.holes())
-        hit = self._emitted.get((id(config), id(states)))
-        if hit is None:
-            hit = self._emitted[id(config), id(states)] = (
-                config, states, self._attack(config, states))
-        return hit[2]
-
-    def _attack(self, config, states) -> Snapshot:
         order, straight = self._straight(config)
         step = self.oracle(straight, config, states)
         if self.variant == "dispersed" and config.is_dispersed():

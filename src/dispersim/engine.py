@@ -20,7 +20,8 @@ moves lead to, and the agent states after it.  It is the one round
 kernel: ``run`` records each round's block, the oracle ``run`` hands an
 adaptive adversary returns the step for a candidate snapshot, and the
 verifier replays a trace through it.
-Runs stop early once every agent has terminated.  Outcome rounds are
+Runs stop early once every agent has terminated, and fast-forward once
+their source's state key, configuration and states repeat.  Outcome rounds are
 measured on the configuration reached AFTER each round, so a run that is
 already dispersed and stays put reports dispersed_at = 0.
 
@@ -711,6 +712,10 @@ def run(
     ``source`` has ``n`` and ``next_snapshot(r, config, states) ->
     Snapshot``: a Schedule is one, and so is an adversary; adversaries
     that declare ``needs_oracle`` get wired to this run's compute phase.
+    A source may have ``state_key(r)``, a hashable value that with the
+    configuration and states objects fixes every snapshot from round r on:
+    once round r repeats an earlier round s's key and objects, rounds
+    s..r-1 repeat up to ``max_rounds``, unqueried, changing no outcome.
     """
     if max_rounds < 1:
         raise GraphError(f"max_rounds must be >= 1, got {max_rounds}")
@@ -742,8 +747,21 @@ def run(
     records: list[Block] = []
     blocks: set[int] = set()
     budget_exhausted = True
+    # each stepped round by its state key and the ids of its configuration
+    # and states; the entry keeps those objects, so the ids stay theirs
+    state_key = getattr(source, "state_key", None)
+    starts: dict = {}
 
     for r in range(max_rounds):
+        if state_key is not None:
+            key = state_key(r), id(config), id(states)
+            start = starts.setdefault(key, (r, config, states))[0]
+            if start < r:
+                records += records[start:] * ((max_rounds - start)
+                                              // (r - start))
+                del records[max_rounds:]
+                config = records[-1].after
+                break
         snapshot = source.next_snapshot(r, config, states)
         if snapshot.n != config.n:
             raise GraphError(

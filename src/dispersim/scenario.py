@@ -114,6 +114,9 @@ def parse_scenario(text: str) -> Scenario:
         fail("k", f"k must be <= n, got k={sc.k} n={sc.n}")
     if sc.max_rounds < 1:
         fail("max_rounds", f"max_rounds must be >= 1, got {sc.max_rounds}")
+    if sc.max_rounds > 10**6:  # a cycling run holds max_rounds records
+        fail("max_rounds",
+             f"max_rounds must be <= 1000000, got {sc.max_rounds}")
     if sc.T is not None and sc.T < 1:
         fail("T", f"T must be >= 1, got {sc.T}")
     if sc.visibility not in VISIBILITIES:

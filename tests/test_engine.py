@@ -25,7 +25,10 @@ from dispersim.engine import (
     stitch_component,
 )
 from dispersim import adversary, algorithms, engine, harness
-from dispersim.adversary import gen_random_with_property, make_adversary
+from dispersim.adversary import (
+    ADVERSARY_KINDS, Periodic, RandomRounds, gen_random_with_property,
+    make_adversary,
+)
 from dispersim.algorithms import ALGORITHM_NAMES, make_algorithm
 from dispersim.graphs import GraphError, Schedule, Snapshot
 from dispersim.claims import CLAIMS, run_claim
@@ -499,37 +502,44 @@ def test_a_quiet_alg1_implicit_run_computes_one_round(monkeypatch):
     assert len(steps) == 1
 
 
-# every source repeats graphs and placements; agents in dispersed_n start
-# one per node behind the hole at node 0, and in equal_graphs one per node
-# on a path whose every round is an equal graph in an object of its own, so
-# its rounds repeat only by value.  The adversaries keep what they
-# derive per configuration object; oracles.run_text hands them a fresh
-# configuration every round, so it takes their uncached path
+# every source repeats graphs and placements; agents in
+# sorted_path:dispersed start one per node behind the hole at node 0, and
+# in equal_graphs one per node on a path whose every round is an equal
+# graph in an object of its own, so its rounds repeat only by value.  The adversaries and perpetual_demo have
+# a state key, and their budgets reach past the first round whose key,
+# configuration and states repeat, from which run fast-forwards;
+# oracles.run_text queries every round.  The fixed schedules have no key,
+# and their budgets are their lengths
 MEMO_SOURCES = {
     "ct_dispersion": (lambda: make_adversary("ct_dispersion", 6, k=4, T=3),
-                      {a: 0 for a in range(1, 5)}, 30),
+                      {a: 0 for a in range(1, 5)}, 80),
+    "ct_dispersion:spread": (lambda: make_adversary("ct_dispersion", 6, k=4,
+                                                    T=4),
+                             {1: 0, 2: 1, 3: 2, 4: 0}, 80),
     "kt_lower": (lambda: make_adversary("kt_lower", 6, k=4, T=3),
-                 {a: 0 for a in range(1, 5)}, 24),
+                 {a: 0 for a in range(1, 5)}, 80),
     "exploration_star": (lambda: make_adversary("exploration_star", 6, k=3),
-                         {a: 0 for a in range(1, 4)}, 24),
+                         {a: 0 for a in range(1, 4)}, 80),
     "two_stars_time": (lambda: make_adversary("two_stars_time", 6),
-                       {a: 0 for a in range(1, 4)}, 24),
+                       {a: 0 for a in range(1, 4)}, 80),
     "two_stars_time_tpath": (lambda: make_adversary("two_stars_time_tpath",
                                                     6, T=3),
-                             {a: 0 for a in range(1, 4)}, 24),
+                             {a: 0 for a in range(1, 4)}, 80),
     "ct_exploration": (lambda: make_adversary("ct_exploration", 7, k=4, T=3),
-                       {a: 0 for a in range(1, 5)}, 24),
+                       {a: 0 for a in range(1, 5)}, 80),
+    "perpetual_demo": (lambda: Periodic("perpetual_demo"),
+                       {a: 0 for a in range(1, 4)}, 80),
     "tpath_demo": (lambda: oracles.tpath_demo_schedule(24),
                    {a: 0 for a in range(1, 4)}, 24),
     "sorted_path:comm": (lambda: make_adversary("sorted_path", 7,
                                                 variant="comm"),
-                         {a: 0 for a in range(1, 7)}, 24),
+                         {a: 0 for a in range(1, 7)}, 80),
     "sorted_path:visibility": (lambda: make_adversary("sorted_path", 7,
                                                       variant="visibility"),
-                               {a: 0 for a in range(1, 7)}, 24),
+                               {a: 0 for a in range(1, 7)}, 80),
     "sorted_path:dispersed": (lambda: make_adversary("sorted_path", 7,
                                                      variant="dispersed"),
-                              {a: a for a in range(1, 7)}, 24),
+                              {a: a for a in range(1, 7)}, 80),
     "random:t_path": (lambda: gen_random_with_property(3, 7, "t_path", 3,
                                                        0.15, 24),
                       {a: 0 for a in range(1, 6)}, 24),
@@ -570,8 +580,11 @@ def _stateless_run(name):
 
 @pytest.mark.parametrize("name", sorted(STATELESS_RUNS))
 def test_a_stateless_run_carries_one_states_object(name):
+    # the run queries its source until the source's state repeats
     res, handed = _stateless_run(name)
-    assert len(handed) == res.rounds == STATELESS_RUNS[name][-1]
+    assert res.rounds == STATELESS_RUNS[name][-1]
+    assert len(handed) == {"alg1_implicit:ct_dispersion": 10,
+                           "alg3:sorted_path": 3}[name]
     assert handed[0] == {a: AgentState(id=a) for a in res.records[0].before}
     assert all(states is handed[0] for states in handed)
 
@@ -594,8 +607,10 @@ def test_verify_replays_each_distinct_block_of_a_stateless_run_once(
 
 def _run_text(source, placement, algorithm, **kwargs):
     """``run(...).to_text()``; a schedule's records are its own rounds,
-    each starting where the last one led."""
+    each starting where the last one led, and the run ends where its last
+    round led."""
     res = run(source, placement, algorithm, **kwargs)
+    assert res.final is res.records[-1].after
     if isinstance(source, Schedule):
         for r, block in enumerate(res.records):
             assert block.snapshot is source.snapshots[r]
@@ -626,6 +641,59 @@ def test_round_memo_cannot_be_observed(source):
                     make_source(), placement,
                     make_algorithm(name, T=3), **kwargs))
                 assert got == want, (source, name, visibility, communication)
+
+
+def test_every_adversary_kind_has_a_memo_source():
+    assert set(ADVERSARY_KINDS) <= {name.partition(":")[0]
+                                    for name in MEMO_SOURCES}
+
+
+def _counted(source):
+    """``source``, counting in ``source.queries`` the rounds it is asked
+    for."""
+    source.queries, emit = 0, source.next_snapshot
+
+    def counting(r, config, states):
+        source.queries += 1
+        return emit(r, config, states)
+
+    source.next_snapshot = counting
+    return source
+
+
+class _Keyless:
+    """A source's node count and rounds, without its state key."""
+
+    def __init__(self, inner):
+        self.n, self.next_snapshot = inner.n, inner.next_snapshot
+
+
+def test_a_cycling_run_queries_its_source_until_its_state_repeats():
+    # the keyless copy is queried every round and gives the same trace
+    texts = []
+    for keyless, queries in ((False, 17), (True, 400)):
+        source = make_adversary("ct_dispersion", 10, k=10, T=2)
+        source = _counted(_Keyless(source) if keyless else source)
+        res = run(source, {a: 0 for a in range(1, 11)},
+                  make_algorithm("alg1_implicit"), max_rounds=400, T=2)
+        assert res.rounds == 400 and res.budget_exhausted
+        assert source.queries == queries
+        texts.append(res.to_text())
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("make_source, k", [
+    (lambda: oracles.tpath_demo_schedule(24), 3),
+    (lambda: RandomRounds(3, 7, "t_path", 3, 0.15, 24), 5),
+], ids=["Schedule", "RandomRounds"])
+def test_a_keyless_source_is_queried_every_round(make_source, k):
+    counted = _counted(make_source())
+    placement = {a: 0 for a in range(1, k + 1)}
+    kwargs = dict(max_rounds=24, T=3)
+    text = run(counted, placement, make_algorithm("disp"), **kwargs).to_text()
+    assert counted.queries == 24
+    assert text == oracles.run_text(make_source(), placement,
+                                    make_algorithm("disp"), **kwargs)
 
 
 @pytest.mark.parametrize("source", sorted(
@@ -667,7 +735,8 @@ def test_a_run_ends_its_steps_in_one_states_dict_per_value(monkeypatch):
     # alg1_explicit keeps a round counter, which comes back to its earlier
     # values with the adversary's phases; a states value reached again is
     # the earlier dict, so its rounds are found by identity: run and the
-    # verifier's replay each compute 9 of 200 rounds
+    # verifier's replay each compute 9 of 200 rounds, and run queries its
+    # source for 9 of them
     steps = []
     original = engine._step
     monkeypatch.setattr(engine, "_step",
@@ -682,7 +751,7 @@ def test_a_run_ends_its_steps_in_one_states_dict_per_value(monkeypatch):
     source.next_snapshot = recording
     res = run(source, {a: 0 for a in range(1, 6)},
               make_algorithm("alg1_explicit", T=3), max_rounds=200, T=3)
-    assert res.rounds == len(handed) == 200
+    assert res.rounds == 200 and len(handed) == 9
     assert len(steps) == 9
     first = {}
     for states in handed:

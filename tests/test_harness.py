@@ -196,6 +196,21 @@ def test_random_schedule_is_drawn_only_as_far_as_the_run_reads_it():
         source.next_snapshot(r, None, None) for r in range(4)]
 
 
+def test_a_budget_no_trace_can_hold_is_refused_before_a_run(
+    tmp_path, capsys, monkeypatch
+):
+    # a cycling run's records are one list of max_rounds entries
+    text = ("n = 10\nk = 10\nschedule = ct_dispersion\nT = 2\n"
+            "algorithm = alg1_implicit\nmax_rounds = 1000000000000\n")
+    monkeypatch.setattr("dispersim.scenario.run",
+                        lambda *args, **kwargs: 1 / 0)
+    path = tmp_path / "huge.scn"
+    path.write_text(text)
+    assert cli.main(["run", str(path)], out=lambda *_: None) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line 6: max_rounds must be <= 1000000, got 1000000000000"]
+
+
 def test_demo_schedule_is_drawn_only_as_far_as_the_run_reads_it():
     sc = parse_scenario(
         "n = 4\nk = 3\nschedule = tpath_demo\nT = 3\n"

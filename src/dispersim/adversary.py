@@ -391,6 +391,8 @@ class CtExploration(Adversary):
         self._pending: tuple[int, int | None] | None = None
 
     def state_key(self, r: int):
+        # the pending B-round too: where a multinode can leave its node
+        # whole, one configuration can follow B-rounds at different nodes
         return min(r, 1), r % self.T, self.partner, self._pending
 
     def _emit(self, r, config, states) -> Snapshot:

@@ -244,11 +244,9 @@ def parse_int(digits: str) -> int:
 
 
 _EDGE_TOKEN = re.compile(r"(\d+)-(\d+):(\d+),(\d+)")
-# a field of whitespace-separated edge tokens; (?!\S) ends each token at
-# whitespace, as str.split does, so "0-1:0,01-2:0,0" is one bad token
-_EDGE_FIELD = re.compile(r"(?:\s*\d+-\d+:\d+,\d+(?!\S))*\s*")
 # the separators inside a token, read as whitespace
 _EDGE_SEPARATORS = str.maketrans("-:,", "   ")
+_ASCII_DIGITS = str.maketrans("", "", "0123456789")
 _ROUND_LINE = re.compile(r"r=(\d+):(.*)")
 
 
@@ -256,23 +254,28 @@ def parse_edges(
     field: str, ints: Memo | None = None
 ) -> list[tuple[int, int, int, int]]:
     """``(u, v, pu, pv)`` edges of whitespace-separated ``u-v:pu,pv`` tokens,
-    read in one pass; the token loop only names a bad token or number.
+    read in one pass by string operations; the token loop only reads
+    other digits than ASCII ones, or names a bad token or number.
     ``ints`` is the text's integer table, a ``Memo(parse_int)`` that
     converts each distinct number text once; by default the field gets
     its own."""
     if ints is None:
         ints = Memo(parse_int)
     number = ints.__getitem__
-    if _EDGE_FIELD.fullmatch(field):
-        # a matched field is its numbers, four a token, between separators
-        # and whitespace (``\s`` and ``str.split`` agree on whitespace)
-        numbers = map(number, field.translate(_EDGE_SEPARATORS).split())
+    tokens = field.split()
+    text = " ".join(tokens)
+    numbers = text.translate(_EDGE_SEPARATORS).split()
+    # each token is u-v:pu,pv when its separators, in order, are what its
+    # ASCII digits leave, and its four numbers are not empty
+    if (text.translate(_ASCII_DIGITS) == " ".join(["-:,"] * len(tokens))
+            and len(numbers) == 4 * len(tokens)):
+        numbers = map(number, numbers)
         try:
             return list(zip(numbers, numbers, numbers, numbers))
         except GraphError:
             pass  # a number too long for int; the loop names it
     edges = []
-    for tok in field.split():
+    for tok in tokens:
         m = _EDGE_TOKEN.fullmatch(tok)
         if not m:
             raise GraphError(f"bad edge token {tok!r}")
@@ -536,19 +539,23 @@ def _split(prop: str, n: int, distinct) -> tuple[int, int] | None:
     """The least node pair that a window of these distinct snapshots on n
     nodes leaves apart under ``prop``, or None when the window holds.
 
-    The snapshots' kept components decide first: under ``t_path`` and
-    ``connectivity_time`` a connected round joins every pair, so a window
-    with one holds, and under every property a window of one snapshot
-    splits 0 from the least member of its second component.  Only a
-    window that these leave open builds ``t_path`` tables or searches a
-    union or an intersection.
+    Components decide first: under ``t_path`` and ``connectivity_time`` a
+    connected round joins every pair, so a window with one holds, and
+    under every property a window of one snapshot splits 0 from the least
+    member of its second component.  A snapshot that keeps one component
+    decides at once; otherwise the others are searched up to the first
+    connected one, the last to enter the window first, since later windows
+    keep it longest.  Only a window with no connected round builds
+    ``t_path`` tables or searches a union or an intersection.
     """
     if prop != "t_interval" or len(distinct) == 1:
-        comps = [s.comps or components(s) for s in distinct]
-        if 1 in map(len, comps):
+        if any(len(s.comps or ()) == 1 for s in distinct) or any(
+            len(s.comps or components(s)) == 1 for s in reversed(distinct)
+        ):
             return None
-        if len(comps) == 1:
-            return 0, comps[0][1][0]
+        if len(distinct) == 1:
+            (s,) = distinct
+            return 0, s.comps[1][0]
     if prop == "t_path":
         ts = [_table(s) for s in distinct]
         full = (1 << n) - 1

@@ -10,9 +10,10 @@ does not list every node once or a header k above the number of agents the
 first pos field places, and builds a fresh Snapshot for every round,
 a snapshot check that tests every edge in turn, a window's reach grown by
 sweeping its pairs, a run loop that computes every round afresh, and a
-trace verifier that replays and checks every round afresh.  A diameter is
-found by Floyd-Warshall.  The fixed demo schedules the tests read live here
-too.
+trace verifier that replays and checks every round afresh.  An edge field
+is matched whole by one regex, where the package's edge parser checks it
+by string operations.  A diameter is found by Floyd-Warshall.  The fixed
+demo schedules the tests read live here too.
 """
 
 from __future__ import annotations
@@ -353,6 +354,34 @@ _EDGE = re.compile(r"(\d+)-(\d+):(\d+),(\d+)")
 _PLACEMENT = re.compile(r"(\d+):(\d+(?:,\d+)*)")
 _ACTION = re.compile(r"(\d+):(\S+)")
 _COMP = re.compile(r"\d+(?:,\d+)*(?:\|\d+(?:,\d+)*)*")
+# a whole edge field as one regex: whitespace-separated edge tokens, each
+# ending at whitespace as str.split ends it, so "0-1:0,01-2:0,0" is one
+# bad token
+EDGE_FIELD = re.compile(r"(?:\s*\d+-\d+:\d+,\d+(?!\S))*\s*")
+
+
+def parse_edges_reference(field):
+    """``(u, v, pu, pv)`` edges of an edge field, or the GraphError of its
+    first fault in reading order: a bad token, or a number too long for
+    ``int``.  A field that ``EDGE_FIELD`` matches is read as its digit
+    runs, four an edge; any other is read token by token."""
+    def number(digits):
+        try:
+            return int(digits)
+        except ValueError:
+            raise GraphError(
+                f"number of {len(digits)} digits is too long") from None
+
+    if EDGE_FIELD.fullmatch(field):
+        numbers = [number(d) for d in re.findall(r"\d+", field)]
+        return [tuple(numbers[i:i + 4]) for i in range(0, len(numbers), 4)]
+    edges = []
+    for tok in field.split():
+        m = _EDGE.fullmatch(tok)
+        if not m:
+            raise GraphError(f"bad edge token {tok!r}")
+        edges.append(tuple(number(d) for d in m.groups()))
+    return edges
 
 
 def _ref_placement(text, n, lineno):

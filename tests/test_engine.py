@@ -648,6 +648,33 @@ def test_every_adversary_kind_has_a_memo_source():
                                     for name in MEMO_SOURCES}
 
 
+def _block_walk(state, view, msgs):
+    """A lone agent exits through port 0; the agents of a multinode stay on
+    a leaf and otherwise leave together through its last port."""
+    if view.degree == 0 or len(view.colocated) > 1 and view.degree == 1:
+        return STAY, state
+    if len(view.colocated) == 1:
+        return Action(port=0), state
+    return Action(port=view.degree - 1), state
+
+
+def test_ct_exploration_keys_its_pending_b_round(monkeypatch):
+    # the configuration after a B-round need not tell which node the
+    # B-round attached, so the key keeps it: under this algorithm a
+    # multinode can leave its node whole, and rounds 2 and 10 start from one
+    # configuration and partner, node 1, with the B-round at node 2 and at
+    # node 0 pending; a key without it repeats round 2 from round 10 on
+    make_source = lambda: make_adversary("ct_exploration", 6, k=3, T=2)
+    placement = {1: 0, 2: 2, 3: 3}
+    algorithm = engine.Algorithm("block_walk", _block_walk)
+    kwargs = dict(visibility="zero", communication="f2f", max_rounds=40, T=2)
+    want = oracles.run_text(make_source(), placement, algorithm, **kwargs)
+    assert _run_text(make_source(), placement, algorithm, **kwargs) == want
+    monkeypatch.setattr(adversary.CtExploration, "state_key",
+                        lambda self, r: (min(r, 1), r % self.T, self.partner))
+    assert _run_text(make_source(), placement, algorithm, **kwargs) != want
+
+
 def _counted(source):
     """``source``, counting in ``source.queries`` the rounds it is asked
     for."""

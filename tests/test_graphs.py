@@ -242,6 +242,51 @@ def test_edge_codec_round_trip():
             parse_edges("0-1:0,0 " + "1" * 5000 + "-2:0,0")
 
 
+LONG = "7" * 4301  # one digit past the interpreter's default limit
+
+# kind -> fields; the fields of the first three kinds are well formed
+EDGE_FIELDS = {
+    "valid": ["", " ", "\t \n", "0-1:0,0", " 2-0:1,0\t0-1:0,0 ",
+              "0-01:0,0 1-2:01,000", "0-1:0,0 0-1:0,0", "10-200:3,45"],
+    "unicode digits": ["\u0661-\u0662:\u0660,\u0660",
+                       "0-1:0,0 \u0661-\u0662:\u0660,\u0660",
+                       "\uff10-\uff11:\uff10,\uff10", "1-2:3,4\u0665"],
+    "unicode whitespace": ["0-1:0,0\u20031-2:1,0", "\xa00-1:0,0\u2028",
+                           "0-1:0,0\x1c1-2:1,0"],
+    "empty numbers": ["-:,", "0-:0,0", "0-1:,0", "0-1:0,", "-1:0,0",
+                      "0-1:0,0 -:,"],
+    "reordered separators": ["1:2-3,4", "1-2,3:4", "1,2:3-4",
+                             "0-1:0,0 1:2-3,4"],
+    "bad tokens": ["1-2:3,4-5 6:7,8", "0-1:0,01-2:0,0", "0-1:0", "a",
+                   "0-1:0,0,0", "0--1:0,0", "+0-1:0,0", "1_0-2:0,0",
+                   "0-1:0,0x", "0-1:0,0 bad 1-2:0,0", "0-1-2:0,0,0 0",
+                   "\xb2-1:0,0", "0-1:0,0\u200b1-2:1,0"],
+    "long numbers": [f"0-1:0,{LONG}", f"0-1:0,0 {LONG}-2:0,0",
+                     f"{LONG}-1:0,0 bad", f"bad {LONG}-1:0,0",
+                     f"0-{LONG}:0,{LONG}"],
+}
+
+
+def _edges_outcome(parse, field):
+    try:
+        return parse(field)
+    except GraphError as exc:
+        return f"GraphError: {exc}"
+
+
+@pytest.mark.parametrize("kind", sorted(EDGE_FIELDS))
+def test_edge_fields_read_as_the_field_regex_reads_them(kind):
+    # the string-operation check takes only ASCII fields that the
+    # whole-field regex matches; every other field goes to the token loop,
+    # which gives the same edges or the same error text
+    well_formed = kind in ("valid", "unicode digits", "unicode whitespace")
+    for field in EDGE_FIELDS[kind]:
+        want = _edges_outcome(oracles.parse_edges_reference, field)
+        assert _edges_outcome(parse_edges, field) == want, field
+        if kind != "long numbers":  # int's digit limit depends on the Python
+            assert isinstance(want, list) == well_formed, field
+
+
 def test_schedule_parse_errors_carry_line_numbers():
     with pytest.raises(GraphError, match="line 2"):
         Schedule.from_text("n=2 rounds=1\nnonsense\n")
@@ -520,6 +565,66 @@ def test_window_checks_match_the_references_on_random_schedules():
                     assert report.witness == want, (seed, T, prop, t)
                 assert (minimal_T(sch, prop)
                         == oracles.minimal_T_reference(n, pair_sets, prop))
+
+
+def _placed_schedule(rng, n, rounds, joined_at):
+    """A schedule whose rounds in ``joined_at`` are connected and whose
+    other rounds are not, each drawn from a pool of two graphs, so that
+    windows repeat snapshots."""
+    joined = [Snapshot.from_pairs(n, _tree_without(rng, n, None)
+                                  + list(random_pairs(rng, n, 0.2)))
+              for _ in range(2)]
+    apart = [Snapshot.from_pairs(n, _tree_without(rng, n, rng.randrange(n)))
+             if rng.random() < 0.5 else
+             Snapshot.from_pairs(n, [p for p in random_pairs(
+                 rng, n, rng.uniform(0.1, 0.5)) if 0 not in p])
+             for _ in range(2)]
+    return Schedule(rng.choice(joined if r in joined_at else apart)
+                    for r in range(rounds))
+
+
+@pytest.mark.parametrize("layout", ["first", "last", "every_T", "nowhere"])
+def test_window_checks_match_the_references_wherever_the_connected_rounds_sit(
+    layout
+):
+    # a window stops at its first connected round, searched newest first,
+    # so the verdicts and witnesses must not depend on where those rounds
+    # sit: first, last, every T-th round or nowhere
+    rng = random.Random(f"placed:{layout}")
+    for i in range(12):
+        n, rounds = rng.randint(4, 7), rng.randint(5, 9)
+        every = rng.randint(2, 3)
+        joined_at = {"first": {0}, "last": {rounds - 1}, "nowhere": set(),
+                     "every_T": set(range(every - 1, rounds, every))}[layout]
+        sch = _placed_schedule(rng, n, rounds, joined_at)
+        for r, s in enumerate(sch.snapshots):
+            assert oracles.is_connected(n, s.pairs) == (r in joined_at)
+        pair_sets = [s.pairs for s in sch.snapshots]
+        for prop in graphs.PROPERTIES:
+            for T in range(1, rounds + 1):
+                want = (oracles.t_path_witness(sch, T) if prop == "t_path"
+                        else oracles.window_witness_reference(sch, prop, T))
+                report = check_property(sch, prop, T)
+                assert report.witness == want, (i, prop, T)
+                assert report.holds == (want is None)
+            assert (minimal_T(sch, prop)
+                    == oracles.minimal_T_reference(n, pair_sets, prop)), (i, prop)
+
+
+def test_classify_searches_the_components_its_verdicts_need(monkeypatch):
+    # every third round of this schedule is connected: a window of t_path or
+    # connectivity_time stops at the first connected round it searches, so
+    # 42 of its 120 distinct snapshots are searched, not all of them
+    calls = []
+    real = graphs._components
+    monkeypatch.setattr(graphs, "_components",
+                        lambda n, ports: calls.append(n) or real(n, ports))
+    lines = []
+    assert cli.main(["classify", str(DATA / "random_tpath.sched")],
+                    out=lines.append) == 0
+    assert lines == ["t_interval: minimal T = none", "t_path: minimal T = 3",
+                     "connectivity_time: minimal T = 3"]
+    assert len(calls) == 42
 
 
 def test_schedule_names_the_first_round_of_another_node_count():

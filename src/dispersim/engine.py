@@ -135,8 +135,7 @@ class Configuration(dict):
         super().__init__(placement)
         self.n = n
         at: dict[int, list[int]] = {}
-        for a in sorted(self):
-            node = self[a]
+        for a, node in sorted(self.items()):
             if not 0 <= node < n:
                 raise GraphError(f"agent {a} placed on node {node}, n={n}")
             at.setdefault(node, []).append(a)
@@ -221,7 +220,9 @@ def deliver(
             ids = at.get(node)
             if ids is not None:
                 view = views[node]
-                casts += [Broadcast(a, view) for a in ids if a not in terminated]
+                if terminated:
+                    ids = [a for a in ids if a not in terminated]
+                casts += [Broadcast(a, view) for a in ids]
         if not casts:
             continue
         if len(group) > 1:
@@ -263,14 +264,17 @@ def stitch_component(broadcasts: Iterable[Broadcast]) -> dict[int, NodeKnowledge
                 f"agents {b.view.colocated} report conflicting views"
             )
     nodes = {}
+    directed = set()
     for colocated, view in by_node.items():
-        links = tuple((port, ids[0])
-                      for port, ids in enumerate(view.per_port or ()) if ids)
-        nodes[colocated[0]] = NodeKnowledge(
-            colocated[0], colocated, view.hole_ports(), links)
-    directed = {
-        (nd.key, nb) for nd in nodes.values() for _, nb in nd.links
-    }
+        key = colocated[0]
+        links, holes = [], []
+        for port, ids in enumerate(view.per_port or ()):
+            if ids:
+                links.append((port, ids[0]))
+                directed.add((key, ids[0]))
+            else:
+                holes.append(port)
+        nodes[key] = NodeKnowledge(key, colocated, tuple(holes), tuple(links))
     for a, b in directed:
         if b in nodes and (b, a) not in directed:
             raise EngineError(f"link {a}->{b} has no back link")
@@ -595,6 +599,9 @@ def parse_trace(text: str):
             "visibility": m.group(5),
             "communication": m.group(6),
         }
+        for name in ("n", "k"):
+            if header[name] < 1:
+                raise GraphError(f"{name} must be >= 1, got {header[name]}")
     except GraphError as exc:
         raise EngineError(f"line 1: {exc}") from None
     n = header["n"]

@@ -399,6 +399,9 @@ class Schedule:
             if not m:
                 raise GraphError(f"bad header {header!r}")
             n, rounds = ints[m.group(1)], ints[m.group(2)]
+            for name, value in (("n", n), ("rounds", rounds)):
+                if value < 1:
+                    raise GraphError(f"{name} must be >= 1, got {value}")
         except GraphError as exc:
             raise GraphError(f"line {body_start}: {exc}") from None
         body = [

@@ -8,7 +8,8 @@ of the replayed step's block on the recorded snapshots and positions.
 It also checks conservation, move legality, termination monotonicity,
 multinode monotonicity and per-window hole progress, and recomputes every
 outcome round.  A round that repeats a clean round's block from the same
-replayed states is neither replayed nor checked again.
+replayed states is neither replayed nor checked again, and a run of such
+rounds that repeats a clean period is confirmed by comparing its blocks.
 
 ``ScenarioError`` and ``read_int`` live here, beside the verifier, so that
 ``cli`` reads user input without importing ``scenario``.
@@ -16,6 +17,7 @@ replayed states is neither replayed nor checked again.
 
 from __future__ import annotations
 
+from itertools import cycle, islice
 from typing import NamedTuple
 
 from .algorithms import make_algorithm
@@ -79,23 +81,49 @@ class TraceReport(NamedTuple):
         return not self.violations
 
 
+def _repeats(blocks: list, start: int, period: int) -> int:
+    """The number of consecutive blocks from ``start`` on that each equal
+    the block ``period`` places before it.  Slices compare in C, identity
+    first, in chunks that double from one block while they match and halve
+    past a mismatch, so each block is compared O(1) times, amortized."""
+    lo, size = start, 1
+    while size:
+        hi = min(lo + size, len(blocks))
+        if lo < hi and blocks[lo:hi] == blocks[lo - period:hi - period]:
+            lo, size = hi, 2 * size
+        else:
+            size //= 2
+    return lo - start
+
+
 def verify_trace(text: str) -> TraceReport:
     """Re-derive everything a trace claims, from the trace text alone.
     Each round is replayed through ``round_step`` on the recorded snapshot
     and positions, carrying the replayed agent states forward.
 
+    A replayed round is clean when its ``pos`` follows the previous
+    ``post`` and places agents 1..k, its actors are the live agents, and
+    its actions, ``post``, components and message count equal the replayed
+    block's.  Then ``apply_actions`` of the recorded actions gives the
+    recorded ``post``, so every move is legal and no terminated agent,
+    having no action, moves: a clean round skips the per-agent checks, and
+    any other round runs them all on the step already replayed.  Every
+    replayed round checks its multinode count and counts its outcomes.
+
     A round's transition key is its ``Block``, which ``parse_trace``
-    shares between rounds with equal field lines, the replayed agent
-    states it starts from, one dict per value as the round memo keeps
-    them (a stateless step keeps its input's), and the number of agents
-    terminated before it.  These fix every value the round's checks read:
-    the states fix the replayed step, and terminated agents only grow.  So
-    a round whose key passed every check before passes again: it calls no
-    ``round_step`` and takes the states it leads to and its counts from
-    that round; its other outcomes were counted when that round was.  A
-    round that failed a check is checked, and reported, every time.  The
-    round index and ``pos`` against the previous ``post`` are checked on
-    every round.
+    shares between rounds with equal field lines, the replayed states it
+    starts from, one dict per value as the round memo keeps them, and the
+    number of agents terminated before it.  These fix every value the
+    round's checks read, so a round whose key passed every check before
+    passes again: it calls no ``round_step`` and takes the states it leads
+    to and its counts from that round, whose other outcomes already count.
+    A round that failed a check is checked, and reported, every time, and
+    every round checks its index and ``pos`` against the previous ``post``.
+    When round i takes the key of round s and rounds s..i passed every
+    check, each later round whose block is that of the round i - s before
+    it takes that round's key too, and its index and ``pos`` pass as that
+    round's did: ``_repeats`` counts them at once, in a trace whose every
+    round index is its position.
     """
     header, rounds, trailer = parse_trace(text)
     n, k = header["n"], header["k"]
@@ -122,84 +150,99 @@ def verify_trace(text: str) -> TraceReport:
     # placement and the replayed states are one object per value, so
     # repeated rounds are computed once
     memo: dict = {}
-    # each clean round's transition, by its key: the block and the states
-    # that keep the key's ids unique, the states it leads to and its counts
+    # each clean round's transition by its key, whose ids blocks and
+    # starts keep unique: the states it leads to, its counts, and the
+    # round that stored it or last took it after a failed round
     transitions: dict[tuple, tuple] = {}
     terminated: set[int] = set()
     visited: set[int] = set(rounds[0][1].before.values()) if rounds else set()
     # each round's multinodes at its start and holes at its start and end,
-    # and the nodes visited by its end
+    # the nodes visited by its end and the replayed states it starts from
     counts: list[tuple[int, int, int]] = []
     visited_counts: list[int] = []
+    starts: list[dict] = []
     dispersed_at = explored_at = all_terminated_at = None
     max_messages = 0
     prev_after = None
+    blocks = [block for _, block in rounds]
+    # the last round that added a violation; past the end, so that no
+    # round takes a tail, when a round index is not its position
+    in_order = [r for r, _ in rounds] == list(range(len(rounds)))
+    failed = -1 if in_order else len(rounds)
 
-    for idx, (r, block) in enumerate(rounds):
+    idx = 0
+    while idx < len(rounds):
+        r, block = rounds[idx]
         if r != idx:
             note(f"round {r}: expected round index {idx}")
+        size = len(violations)
         before = block.before
         follows = idx == 0 or before is prev_after or before == prev_after
         prev_after = block.after
         key = (id(block), id(states), len(terminated))
+        starts.append(states)
         transition = transitions.get(key)
         if transition is not None:
             if not follows:
                 note(f"round {r}: pos does not match previous post")
             # terminated, visited, max_messages and the outcome rounds
             # already hold what the round of this key added to them
-            _, _, states, round_counts = transition
+            states, round_counts, last = transition
         else:
-            size = len(violations)
             snapshot, _, actions, after, comps, messages = block
             where = f"round {r}"
-            for name, pos in (("pos", before), ("post", after)):
-                if set(pos) != all_ids:
-                    note(f"{where}: {name} does not cover agents 1..{k}")
-            if not follows:
-                note(f"{where}: pos does not match previous post")
             live = all_ids - terminated
-            if set(actions) != live:
-                note(f"{where}: actors {sorted(actions)}"
-                     f" != live {sorted(live)}")
-            for a in sorted(actions):
-                act = actions[a]
-                src = before.get(a)
-                if src is None:
-                    continue
-                if act.port is None:
-                    dest = src
-                else:
-                    try:
-                        dest = snapshot.neighbor(src, act.port)
-                    except GraphError:
-                        note(f"{where}: agent {a} used missing port"
-                             f" {act.port} at node {src}")
-                        continue
-                if after.get(a) != dest:
-                    note(f"{where}: agent {a} recorded at {after.get(a)},"
-                         f" moves say {dest}")
-            for a in terminated:
-                if after.get(a) != before.get(a):
-                    note(f"{where}: terminated agent {a} moved")
-            start = states
+            step = None
             if before.keys() <= all_ids:
                 step = round_step(
                     snapshot, before, states, alg, header["visibility"],
                     header["communication"], memo,
                 )
                 states = step.states
-                for a in sorted(actions.keys() | step.block.actions.keys()):
-                    got, want = actions.get(a), step.block.actions.get(a)
-                    if got != want:
-                        note(f"{where}: agent {a} recorded"
-                             f" {got.code() if got else '-'}, {algorithm}"
-                             f" computes {want.code() if want else '-'}")
-                if comps != step.block.components:
-                    note(f"{where}: component partition mismatch")
-                if messages != step.block.messages:
-                    note(f"{where}: msgs={messages},"
-                         f" recomputed {step.block.messages}")
+            if not (step is not None and follows and before.keys() == all_ids
+                    and actions.keys() == live
+                    and block[2:] == step.block[2:]):
+                for name, pos in (("pos", before), ("post", after)):
+                    if set(pos) != all_ids:
+                        note(f"{where}: {name} does not cover agents 1..{k}")
+                if not follows:
+                    note(f"{where}: pos does not match previous post")
+                if set(actions) != live:
+                    note(f"{where}: actors {sorted(actions)}"
+                         f" != live {sorted(live)}")
+                for a in sorted(actions):
+                    act = actions[a]
+                    src = before.get(a)
+                    if src is None:
+                        continue
+                    if act.port is None:
+                        dest = src
+                    else:
+                        try:
+                            dest = snapshot.neighbor(src, act.port)
+                        except GraphError:
+                            note(f"{where}: agent {a} used missing port"
+                                 f" {act.port} at node {src}")
+                            continue
+                    if after.get(a) != dest:
+                        note(f"{where}: agent {a} recorded at"
+                             f" {after.get(a)}, moves say {dest}")
+                for a in terminated:
+                    if after.get(a) != before.get(a):
+                        note(f"{where}: terminated agent {a} moved")
+                if step is not None:
+                    replayed = step.block
+                    for a in sorted(actions.keys() | replayed.actions.keys()):
+                        got, want = actions.get(a), replayed.actions.get(a)
+                        if got != want:
+                            note(f"{where}: agent {a} recorded"
+                                 f" {got.code() if got else '-'}, {algorithm}"
+                                 f" computes {want.code() if want else '-'}")
+                    if comps != replayed.components:
+                        note(f"{where}: component partition mismatch")
+                    if messages != replayed.messages:
+                        note(f"{where}: msgs={messages},"
+                             f" recomputed {replayed.messages}")
             multi = len(before.multinodes())
             round_counts = multi, n - len(before.at), n - len(after.at)
             # cooperative moves never create new multinodes; terminal moves
@@ -219,9 +262,25 @@ def verify_trace(text: str) -> TraceReport:
             if all_terminated_at is None and terminated == all_ids:
                 all_terminated_at = r
             if len(violations) == size:
-                transitions[key] = (block, start, states, round_counts)
+                transitions[key] = (states, round_counts, idx)
         counts.append(round_counts)
         visited_counts.append(len(visited))
+        if len(violations) > size:
+            failed = idx
+        elif transition is not None and last <= failed:
+            transitions[key] = (*transition[:2], idx)
+        elif transition is not None:
+            # rounds last..idx passed every check: each later round whose
+            # block is that of the round a period before takes its key
+            period = idx - last
+            tail = _repeats(blocks, idx + 1, period)
+            counts += islice(cycle(counts[-period:]), tail)
+            starts += islice(cycle(starts[-period:]), tail)
+            visited_counts += [len(visited)] * tail
+            idx += tail
+            states = starts[idx + 1 - period]
+            prev_after = blocks[idx].after
+        idx += 1
 
     # per-window hole progress, only meaningful when the trace's own
     # prefix satisfies t_path at the declared T and agents could actually

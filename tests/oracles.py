@@ -421,6 +421,10 @@ def parse_trace_reference(text):
         "visibility": m.group(5),
         "communication": m.group(6),
     }
+    for name in ("n", "k"):
+        if header[name] < 1:
+            raise EngineError(
+                f"line 1: {name} must be >= 1, got {header[name]}")
     rounds = []
     i = 1
     while i < len(lines) and lines[i].startswith("round "):

@@ -667,6 +667,42 @@ def test_trace_header_T_0_names_line_1(tmp_path, capsys, algorithm):
     assert err == ["error: line 1: T must be >= 1, got 0"]
 
 
+def _small_traces():
+    """An honest one-round trace with n=2 and k=2, and the same without
+    its round."""
+    text = run(Schedule([Snapshot.from_pairs(2, [(0, 1)])]), {1: 0, 2: 0},
+               make_algorithm("alg3"), max_rounds=1).to_text()
+    assert text.startswith("trace v=1 n=2 k=2 ")
+    return text, text[:text.index("round")] + (
+        "end rounds=0 dispersed_at=- explored_at=- all_terminated_at=-"
+        " budget_exhausted=1\n")
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("classify", "n=3 rounds=0\n", "line 1: rounds must be >= 1, got 0"),
+    ("classify", "n=0 rounds=1\nr=0:\n", "line 1: n must be >= 1, got 0"),
+    ("classify", "# a comment\n\nn=0 rounds=1\nr=0:\n",
+     "line 3: n must be >= 1, got 0"),
+    ("verify", (0, " n=2 ", " n=0 "), "line 1: n must be >= 1, got 0"),
+    ("verify", (1, " n=2 k=2 ", " n=0 k=1 "), "line 1: n must be >= 1, got 0"),
+    ("verify", (1, " k=2 ", " k=0 "), "line 1: k must be >= 1, got 0"),
+])
+def test_a_zero_header_count_names_the_header_line(
+    tmp_path, capsys, command, text, message
+):
+    # no run writes a trace or schedule with no node, agent or round, so
+    # such a header is malformed, whatever follows it
+    if command == "verify":
+        which, old, new = text
+        traces = _small_traces()
+        assert all(verify_trace(t).ok for t in traces)
+        text = _tamper(traces[which], old, new)
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert cli.main([command, str(path)], out=lambda *_: None) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def test_verify_reports_pos_agent_outside_1_to_k():
     text = _rewrite_first(_clean_run().to_text(), "pos: ", lambda l: l + " 4:9")
     report = verify_trace(text)
@@ -910,6 +946,94 @@ def test_an_agent_left_out_of_a_pos_keeps_its_replayed_state(name, T, want):
     report = verify_trace(forged)
     assert report.violations == want
     assert report == oracles.verify_trace_reference(forged)
+
+
+def _forge_tail_field(text, r, field, n):
+    """``_forge_field`` on n nodes, whether or not other rounds differ:
+    agent 1 moves one node on in a pos: or post: line, and a comp: line
+    becomes one group, or n groups when it is one."""
+    if field not in ("pos:", "post:", "comp:"):
+        return _forge_field(text, r, field)
+    lines = text.splitlines()
+    i = lines.index(f"round r={r}") + 1 + engine.FIELDS.index(field)
+    if field == "comp:":
+        one = "comp: " + ",".join(map(str, range(n)))
+        lines[i] = one if lines[i] != one else one.replace(",", "|")
+    else:
+        prefix, *toks = lines[i].split()
+        placement = {int(a): int(v) for v, ids in (t.split(":") for t in toks)
+                     for a in ids.split(",")}
+        placement[1] = (placement[1] + 1) % n
+        at: dict[int, list[int]] = {}
+        for a in sorted(placement):
+            at.setdefault(placement[a], []).append(a)
+        lines[i] = " ".join([prefix] + [f"{v}:{','.join(map(str, ids))}"
+                                        for v, ids in sorted(at.items())])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("case", ["ct_dispersion", "sorted_path"])
+def test_forged_rounds_of_a_cycling_tail_verify_like_the_reference(case):
+    # the verifier takes the rounds that repeat a clean period without
+    # looking at them one by one; a field forged at the period's first
+    # round, deep in its repeats or in the last round must still be
+    # reported exactly as a verifier without any sharing reports it
+    if case == "ct_dispersion":
+        n, text = 6, run(make_adversary("ct_dispersion", 6, k=3, T=4),
+                         {a: 0 for a in range(1, 4)},
+                         make_algorithm("alg1_implicit", T=4),
+                         max_rounds=240, T=4).to_text()
+    else:
+        n, text = 7, run(make_adversary("sorted_path", 7, variant="comm"),
+                         {a: 0 for a in range(1, 7)}, make_algorithm("alg3"),
+                         communication="f2f", max_rounds=60).to_text()
+    blocks = _blocks(text)
+    last = len(blocks) - 1
+    # the trace's period, and the first round from which it repeats
+    period = next(p for p in range(1, last) if all(
+        blocks[r] == blocks[r - p] for r in range(last // 2, last + 1)))
+    start = max((r + 1 for r in range(last + 1 - period)
+                 if blocks[r] != blocks[r + period]), default=0)
+    deep = (start + period + last) // 2
+    assert start + period < deep < last
+    assert verify_trace(text).ok
+    for r in (start, deep, last):
+        for field in ("act:", "post:", "comp:", "msgs:", "pos:"):
+            forged = _forge_tail_field(text, r, field, n)
+            report = verify_trace(forged)
+            assert not report.ok, (r, field)
+            assert report == oracles.verify_trace_reference(forged), (r, field)
+
+
+def test_cycling_tail_is_compared_in_linear_time(monkeypatch):
+    # a forged msgs: line every 97 rounds of a 20,000-round cycling trace:
+    # after each, the tail is taken up again, and no round is taken as a
+    # repeat twice
+    sc = parse_scenario((Path(__file__).parent / "data" / "long_cycle.scn")
+                        .read_text())
+    lines = run_scenario(sc).to_text().splitlines()
+    rounds = sc.max_rounds
+    want = []
+    for r in range(96, rounds, 97):
+        assert lines[7 + 7 * r].startswith("msgs: ")
+        want.append(f"round {r}: msgs=999, recomputed {lines[7 + 7 * r][6:]}")
+        lines[7 + 7 * r] = "msgs: 999"
+    forged = "\n".join(lines) + "\n"
+    tails = []
+    repeats = harness._repeats
+
+    def counted(*args):
+        tails.append(repeats(*args))
+        return tails[-1]
+
+    monkeypatch.setattr(harness, "_repeats", counted)
+    report = verify_trace(forged)
+    assert report.violations == want
+    # the tail takes up again a period after each forged round
+    assert 0.9 * rounds < sum(tails) <= rounds
+    assert len(tails) <= 3 * (len(want) + 1)
+    prefix = "\n".join(lines[:1 + 7 * 2000] + lines[-1:]) + "\n"
+    assert verify_trace(prefix) == oracles.verify_trace_reference(prefix)
 
 
 def test_crlf_trace_verifies_like_its_lf_copy():

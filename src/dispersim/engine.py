@@ -286,12 +286,14 @@ def apply_actions(
     config: Configuration,
     actions: Mapping[int, Action],
 ) -> Configuration:
-    """Simultaneously apply moves; illegal ports are engine faults."""
-    positions = dict(config)
+    """Simultaneously apply moves; illegal ports are engine faults.  When
+    no agent moves, the result is ``config`` itself."""
+    positions = None
     ports = snapshot.ports
     for a, act in actions.items():
         if act.port is None:
             continue
+        positions = positions or dict(config)
         node = config[a]
         try:
             positions[a] = ports[node][act.port]
@@ -299,7 +301,7 @@ def apply_actions(
             raise EngineError(
                 f"agent {a} at node {node} moved through missing port {act.port}"
             ) from None
-    return Configuration(config.n, positions)
+    return config if positions is None else Configuration(config.n, positions)
 
 
 class Block(NamedTuple):
@@ -369,8 +371,9 @@ def _step(snapshot, config, states, algorithm, visibility, communication,
     caller's ``states`` object.  ``placements`` maps each placement, its
     items in order, to one Configuration, and ``values`` each states value,
     its items in order, to one dict; both take the step's inputs, and the
-    step ends in their objects."""
-    placements.setdefault(tuple(config.items()), config)
+    step ends in their objects: one in which no agent moves, in the one
+    it looked up for ``config``."""
+    canonical = placements.setdefault(tuple(config.items()), config)
     values.setdefault(tuple(states.items()), states)
     comps = components(snapshot)
     views = node_views(snapshot, config, visibility)
@@ -392,7 +395,8 @@ def _step(snapshot, config, states, algorithm, visibility, communication,
         new_states = values.setdefault(tuple(new_states.items()), new_states)
     messages = sum(map(len, inbox.values()))
     after = apply_actions(snapshot, config, actions)
-    after = placements.setdefault(tuple(after.items()), after)
+    after = canonical if after is config else placements.setdefault(
+        tuple(after.items()), after)
     block = Block(snapshot, config, actions, after, comps, messages)
     return RoundStep(block, new_states)
 
@@ -425,13 +429,16 @@ class RunResult(NamedTuple):
     all_terminated_at: int | None
     budget_exhausted: bool
     final: Configuration
+    # (start, period) when the run fast-forwarded: every record from start
+    # on is the one a period before it
+    cycle: tuple[int, int] | None = None
 
     @property
     def rounds(self) -> int:
         return len(self.records)
 
     def schedule_prefix(self) -> Schedule:
-        return Schedule(rec.snapshot for rec in self.records)
+        return Schedule((rec.snapshot for rec in self.records), self.cycle)
 
     def to_text(self) -> str:
         # the round memo shares a Block between rounds from the same
@@ -758,6 +765,7 @@ def run(
     # and states; the entry keeps those objects, so the ids stay theirs
     state_key = getattr(source, "state_key", None)
     starts: dict = {}
+    cycle = None
 
     for r in range(max_rounds):
         if state_key is not None:
@@ -768,6 +776,7 @@ def run(
                                               // (r - start))
                 del records[max_rounds:]
                 config = records[-1].after
+                cycle = start, r - start
                 break
         snapshot = source.next_snapshot(r, config, states)
         if snapshot.n != config.n:
@@ -807,4 +816,5 @@ def run(
         all_terminated_at=all_terminated_at,
         budget_exhausted=budget_exhausted,
         final=config,
+        cycle=cycle,
     )

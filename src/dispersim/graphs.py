@@ -342,9 +342,12 @@ def _diameter(n: int, ports) -> float:
 
 
 class Schedule:
-    """A finite trace of snapshots over a fixed node set."""
+    """A finite trace of snapshots over a fixed node set.  ``cycle`` may
+    claim ``(start, period)``: every round from ``start`` on has the
+    snapshot of the round a period before, which a window check confirms."""
 
-    def __init__(self, snapshots) -> None:
+    def __init__(self, snapshots,
+                 cycle: tuple[int, int] | None = None) -> None:
         snapshots = list(snapshots)
         if not snapshots:
             raise GraphError("schedule needs at least one round")
@@ -354,6 +357,7 @@ class Schedule:
                 raise GraphError(f"round {i} has n={s.n}, expected {n}")
         self.n = n
         self.snapshots = tuple(snapshots)
+        self.cycle = cycle
 
     @property
     def rounds(self) -> int:
@@ -589,7 +593,8 @@ def check_property(schedule: Schedule, prop: str, T: int) -> ConnectivityReport:
     split once; a window with a connected round, under ``t_path`` and
     ``connectivity_time``, and a window of one snapshot, under every
     property, are decided by the components its snapshots keep, without
-    a search.
+    a search.  Under a schedule's confirmed cycle, only the windows that
+    start before its first period ends are visited.
     """
     if prop not in PROPERTIES:
         raise GraphError(f"unknown property {prop!r}")
@@ -606,9 +611,15 @@ def check_property(schedule: Schedule, prop: str, T: int) -> ConnectivityReport:
     # which held.  Keys are built only once a window has held: most
     # minimal_T steps fail at the first window, and a key costs O(T)
     ids = tuple(map(id, schedule.snapshots))
+    stop = schedule.rounds - T + 1
+    # a confirmed cycle makes each window from start + period on the window
+    # a period before it, which held if the loop reaches it
+    start, period = schedule.cycle or (0, 0)
+    if period > 0 <= start and ids[start + period:] == ids[start:-period]:
+        stop = min(stop, start + period)
     witness = None
     held: set[frozenset] = set()
-    for r in range(schedule.rounds - T + 1):
+    for r in range(stop):
         if r and ids[r - 1] == ids[r + T - 1]:
             continue
         window = ids[r : r + T]

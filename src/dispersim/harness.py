@@ -123,7 +123,10 @@ def verify_trace(text: str) -> TraceReport:
     check, each later round whose block is that of the round i - s before
     it takes that round's key too, and its index and ``pos`` pass as that
     round's did: ``_repeats`` counts them at once, in a trace whose every
-    round index is its position.
+    round index is its position.  When such a tail reaches the end of the
+    trace, each window from its round i on repeats the window i - s
+    before it, so the hole-progress precondition checks ``t_path`` on the
+    rounds up to i + T - 1 alone.
     """
     header, rounds, trailer = parse_trace(text)
     n, k = header["n"], header["k"]
@@ -169,6 +172,8 @@ def verify_trace(text: str) -> TraceReport:
     # round takes a tail, when a round index is not its position
     in_order = [r for r, _ in rounds] == list(range(len(rounds)))
     failed = -1 if in_order else len(rounds)
+    # the first round of a tail that reaches the end of the trace
+    settled = len(rounds)
 
     idx = 0
     while idx < len(rounds):
@@ -274,6 +279,8 @@ def verify_trace(text: str) -> TraceReport:
             # block is that of the round a period before takes its key
             period = idx - last
             tail = _repeats(blocks, idx + 1, period)
+            if idx + tail + 1 == len(rounds):
+                settled = idx
             counts += islice(cycle(counts[-period:]), tail)
             starts += islice(cycle(starts[-period:]), tail)
             visited_counts += [len(visited)] * tail
@@ -293,8 +300,8 @@ def verify_trace(text: str) -> TraceReport:
         and header["communication"] == "global"
         and header["visibility"] == "one"
     ):
-        prefix = Schedule(block.snapshot for _, block in rounds)
-        if prefix.rounds >= T and check_property(prefix, "t_path", T).holds:
+        prefix = Schedule(block.snapshot for block in blocks[:settled + T - 1])
+        if len(rounds) >= T and check_property(prefix, "t_path", T).holds:
             for r in range(len(rounds) - T + 1):
                 multi, before, _ = counts[r]
                 if multi == 0:

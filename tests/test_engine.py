@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,7 +27,7 @@ from dispersim.engine import (
     run,
     stitch_component,
 )
-from dispersim import adversary, algorithms, engine, harness
+from dispersim import adversary, algorithms, cli, engine, graphs, harness
 from dispersim.adversary import (
     ADVERSARY_KINDS, Periodic, RandomRounds, gen_random_with_property,
     make_adversary,
@@ -468,6 +471,73 @@ def test_kernel_applies_the_moves_of_each_computed_step_once(monkeypatch):
         communication="f2f", max_rounds=60)
     assert counts["_step"] > 0
     assert counts["apply_actions"] == counts["_step"]
+
+
+def test_a_quiet_step_keeps_its_configuration():
+    # with no move, apply_actions hands back the caller's Configuration,
+    # and a quiet round ends in the memo's object for the placement it
+    # starts from, even when it starts from an equal copy of that object
+    s = path4()
+    c = Configuration(4, {1: 1, 2: 2})
+    assert apply_actions(s, c, {}) is c
+    assert apply_actions(s, c, {1: STAY, 2: Action(terminate=True)}) is c
+    snap = Snapshot.from_pairs(5, [(v, v + 1) for v in range(4)])
+    alg = make_algorithm("alg1_implicit")
+    memo: dict = {}
+    first = Configuration(5, {1: 0, 2: 2, 3: 4})
+    copy = Configuration(5, dict(first))
+    states = {a: AgentState(id=a) for a in first}
+    blocks = [round_step(snap, config, states, alg, "one", "global",
+                         memo).block for config in (first, copy)]
+    assert [block.before for block in blocks] == [first, copy]
+    assert blocks[1].before is copy
+    for block in blocks:
+        assert all(act.port is None for act in block.actions.values())
+        assert (block.after is memo[Configuration][tuple(copy.items())]
+                is first)
+
+
+def _bench_workloads(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).parent.parent / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload,want", [
+    ("ct_grid", {"run": 59, "verify": 59}),
+    ("oracle_f2f", {"run": 81, "verify": 77}),
+])
+def test_a_seed_0_benchmark_pass_computes_its_steps(
+    workload, want, monkeypatch, tmp_path
+):
+    # the kernel's steps of one full-size pass of a benchmark workload at
+    # seed 0, by the phase that asks for them: a round that repeats an
+    # earlier one, in a run or in a replay, is not computed again
+    workloads = _bench_workloads(monkeypatch)
+    m = SimpleNamespace(graphs=graphs, engine=engine, algorithms=algorithms,
+                        adversary=adversary, harness=harness, cli=cli)
+    steps: dict[str, int] = {}
+    phase = []
+    original = engine._step
+
+    def counting(*args):
+        steps[phase[-1]] = steps.get(phase[-1], 0) + 1
+        return original(*args)
+
+    class Clock(workloads.Clock):
+        def time(self, name, fn, *args, **kwargs):
+            phase.append(name)
+            return fn(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_step", counting)
+    setup, run_pass = workloads.WORKLOADS[workload]
+    work = workloads.Work()
+    run_pass(m, setup(m, 0, "full", str(tmp_path)), Clock(), work)
+    assert work.failures == {}
+    assert steps == want
 
 
 # --- the round memo ---

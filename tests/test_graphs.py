@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 from dispersim import cli, graphs
-from dispersim.adversary import gen_random_with_property
+from dispersim.adversary import gen_random_with_property, make_adversary
+from dispersim.algorithms import make_algorithm
+from dispersim.engine import run
 from dispersim.graphs import (
     GraphError,
     Schedule,
@@ -513,6 +515,109 @@ def test_check_property_memory_follows_its_window_sets_not_its_windows():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+# --- a cycle carried by the schedule ---
+
+
+def _window_reference(sch, prop, T):
+    return (oracles.t_path_witness(sch, T) if prop == "t_path"
+            else oracles.window_witness_reference(sch, prop, T))
+
+
+def _assert_checks_match_the_references(snaps, cycle, Ts):
+    sch = Schedule(snaps, cycle)
+    plain = Schedule(snaps)
+    pair_sets = [s.pairs for s in snaps]
+    for prop in graphs.PROPERTIES:
+        for T in Ts:
+            want = _window_reference(plain, prop, T)
+            report = check_property(sch, prop, T)
+            assert report.witness == want, (cycle, prop, T)
+            assert report.holds == (want is None)
+        assert (minimal_T(sch, prop)
+                == oracles.minimal_T_reference(sch.n, pair_sets, prop)), (
+            cycle, prop)
+
+
+def test_a_carried_cycle_leaves_verdicts_and_witnesses_as_the_references():
+    # a transient, then repeats of a period, each round a graph of its own
+    # object; the right cycle, a later start of it, two wrong ones and none
+    # all give the references' verdicts, witnesses and minimal T
+    rng = random.Random("cycle")
+    for i in range(16):
+        n = rng.randint(4, 6)
+        transient, period = rng.randint(0, 4), rng.randint(1, 4)
+        draw = lambda: Snapshot.from_pairs(n, random_pairs(
+            rng, n, rng.uniform(0.2, 0.8)))
+        snaps = ([draw() for _ in range(transient)]
+                 + [draw() for _ in range(period)] * rng.randint(3, 6))
+        for cycle in (None, (transient, period), (transient + period, period),
+                      (transient, period + 1), (max(transient - 1, 0), 1)):
+            _assert_checks_match_the_references(
+                snaps, cycle, {1, 2, period, period + 2, len(snaps)})
+
+
+def test_a_cycle_broken_by_a_late_snapshot_is_refused():
+    # every pair meets in one round of each 3-round period, and the
+    # complete graph of the transient joins them all; one late round whose
+    # graph has no edge breaks the period after many repeats, so the
+    # carried cycle no longer holds and the window through that round fails
+    n = 4
+    head = [Snapshot.from_pairs(n, [(u, v) for u in range(n)
+                                    for v in range(u + 1, n)])] * 2
+    period = [Snapshot.from_pairs(n, pairs) for pairs in (
+        [(0, 1), (2, 3)], [(0, 1), (1, 2)], [(0, 3), (1, 3)])]
+    snaps = head + period * 12
+    cycle = (len(head), len(period))
+    _assert_checks_match_the_references(snaps, cycle, (1, 3, 5))
+    assert check_property(Schedule(snaps, cycle), "t_path", 3).holds
+    # the middle graph of the eleventh repeat, the only one to join 0 and 2
+    late = len(head) + 1 + 3 * 10
+    snaps[late] = Snapshot.from_pairs(n, [])
+    _assert_checks_match_the_references(snaps, cycle, (1, 3, 5))
+    for T in (3, 5):
+        report = check_property(Schedule(snaps, cycle), "t_path", T)
+        assert report.witness == (late - 2, (0, 2)), T
+
+
+def test_a_cycling_run_checks_the_windows_of_its_transient_and_one_period(
+    monkeypatch
+):
+    # 100,000 rounds of ct_dispersion fast-forward from the first repeated
+    # round; the window check splits and keys what it does on the rounds
+    # of the transient and one period, and visits no window that starts
+    # later
+    T = 3
+    res = run(make_adversary("ct_dispersion", 8, k=5, T=T),
+              {a: 0 for a in range(1, 6)}, make_algorithm("alg1_implicit"),
+              max_rounds=100_000, T=T)
+    start, period = res.cycle
+    assert res.rounds == 100_000 and start + period < 20
+    sch = res.schedule_prefix()
+    splits, keys = [], []
+    split = graphs._split
+    monkeypatch.setattr(graphs, "_split",
+                        lambda *args: splits.append(1) or split(*args))
+
+    class Counted(frozenset):
+        def __new__(cls, *args):
+            keys.append(1)
+            return frozenset(*args)
+
+    monkeypatch.setattr(graphs, "frozenset", Counted, raising=False)
+    for prop in graphs.PROPERTIES:
+        for t in (1, T, 2 * T):
+            seen = []
+            head = Schedule(sch.snapshots[:start + period + t - 1])
+            for schedule in (head, sch):
+                splits.clear()
+                keys.clear()
+                report = check_property(schedule, prop, t)
+                seen.append((report.holds, report.witness,
+                             len(splits), len(keys)))
+            assert seen[0] == seen[1], (prop, t)
+            assert seen[1][2] > 0, (prop, t)
 
 
 def test_a_connected_round_decides_its_window_without_a_search(monkeypatch):

@@ -16,6 +16,7 @@ from dispersim.adversary import (
     ADVERSARY_KINDS,
     DEMOS,
     SORTED_PATH_VARIANTS,
+    Periodic,
     RandomRounds,
     gen_random_with_property,
     make_adversary,
@@ -1034,6 +1035,61 @@ def test_cycling_tail_is_compared_in_linear_time(monkeypatch):
     assert len(tails) <= 3 * (len(want) + 1)
     prefix = "\n".join(lines[:1 + 7 * 2000] + lines[-1:]) + "\n"
     assert verify_trace(prefix) == oracles.verify_trace_reference(prefix)
+
+
+def _set_field(text, r, field, line):
+    lines = text.splitlines()
+    lines[lines.index(f"round r={r}") + 1 + engine.FIELDS.index(field)] = line
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("alg", ["alg1_explicit", "alg3", "disp"])
+@pytest.mark.parametrize("demo,T", [("perpetual_demo", 6), ("tpath_demo", 3)])
+def test_hole_progress_checks_t_path_up_to_the_tail_that_ends_the_trace(
+    demo, T, alg, monkeypatch
+):
+    # from the first round of a tail that reaches the end of the trace,
+    # each window repeats the window a period before it, so the
+    # hole-progress precondition checks t_path on the rounds up to that
+    # round's window alone; a round forged late in the tail, or at the
+    # end, breaks the period, and the rounds after it are checked too.
+    # alg1_explicit terminates before its trace repeats a period
+    checked = []
+    original = harness.check_property
+
+    def checking(schedule, prop, t):
+        report = original(schedule, prop, t)
+        checked.append((schedule.rounds, report.holds))
+        return report
+
+    monkeypatch.setattr(harness, "check_property", checking)
+    res = run(Periodic(demo), {1: 0, 2: 0, 3: 0}, make_algorithm(alg, T=T),
+              max_rounds=240, T=T)
+    text, last = res.to_text(), res.rounds - 1
+    checked.clear()
+    assert verify_trace(text) == oracles.verify_trace_reference(text)
+    assert verify_trace(text).ok
+    if res.cycle is None:
+        assert res.all_terminated_at == last
+        assert checked[0] == (res.rounds, True)
+        return
+    # the replay finds the cycle that run fast-forwarded: round
+    # start + period repeats round start, and so does every block after it
+    start, period = res.cycle
+    assert checked[0] == (start + period + T - 1, True)
+    late = last - 2 * period
+    for r, forged in (
+        (late, _forge_field(text, late, "msgs:")),
+        (late, _forge_field(text, late, "edges:")),
+        (late, _set_field(text, late, "edges:", "edges:")),
+        (last, _forge_field(text, last, "msgs:")),
+    ):
+        checked.clear()
+        report = verify_trace(forged)
+        assert report == oracles.verify_trace_reference(forged), r
+        assert not report.ok and len(checked) == 1
+        assert checked[0][0] > r
+    assert checked[-1] == (res.rounds, True)
 
 
 def test_crlf_trace_verifies_like_its_lf_copy():

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 from .adversary import make_adversary
 from .algorithms import make_algorithm
-from .engine import RunResult, run
+from .engine import RunResult, outcomes, run
 from .graphs import check_property
 from .harness import ScenarioError
 
@@ -76,10 +76,9 @@ def run_claim(claim: Claim, row: Row) -> ClaimRun:
               make_algorithm(row.alg, T=row.T), visibility=claim.visibility,
               communication=claim.communication,
               max_rounds=claim.budget(row), T=row.T)
-    seen = set(res.records[0].before.values())
-    seen.update(*(rec.after.values() for rec in res.records))
     target = getattr(adv, "target", None)
-    visited = None if target is None else target in seen
+    visited = None if target is None else (
+        target in outcomes(res.records, res.k).visited)
     T = row.T or 1
     prop = None if claim.prop is None else "no_window"
     if claim.prop is not None and res.rounds >= T:

@@ -21,9 +21,9 @@ kernel: ``run`` records each round's block, the oracle ``run`` hands an
 adaptive adversary returns the step for a candidate snapshot, and the
 verifier replays a trace through it.
 Runs stop early once every agent has terminated, and fast-forward once
-their source's state key, configuration and states repeat.  Outcome rounds are
-measured on the configuration reached AFTER each round, so a run that is
-already dispersed and stays put reports dispersed_at = 0.
+their source's state key, configuration and states repeat.  ``outcomes``
+measures outcome rounds on the configuration reached AFTER each round, so
+a run that is already dispersed and stays put reports dispersed_at = 0.
 
 ``RunResult.to_text`` writes a run as a trace and ``parse_trace`` reads
 one back into equal ``Block``s; a block's placements are
@@ -416,6 +416,42 @@ def compute_preview(
     ).block.actions
 
 
+class Outcomes(NamedTuple):
+    dispersed_at: int | None
+    explored_at: int | None
+    all_terminated_at: int | None
+    visited: set[int]
+    max_messages: int
+
+
+def outcomes(blocks: list[Block], k: int) -> Outcomes:
+    """What consecutive rounds of agents 1..k decide, each round by its
+    position: the first after which the agents are dispersed, every node
+    has been visited and agents 1..k have terminated; the nodes visited,
+    the start included; and the most messages of a round.  A block seen
+    before leads where it did and changes no outcome, so each distinct
+    block object is read once, at its first round."""
+    if not blocks:  # build nothing of size k: no pos: field bounds it
+        return Outcomes(None, None, None, set(), 0)
+    dispersed_at = explored_at = all_terminated_at = None
+    visited, terminated = set(blocks[0].before.at), set()
+    everyone = set(range(1, k + 1))
+    firsts: dict[int, tuple[int, Block]] = {}
+    for r, block in enumerate(blocks):
+        firsts.setdefault(id(block), (r, block))
+    for r, block in firsts.values():
+        visited.update(block.after.at)
+        terminated.update(a for a, act in block.actions.items() if act.terminate)
+        if dispersed_at is None and block.after.is_dispersed():
+            dispersed_at = r
+        if explored_at is None and len(visited) == block.after.n:
+            explored_at = r
+        if all_terminated_at is None and terminated == everyone:
+            all_terminated_at = r
+    return Outcomes(dispersed_at, explored_at, all_terminated_at, visited,
+                    max(block.messages for _, block in firsts.values()))
+
+
 class RunResult(NamedTuple):
     n: int
     k: int
@@ -756,11 +792,7 @@ def run(
             snap, cfg, sts, algorithm, visibility, communication, memo
         )
 
-    visited = set(config.at)
-    dispersed_at = explored_at = all_terminated_at = None
     records: list[Block] = []
-    blocks: set[int] = set()
-    budget_exhausted = True
     # each stepped round by its state key and the ids of its configuration
     # and states; the entry keeps those objects, so the ids stay theirs
     state_key = getattr(source, "state_key", None)
@@ -772,10 +804,6 @@ def run(
             key = state_key(r), id(config), id(states)
             start = starts.setdefault(key, (r, config, states))[0]
             if start < r:
-                records += records[start:] * ((max_rounds - start)
-                                              // (r - start))
-                del records[max_rounds:]
-                config = records[-1].after
                 cycle = start, r - start
                 break
         snapshot = source.next_snapshot(r, config, states)
@@ -785,24 +813,16 @@ def run(
             )
         step = round_step(snapshot, config, states, algorithm, visibility,
                           communication, memo)
-        block = step.block
-        config, states = block.after, step.states
-        # a block seen before leads where it did, and changes no outcome;
-        # the records keep every block, so its id is its own
-        if id(block) not in blocks:
-            blocks.add(id(block))
-            if dispersed_at is None and config.is_dispersed():
-                dispersed_at = r
-            if explored_at is None:
-                visited.update(config.at)
-                if len(visited) == n:
-                    explored_at = r
-        records.append(block)
+        records.append(step.block)
+        config, states = step.block.after, step.states
         if not states:
-            all_terminated_at = r
-            budget_exhausted = False
             break
 
+    got = outcomes(records, len(ids))
+    if cycle is not None:
+        start, period = cycle
+        records += records[start:] * ((max_rounds - start) // period)
+        del records[max_rounds:]
     return RunResult(
         n=config.n,
         k=len(ids),
@@ -811,10 +831,10 @@ def run(
         visibility=visibility,
         communication=communication,
         records=records,
-        dispersed_at=dispersed_at,
-        explored_at=explored_at,
-        all_terminated_at=all_terminated_at,
-        budget_exhausted=budget_exhausted,
-        final=config,
+        dispersed_at=got.dispersed_at,
+        explored_at=got.explored_at,
+        all_terminated_at=got.all_terminated_at,
+        budget_exhausted=got.all_terminated_at is None,
+        final=records[-1].after,
         cycle=cycle,
     )

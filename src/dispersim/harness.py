@@ -6,10 +6,11 @@ the algorithm the header names and a memo of its own, so the recorded
 actions, component partitions and message counts must be exactly those
 of the replayed step's block on the recorded snapshots and positions.
 It also checks conservation, move legality, termination monotonicity,
-multinode monotonicity and per-window hole progress, and recomputes every
-outcome round.  A round that repeats a clean round's block from the same
-replayed states is neither replayed nor checked again, and a run of such
-rounds that repeats a clean period is confirmed by comparing its blocks.
+multinode monotonicity and per-window hole progress, and recomputes the
+outcome rounds with ``engine.outcomes``, as ``run`` computes them.  A
+round that repeats a clean round's block from the same replayed states
+is neither replayed nor checked again, and a run of such rounds that
+repeats a clean period is confirmed by comparing its blocks.
 
 ``ScenarioError`` and ``read_int`` live here, beside the verifier, so that
 ``cli`` reads user input without importing ``scenario``.
@@ -26,6 +27,7 @@ from .engine import (
     VISIBILITIES,
     AgentState,
     EngineError,
+    outcomes,
     parse_trace,
     round_step,
 )
@@ -108,7 +110,7 @@ def verify_trace(text: str) -> TraceReport:
     recorded ``post``, so every move is legal and no terminated agent,
     having no action, moves: a clean round skips the per-agent checks, and
     any other round runs them all on the step already replayed.  Every
-    replayed round checks its multinode count and counts its outcomes.
+    replayed round checks its multinode count.
 
     A round's transition key is its ``Block``, which ``parse_trace``
     shares between rounds with equal field lines, the replayed states it
@@ -116,7 +118,7 @@ def verify_trace(text: str) -> TraceReport:
     number of agents terminated before it.  These fix every value the
     round's checks read, so a round whose key passed every check before
     passes again: it calls no ``round_step`` and takes the states it leads
-    to and its counts from that round, whose other outcomes already count.
+    to from that round.
     A round that failed a check is checked, and reported, every time, and
     every round checks its index and ``pos`` against the previous ``post``.
     When round i takes the key of round s and rounds s..i passed every
@@ -124,9 +126,10 @@ def verify_trace(text: str) -> TraceReport:
     it takes that round's key too, and its index and ``pos`` pass as that
     round's did: ``_repeats`` counts them at once, in a trace whose every
     round index is its position.  When such a tail reaches the end of the
-    trace, each window from its round i on repeats the window i - s
-    before it, so the hole-progress precondition checks ``t_path`` on the
-    rounds up to i + T - 1 alone.
+    trace, each round from its round i on repeats the round i - s before
+    it, so ``engine.outcomes`` reads the rounds up to i alone, and the
+    hole-progress precondition checks ``t_path`` on the rounds up to
+    i + T - 1.  An outcome round is reported as its recorded index.
     """
     header, rounds, trailer = parse_trace(text)
     n, k = header["n"], header["k"]
@@ -154,18 +157,12 @@ def verify_trace(text: str) -> TraceReport:
     # repeated rounds are computed once
     memo: dict = {}
     # each clean round's transition by its key, whose ids blocks and
-    # starts keep unique: the states it leads to, its counts, and the
-    # round that stored it or last took it after a failed round
+    # starts keep unique: the states it leads to and the round that
+    # stored it or last took it after a failed round
     transitions: dict[tuple, tuple] = {}
     terminated: set[int] = set()
-    visited: set[int] = set(rounds[0][1].before.values()) if rounds else set()
-    # each round's multinodes at its start and holes at its start and end,
-    # the nodes visited by its end and the replayed states it starts from
-    counts: list[tuple[int, int, int]] = []
-    visited_counts: list[int] = []
+    # the replayed states each round starts from
     starts: list[dict] = []
-    dispersed_at = explored_at = all_terminated_at = None
-    max_messages = 0
     prev_after = None
     blocks = [block for _, block in rounds]
     # the last round that added a violation; past the end, so that no
@@ -190,9 +187,8 @@ def verify_trace(text: str) -> TraceReport:
         if transition is not None:
             if not follows:
                 note(f"round {r}: pos does not match previous post")
-            # terminated, visited, max_messages and the outcome rounds
-            # already hold what the round of this key added to them
-            states, round_counts, last = transition
+            # terminated already holds what the round of this key added
+            states, last = transition
         else:
             snapshot, _, actions, after, comps, messages = block
             where = f"round {r}"
@@ -248,73 +244,57 @@ def verify_trace(text: str) -> TraceReport:
                     if messages != replayed.messages:
                         note(f"{where}: msgs={messages},"
                              f" recomputed {replayed.messages}")
-            multi = len(before.multinodes())
-            round_counts = multi, n - len(before.at), n - len(after.at)
             # cooperative moves never create new multinodes; terminal moves
             # may legally stack agents into the same hole, so skip rounds
             # that contain a terminate action
             terminating = {a for a, act in actions.items() if act.terminate}
             if algorithm in COOPERATIVE and not terminating:
-                if len(after.multinodes()) > multi:
+                if len(after.multinodes()) > len(before.multinodes()):
                     note(f"{where}: multinode count increased")
             terminated |= terminating
-            visited.update(after.at)
-            max_messages = max(max_messages, messages)
-            if dispersed_at is None and after.is_dispersed():
-                dispersed_at = r
-            if explored_at is None and len(visited) == n:
-                explored_at = r
-            if all_terminated_at is None and terminated == all_ids:
-                all_terminated_at = r
-            if len(violations) == size:
-                transitions[key] = (states, round_counts, idx)
-        counts.append(round_counts)
-        visited_counts.append(len(visited))
         if len(violations) > size:
             failed = idx
-        elif transition is not None and last <= failed:
-            transitions[key] = (*transition[:2], idx)
-        elif transition is not None:
+        elif transition is None or last <= failed:
+            transitions[key] = (states, idx)
+        else:
             # rounds last..idx passed every check: each later round whose
             # block is that of the round a period before takes its key
             period = idx - last
             tail = _repeats(blocks, idx + 1, period)
             if idx + tail + 1 == len(rounds):
                 settled = idx
-            counts += islice(cycle(counts[-period:]), tail)
             starts += islice(cycle(starts[-period:]), tail)
-            visited_counts += [len(visited)] * tail
             idx += tail
             states = starts[idx + 1 - period]
             prev_after = blocks[idx].after
         idx += 1
+
+    decided = outcomes(blocks[:settled + 1], k)
+    index = lambda i: None if i is None else rounds[i][0]
+    dispersed_at, explored_at, all_terminated_at = map(index, decided[:3])
 
     # per-window hole progress, only meaningful when the trace's own
     # prefix satisfies t_path at the declared T and agents could actually
     # learn about holes (global communication, 1-hop visibility)
     T = header["T"]
     if (
-        rounds
-        and T is not None
+        T is not None
+        and len(rounds) >= T
         and algorithm in COOPERATIVE
         and header["communication"] == "global"
         and header["visibility"] == "one"
     ):
         prefix = Schedule(block.snapshot for block in blocks[:settled + T - 1])
-        if len(rounds) >= T and check_property(prefix, "t_path", T).holds:
+        if check_property(prefix, "t_path", T).holds:
+            # alg3 owes no hole progress once every node has been visited
+            explored = decided.explored_at if algorithm == "alg3" else None
             for r in range(len(rounds) - T + 1):
-                multi, before, _ = counts[r]
-                if multi == 0:
-                    continue
-                after = counts[r + T - 1][2]
-                explored_by_then = visited_counts[r + T - 1] == n
-                if after >= before and not (
-                    algorithm == "alg3" and explored_by_then
-                ):
-                    note(
-                        f"window [{r}, {r + T - 1}]: started with a multinode"
-                        f" but holes went {before} -> {after}"
-                    )
+                start, end = blocks[r].before, blocks[r + T - 1].after
+                before, after = n - len(start.at), n - len(end.at)
+                excused = explored is not None and explored <= r + T - 1
+                if not (start.is_dispersed() or after < before or excused):
+                    note(f"window [{r}, {r + T - 1}]: started with a multinode"
+                         f" but holes went {before} -> {after}")
 
     for key, got in (
         ("rounds", len(rounds)),
@@ -340,6 +320,6 @@ def verify_trace(text: str) -> TraceReport:
         final_multinodes=len(final.multinodes()) if rounds else 0,
         holes_start=n - len(rounds[0][1].before.at) if rounds else n,
         holes_end=n - len(final.at) if rounds else n,
-        max_messages=max_messages,
+        max_messages=decided.max_messages,
     )
     return TraceReport(metrics=metrics, violations=violations)

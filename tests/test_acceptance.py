@@ -18,7 +18,7 @@ from oracles import perpetual_demo_schedule
 
 from dispersim.adversary import gen_random_with_property
 from dispersim.algorithms import make_algorithm
-from dispersim.engine import Configuration, run
+from dispersim.engine import Configuration, outcomes, run
 from dispersim.graphs import (
     PROPERTIES,
     Schedule,
@@ -52,13 +52,6 @@ def _random_pairs(rng, n, density):
         for v in range(u + 1, n)
         if rng.random() < density
     }
-
-
-def _visited(res):
-    seen = set(res.records[0].before.values()) if res.records else set()
-    for rec in res.records:
-        seen.update(rec.after.values())
-    return seen
 
 
 def test_c01_reference_traces_classify_exactly():
@@ -283,7 +276,7 @@ def test_c10_exploration_blockers_never_let_the_target_fall():
             assert claim.budget(row) == 50 * n
             got = run_claim(claim._replace(placement=placement), row)
             res = got.result
-            assert n - 1 not in _visited(res), (n, alg)
+            assert n - 1 not in outcomes(res.records, res.k).visited, (n, alg)
             assert got.target_visited is False, (n, alg)
             assert res.explored_at is None
             assert got.prop is True

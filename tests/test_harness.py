@@ -1133,6 +1133,65 @@ def test_wrong_round_index_on_a_repeated_block_is_reported_like_the_reference(
     assert report == oracles.verify_trace_reference(forged)
 
 
+def _alg2_trace():
+    """alg2 on 6 nodes, every round connected, 5 agents from node 0: they
+    disperse after round 3, and explore and all terminate after round 4."""
+    sched = gen_random_with_property(0, 6, "t_path", 1, 0.4, 40)
+    res = run(sched, {a: 0 for a in range(1, 6)}, make_algorithm("alg2"),
+              max_rounds=40)
+    assert (res.dispersed_at, res.explored_at, res.all_terminated_at) == (
+        3, 4, 4)
+    return res.to_text()
+
+
+def test_outcome_rounds_are_reported_as_recorded_round_indices():
+    # every round line reads "round r=1<r>": an outcome round is the index
+    # its round records, not the round's position
+    forged = re.sub(r"^round r=(\d+)$", r"round r=1\1", _alg2_trace(),
+                    flags=re.M)
+    report = verify_trace(forged)
+    assert report == oracles.verify_trace_reference(forged)
+    metrics = report.metrics
+    assert (metrics.dispersed_at, metrics.explored_at,
+            metrics.all_terminated_at) == (13, 14, 14)
+    assert "end line says dispersed_at=3, recomputed 13" in report.violations
+
+
+def test_a_phantom_agent_terminating_leaves_the_run_unterminated():
+    # agent 5's "!" moved onto an agent 6 the header does not have: as
+    # many agents terminate as there are, but not agents 1..5
+    lines = _alg2_trace().splitlines()
+    i = lines.index("round r=4") + 1 + engine.FIELDS.index("act:")
+    assert lines[i].rpartition(" ")[2].startswith("5:")
+    assert lines[i].endswith("!")
+    lines[i] = lines[i][:-1] + " 6:s!"
+    forged = "\n".join(lines) + "\n"
+    report = verify_trace(forged)
+    assert report == oracles.verify_trace_reference(forged)
+    assert report.metrics.all_terminated_at is None
+    assert ("end line says all_terminated_at=4, recomputed None"
+            in report.violations)
+
+
+def test_alg3_owes_no_hole_progress_in_a_window_that_ends_at_exploration():
+    # greedy_port0's trace relabelled alg3: windows [1, 2] and [2, 3] each
+    # start with a multinode and fill no hole; the last node is visited in
+    # round 3, so [2, 3] is excused and [1, 2] is not
+    sched = gen_random_with_property(0, 4, "t_path", 2, 0.4, 12)
+    res = run(sched, {1: 3, 2: 3, 3: 0}, make_algorithm("greedy_port0"),
+              max_rounds=12, T=2)
+    assert res.explored_at == 3
+    forged = res.to_text().replace("algorithm=greedy_port0", "algorithm=alg3")
+    blocks = [block for _, block in harness.parse_trace(forged)[1]]
+    for r in (1, 2):
+        start, end = blocks[r].before, blocks[r + 1].after
+        assert start.multinodes() and len(end.at) <= len(start.at)
+    report = verify_trace(forged)
+    assert report == oracles.verify_trace_reference(forged)
+    windows = [v for v in report.violations if v.startswith("window ")]
+    assert windows[-1].startswith("window [1, 2]: ")
+
+
 @pytest.mark.parametrize("kept", range(1, 8))
 def test_trace_cut_inside_its_last_repeated_block_fails_like_the_reference(
     kept

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 a check failed (trace violation, demo FAIL, or
-property does not hold), 2 bad usage or unparseable input.
+property does not hold), 2 bad usage or unparseable input, 141 the reader
+closed standard output early (as for a process that SIGPIPE ends).
 
 Only ``run`` and ``sweep`` import ``scenario``, inside their handlers, so
 ``verify``, ``demo`` and ``classify`` do not compile it.  Only ``demo``
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .engine import EngineError
@@ -22,6 +24,10 @@ from .graphs import (
     minimal_T, read_text,
 )
 from .harness import ScenarioError, read_int, verify_trace
+
+
+# the shell's status for a process that SIGPIPE ends (128 + 13)
+CLOSED_STDOUT = 141
 
 
 def _report(report, out) -> int:
@@ -156,10 +162,18 @@ def main(argv=None, out=print) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, out)
+        code = args.func(args, out)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
     except (ScenarioError, GraphError, EngineError, AdversaryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # a reader that stops early (``| head``) is no fault of the input:
+        # no traceback and no error line.  Python flushes stdout again at
+        # exit, so it is pointed at devnull first
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT
+    return code
 
 
 if __name__ == "__main__":

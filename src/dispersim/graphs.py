@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from functools import partial
+from itertools import repeat
 from operator import attrgetter, itemgetter, lshift
 from typing import NamedTuple
 
@@ -247,6 +248,7 @@ _EDGE_TOKEN = re.compile(r"(\d+)-(\d+):(\d+),(\d+)")
 # the separators inside a token, read as whitespace
 _EDGE_SEPARATORS = str.maketrans("-:,", "   ")
 _ASCII_DIGITS = str.maketrans("", "", "0123456789")
+_HEADER_LINE = re.compile(r"n=(\d+) rounds=(\d+)")
 _ROUND_LINE = re.compile(r"r=(\d+):(.*)")
 
 
@@ -320,6 +322,53 @@ def snapshot_cache(n: int, ints: Memo) -> Memo:
     return Memo(lambda text: Snapshot(n, parse_edges(text, ints)))
 
 
+def _bulk_rounds(text: str):
+    """Each round's Snapshot of a text in the shape ``Schedule.to_text``
+    writes, or None where the text departs from it: the header, then one
+    line ``r=<r>:`` per round, in order, each edge token after one space,
+    every line ended by "\\n", no comment and no blank line.  The distinct
+    edge fields are checked and their numbers converted at once, and a
+    repeated field shares one Snapshot.  A GraphError here only means the
+    text needs the line-by-line read, which names the fault."""
+    head, _, body = text.partition("\n")
+    m = _HEADER_LINE.fullmatch(head)
+    if not m:
+        return None
+    ints = Memo(parse_int)
+    n, rounds = ints[m[1]], ints[m[2]]
+    # nothing of size rounds is built before the body has as many lines
+    if body.count("\n") != rounds or not body.endswith("\n"):
+        return None
+    heads, _, fields = zip(*map(str.partition, body[:-1].split("\n"),
+                               repeat(" ")))
+    # each line starts r=<i>: for i = 0..rounds-1, read through the table
+    heads = "\n".join(heads)
+    if (heads.translate(_ASCII_DIGITS) != "\n".join(["r=:"] * rounds)
+            or list(map(ints.__getitem__, heads[2:-1].split(":\nr=")))
+            != list(range(rounds))):
+        return None
+    # the distinct fields joined by spaces are one edge field, checked as
+    # parse_edges checks one: its separators are what its digits leave,
+    # four numbers a token, so a token short of a number cannot match
+    distinct = dict.fromkeys(fields)
+    distinct.pop("", None)
+    joined = " ".join(distinct)
+    numbers = joined.translate(_EDGE_SEPARATORS).split()
+    if joined.translate(_ASCII_DIGITS) != " ".join(
+            ["-:,"] * (len(numbers) // 4)):
+        return None
+    numbers = map(ints.__getitem__, numbers)
+    edges = list(zip(numbers, numbers, numbers, numbers))
+    at = 0
+    for field in distinct:
+        end = at + field.count(" ") + 1
+        distinct[field] = Snapshot(n, edges[at:end])
+        at = end
+    # Snapshot checks n, also where every round is empty
+    distinct[""] = Snapshot(n, ())
+    return map(distinct.__getitem__, fields)
+
+
 def _diameter(n: int, ports) -> float:
     """Longest shortest path in the graph of these port maps on n nodes;
     math.inf when disconnected."""
@@ -348,15 +397,18 @@ class Schedule:
 
     def __init__(self, snapshots,
                  cycle: tuple[int, int] | None = None) -> None:
-        snapshots = list(snapshots)
+        snapshots = tuple(snapshots)
         if not snapshots:
             raise GraphError("schedule needs at least one round")
         n = snapshots[0].n
-        for i, s in enumerate(snapshots):
+        # reading a slot in this loop costs less than an attrgetter call a
+        # round in map; the index is searched for only when a round is off
+        for s in snapshots:
             if s.n != n:
+                i = next(i for i, s in enumerate(snapshots) if s.n != n)
                 raise GraphError(f"round {i} has n={s.n}, expected {n}")
         self.n = n
-        self.snapshots = tuple(snapshots)
+        self.snapshots = snapshots
         self.cycle = cycle
 
     @property
@@ -385,6 +437,15 @@ class Schedule:
 
     @classmethod
     def from_text(cls, text: str) -> "Schedule":
+        """The schedule of a text.  Text in the shape ``to_text`` writes is
+        read in bulk; any other, or any the bulk read cannot decide, is
+        read line by line, which gives each fault with its line."""
+        try:
+            snapshots = _bulk_rounds(text)
+        except GraphError:
+            snapshots = None
+        if snapshots is not None:
+            return cls(snapshots)
         lines = text.splitlines()
         header = None
         body_start = 0
@@ -399,7 +460,7 @@ class Schedule:
             raise GraphError("empty schedule file")
         ints = Memo(parse_int)
         try:
-            m = re.fullmatch(r"n=(\d+) rounds=(\d+)", header)
+            m = _HEADER_LINE.fullmatch(header)
             if not m:
                 raise GraphError(f"bad header {header!r}")
             n, rounds = ints[m.group(1)], ints[m.group(2)]

@@ -8,7 +8,8 @@ own regex (edge tokens too, so the package's one-pass edge parser is checked
 against it), refuses an agent listed twice in one field, a partition that
 does not list every node once or a header k above the number of agents the
 first pos field places, and builds a fresh Snapshot for every round,
-a snapshot check that tests every edge in turn, a window's reach grown by
+a snapshot check that tests every edge in turn, a schedule reader that
+reads and checks every round line afresh, a window's reach grown by
 sweeping its pairs, a run loop that computes every round afresh, and a
 trace verifier that replays and checks every round afresh.  An edge field
 is matched whole by one regex, where the package's edge parser checks it
@@ -360,18 +361,20 @@ _COMP = re.compile(r"\d+(?:,\d+)*(?:\|\d+(?:,\d+)*)*")
 EDGE_FIELD = re.compile(r"(?:\s*\d+-\d+:\d+,\d+(?!\S))*\s*")
 
 
+def number(digits):
+    """The value of a digit run; one too long for ``int`` is a GraphError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise GraphError(
+            f"number of {len(digits)} digits is too long") from None
+
+
 def parse_edges_reference(field):
     """``(u, v, pu, pv)`` edges of an edge field, or the GraphError of its
     first fault in reading order: a bad token, or a number too long for
     ``int``.  A field that ``EDGE_FIELD`` matches is read as its digit
     runs, four an edge; any other is read token by token."""
-    def number(digits):
-        try:
-            return int(digits)
-        except ValueError:
-            raise GraphError(
-                f"number of {len(digits)} digits is too long") from None
-
     if EDGE_FIELD.fullmatch(field):
         numbers = [number(d) for d in re.findall(r"\d+", field)]
         return [tuple(numbers[i:i + 4]) for i in range(0, len(numbers), 4)]
@@ -382,6 +385,56 @@ def parse_edges_reference(field):
             raise GraphError(f"bad edge token {tok!r}")
         edges.append(tuple(number(d) for d in m.groups()))
     return edges
+
+
+def schedule_from_text_reference(text):
+    """Each round's ``(n, pairs, ports)`` of a schedule text, or the
+    GraphError of its first fault, prefixed by its line: comments and
+    blank lines are dropped, the first line left is the header, and every
+    other is one round, its edge field read afresh by
+    ``parse_edges_reference`` and checked by ``snapshot_reference``."""
+    lines = [(i, raw.split("#", 1)[0].strip())
+             for i, raw in enumerate(text.splitlines(), start=1)]
+    lines = [(i, line) for i, line in lines if line]
+    if not lines:
+        raise GraphError("empty schedule file")
+    (at, header), body = lines[0], lines[1:]
+    rounds = {}
+
+    def read_header():
+        m = re.fullmatch(r"n=(\d+) rounds=(\d+)", header)
+        if not m:
+            raise GraphError(f"bad header {header!r}")
+        n, count = number(m.group(1)), number(m.group(2))
+        for name, value in (("n", n), ("rounds", count)):
+            if value < 1:
+                raise GraphError(f"{name} must be >= 1, got {value}")
+        if count > len(body):
+            raise GraphError(f"missing rounds: header says rounds={count}"
+                             f" but only {len(body)} round lines follow")
+        return n, count
+
+    def read_round(line):
+        m = re.fullmatch(r"r=(\d+):(.*)", line)
+        if not m:
+            raise GraphError("expected 'r=<r>: <edges>'")
+        r = number(m.group(1))
+        if not 0 <= r < count:
+            raise GraphError(f"round {r} outside 0..{count - 1}")
+        if r in rounds:
+            raise GraphError(f"round {r} listed twice")
+        rounds[r] = snapshot_reference(n, parse_edges_reference(m.group(2)))
+
+    def at_line(lineno, read, *args):
+        try:
+            return read(*args)
+        except GraphError as exc:
+            raise GraphError(f"line {lineno}: {exc}") from None
+
+    n, count = at_line(at, read_header)
+    for lineno, line in body:
+        at_line(lineno, read_round, line)
+    return [rounds[r] for r in range(count)]
 
 
 def _ref_placement(text, n, lineno):

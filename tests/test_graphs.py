@@ -360,6 +360,73 @@ def test_repeated_round_lines_share_one_snapshot():
         Schedule.from_text("n=3 rounds=3\nr=0:\nr=1: 0-1:0,1\nr=2: 0-1:0,1\n")
 
 
+CANONICAL = ("n=4 rounds=4\nr=0: 0-1:0,0 1-2:1,0\nr=1: 2-3:0,0\n"
+             "r=2: 0-1:0,0 1-2:1,0\nr=3: 1-3:0,0\n")
+CANONICAL_EDGES = [[(0, 1, 0, 0), (1, 2, 1, 0)], [(2, 3, 0, 0)],
+                   [(0, 1, 0, 0), (1, 2, 1, 0)], [(1, 3, 0, 0)]]
+LONG_DIGITS = "3" * 5000
+# (name, a text near the shape to_text writes, the rounds' edges it gives or
+# the error it raises); None keeps the canonical rounds
+NEAR_CANONICAL = [
+    ("canonical", CANONICAL, None),
+    ("comment", CANONICAL.replace("2-3:0,0\n", "2-3:0,0  # c\n"), None),
+    ("comment line", "# c\n" + CANONICAL, None),
+    ("blank line", CANONICAL.replace("\nr=1", "\n\nr=1"), None),
+    ("crlf", CANONICAL.replace("\n", "\r\n"), None),
+    ("trailing space", CANONICAL.replace("2-3:0,0\n", "2-3:0,0 \n"), None),
+    ("tab", CANONICAL.replace("r=1: ", "r=1:\t"), None),
+    ("no final newline", CANONICAL[:-1], None),
+    ("r=00", CANONICAL.replace("r=0:", "r=00:"), None),
+    ("out of order", CANONICAL.replace("r=1: 2-3:0,0", "r=9")
+     .replace("r=3: 1-3:0,0", "r=1: 2-3:0,0").replace("r=9", "r=3: 1-3:0,0"),
+     None),
+    ("repeated round", CANONICAL.replace("r=2:", "r=1:"),
+     "line 4: round 1 listed twice"),
+    ("empty field", CANONICAL.replace("r=3: 1-3:0,0", "r=3:"),
+     CANONICAL_EDGES[:3] + [[]]),
+    ("duplicate edge", CANONICAL.replace("2-3:0,0", "2-3:0,0 2-3:1,1"),
+     "line 3: duplicate edge 2-3"),
+    ("reused port", CANONICAL.replace("2-3:0,0", "2-3:0,0 1-3:0,0"),
+     "line 3: node 3 uses port 0 twice"),
+    ("node out of range", CANONICAL.replace("1-3:0,0", "1-4:0,0"),
+     "line 5: edge 1-4 out of range for n=4"),
+    ("empty number", CANONICAL.replace("1-3:0,0", "1-3:0,"),
+     "line 5: bad edge token '1-3:0,'"),
+    ("long number", CANONICAL.replace("1-3:0,0", f"1-{LONG_DIGITS}:0,0"),
+     "line 5: number of 5000 digits is too long"),
+    ("arabic-indic digit", CANONICAL.replace("1-3:0,0", "1-\u0663:0,0"), None),
+]
+
+
+@pytest.mark.parametrize("name, text, want", NEAR_CANONICAL,
+                         ids=[case[0] for case in NEAR_CANONICAL])
+def test_near_canonical_schedules_read_as_line_by_line(name, text, want):
+    # the bulk read takes only the shape to_text writes; every other text
+    # gives the rounds, the shared snapshots and the errors of the
+    # line-by-line read
+    if name == "long number" and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python converts integers of any length")
+    try:
+        bulk = graphs._bulk_rounds(text) is not None
+    except GraphError:
+        bulk = False
+    # what to_text writes is read in bulk, and so is r=00: a round
+    # number's value is checked, not its text
+    written = name in ("canonical", "empty field")
+    assert bulk == (written or name == "r=00")
+    if isinstance(want, str):
+        with pytest.raises(GraphError) as exc:
+            Schedule.from_text(text)
+        assert str(exc.value) == want
+        return
+    sch = Schedule.from_text(text)
+    edges = CANONICAL_EDGES if want is None else want
+    assert sch == Schedule(Snapshot(4, e) for e in edges)
+    assert sch.snapshots[0] is sch.snapshots[2]
+    assert len(set(map(id, sch.snapshots))) == 3
+    assert (sch.to_text() == text) == written
+
+
 def test_port_maps_only_for_nodes_with_edges():
     for s in (Snapshot(5, parse_edges("1-0:0,0")),
               Snapshot.from_pairs(5, [(1, 0)])):

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 import re
 import subprocess
@@ -1599,3 +1600,28 @@ def test_cli_usage_errors(tmp_path):
     garbled = tmp_path / "garbled.trace"
     garbled.write_text("not a trace\n")
     assert cli.main(["verify", str(garbled)], out=lambda *_: None) == 2
+
+
+@pytest.mark.parametrize("argv", [["demo", "all"],
+                                  ["sweep", "TEMPLATE", "--seeds", "0..2"]],
+                         ids=["demo", "sweep"])
+def test_cli_ends_quietly_when_its_reader_closes_stdout(tmp_path, argv):
+    # the pipe's read end is closed before the command starts, so its
+    # first write fails, as under `dispersim demo all | head -1` once head
+    # has gone: no traceback, no error line, and the SIGPIPE exit status
+    template = tmp_path / "tmpl.scn"
+    template.write_text(BASE)
+    argv = [str(template) if a == "TEMPLATE" else a for a in argv]
+    src = Path(harness.__file__).resolve().parent.parent
+    code = (f"import sys\nsys.path.insert(0, {str(src)!r})\n"
+            "from dispersim import cli\nsys.exit(cli.main())\n")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-I", "-B", "-c", code, *argv],
+                              stdout=write, stderr=subprocess.PIPE, text=True,
+                              timeout=120)
+    finally:
+        os.close(write)
+    assert proc.stderr == ""
+    assert proc.returncode == cli.CLOSED_STDOUT == 141

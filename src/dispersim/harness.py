@@ -1,16 +1,14 @@
 """Trace verification.
 
-``verify_trace`` re-checks a trace from its text alone.  It replays the
-rounds through ``engine.round_step``, the kernel that ``run`` calls, with
-the algorithm the header names and a memo of its own, so the recorded
-actions, component partitions and message counts must be exactly those
-of the replayed step's block on the recorded snapshots and positions.
-It also checks conservation, move legality, termination monotonicity,
-multinode monotonicity and per-window hole progress, and recomputes the
-outcome rounds with ``engine.outcomes``, as ``run`` computes them.  A
-round that repeats a clean round's block from the same replayed states
-is neither replayed nor checked again, and a run of such rounds that
-repeats a clean period is confirmed by comparing its blocks.
+``verify_trace`` re-checks a trace from its text alone, in stages:
+``parse_trace`` and ``_algorithm`` read it and check its header;
+``_integrity`` replays it through ``engine.round_step``, the kernel
+``run`` calls, and decides whether it is exactly what the named algorithm
+does; ``engine.outcomes`` recomputes its outcome rounds, as ``run`` does;
+the lemma stages ``_multinode_increases`` and ``_hole_progress`` check
+the paper's lemmas, and only they hold the lemmas' scopes; ``_trailer``
+checks the end line.  Lines come by round, integrity before lemma, then
+the windows' and the end line's.
 
 ``ScenarioError`` and ``read_int`` live here, beside the verifier, so that
 ``cli`` reads user input without importing ``scenario``.
@@ -23,13 +21,8 @@ from typing import NamedTuple
 
 from .algorithms import make_algorithm
 from .engine import (
-    COMMUNICATIONS,
-    VISIBILITIES,
-    AgentState,
-    EngineError,
-    outcomes,
-    parse_trace,
-    round_step,
+    COMMUNICATIONS, VISIBILITIES, AgentState, EngineError, outcomes,
+    parse_trace, round_step,
 )
 from .graphs import GraphError, Schedule, check_property
 
@@ -98,44 +91,10 @@ def _repeats(blocks: list, start: int, period: int) -> int:
     return lo - start
 
 
-def verify_trace(text: str) -> TraceReport:
-    """Re-derive everything a trace claims, from the trace text alone.
-    Each round is replayed through ``round_step`` on the recorded snapshot
-    and positions, carrying the replayed agent states forward.
-
-    A replayed round is clean when its ``pos`` follows the previous
-    ``post`` and places agents 1..k, its actors are the live agents, and
-    its actions, ``post``, components and message count equal the replayed
-    block's.  Then ``apply_actions`` of the recorded actions gives the
-    recorded ``post``, so every move is legal and no terminated agent,
-    having no action, moves: a clean round skips the per-agent checks, and
-    any other round runs them all on the step already replayed.  Every
-    replayed round checks its multinode count.
-
-    A round's transition key is its ``Block``, which ``parse_trace``
-    shares between rounds with equal field lines, the replayed states it
-    starts from, one dict per value as the round memo keeps them, and the
-    number of agents terminated before it.  These fix every value the
-    round's checks read, so a round whose key passed every check before
-    passes again: it calls no ``round_step`` and takes the states it leads
-    to from that round.
-    A round that failed a check is checked, and reported, every time, and
-    every round checks its index and ``pos`` against the previous ``post``.
-    When round i takes the key of round s and rounds s..i passed every
-    check, each later round whose block is that of the round i - s before
-    it takes that round's key too, and its index and ``pos`` pass as that
-    round's did: ``_repeats`` counts them at once, in a trace whose every
-    round index is its position.  When such a tail reaches the end of the
-    trace, each round from its round i on repeats the round i - s before
-    it, so ``engine.outcomes`` reads the rounds up to i alone, and the
-    hole-progress precondition checks ``t_path`` on the rounds up to
-    i + T - 1.  An outcome round is reported as its recorded index.
-    """
-    header, rounds, trailer = parse_trace(text)
-    n, k = header["n"], header["k"]
-    algorithm = header["algorithm"]
+def _algorithm(header: dict):
+    """The algorithm a trace header names, after the header checks."""
     try:
-        alg = make_algorithm(algorithm, T=header["T"])
+        alg = make_algorithm(header["algorithm"], T=header["T"])
     except ValueError as exc:
         raise EngineError(f"line 1: {exc}") from None
     for key, known in (("visibility", VISIBILITIES),
@@ -145,16 +104,43 @@ def verify_trace(text: str) -> TraceReport:
     if header["T"] == 0:
         # to_text writes a T of 0 as "-", so only a forged header has T=0
         raise EngineError("line 1: T must be >= 1, got 0")
-    violations: list[str] = []
-    note = violations.append
+    return alg
 
+
+def _integrity(header: dict, alg, rounds: list, blocks: list):
+    """Each round's integrity lines, as (position, line) pairs in round
+    order, and ``settled``: the first round of a tail that reaches the end
+    of the trace, else ``len(rounds)``.  Each round is replayed through
+    ``round_step`` on the recorded snapshot and positions, carrying the
+    replayed agent states forward.
+
+    A replayed round is clean when its ``pos`` follows the previous
+    ``post`` and places agents 1..k, its actors are the live agents, and
+    its actions, ``post``, components and message count equal the replayed
+    block's.  Then ``apply_actions`` of the recorded actions gives the
+    recorded ``post``, so every move is legal and no terminated agent,
+    having no action, moves: a clean round skips the per-agent checks, and
+    any other round runs them all on the step already replayed.
+
+    A round's transition key is its ``Block``, the replayed states it
+    starts from (one dict per value, as the round memo keeps them) and the
+    number of agents terminated before it.  These fix every value its
+    checks read, so a round whose key passed them before takes the states
+    it leads to from that round, and only its index and ``pos`` are
+    checked.  When round i takes the key of round s and rounds s..i passed,
+    each later round with the block of the round i - s before it passes as
+    that round did: ``_repeats`` counts them at once, in a trace whose
+    every round index is its position, and i is ``settled`` if they end it.
+    """
+    k, algorithm = header["k"], header["algorithm"]
+    lines: list[tuple[int, str]] = []
+    note = lambda line: lines.append((idx, line))
     # parse_trace bounds k by the first pos: field, and a trace without
     # rounds builds nothing of size k
     all_ids = set(range(1, k + 1)) if rounds else set()
     states = {a: AgentState(id=a) for a in all_ids}
-    # the replay's steps by the ids of their inputs, as in run: a parsed
-    # placement and the replayed states are one object per value, so
-    # repeated rounds are computed once
+    # the replay's steps by the ids of their inputs, as in run: a failed
+    # round takes no transition, yet its step is computed once
     memo: dict = {}
     # each clean round's transition by its key, whose ids blocks and
     # starts keep unique: the states it leads to and the round that
@@ -164,12 +150,10 @@ def verify_trace(text: str) -> TraceReport:
     # the replayed states each round starts from
     starts: list[dict] = []
     prev_after = None
-    blocks = [block for _, block in rounds]
-    # the last round that added a violation; past the end, so that no
-    # round takes a tail, when a round index is not its position
+    # the last round that added a line; past the end, so that no round
+    # takes a tail, when a round index is not its position
     in_order = [r for r, _ in rounds] == list(range(len(rounds)))
     failed = -1 if in_order else len(rounds)
-    # the first round of a tail that reaches the end of the trace
     settled = len(rounds)
 
     idx = 0
@@ -177,7 +161,7 @@ def verify_trace(text: str) -> TraceReport:
         r, block = rounds[idx]
         if r != idx:
             note(f"round {r}: expected round index {idx}")
-        size = len(violations)
+        size = len(lines)
         before = block.before
         follows = idx == 0 or before is prev_after or before == prev_after
         prev_after = block.after
@@ -211,14 +195,11 @@ def verify_trace(text: str) -> TraceReport:
                 if set(actions) != live:
                     note(f"{where}: actors {sorted(actions)}"
                          f" != live {sorted(live)}")
-                for a in sorted(actions):
-                    act = actions[a]
-                    src = before.get(a)
+                for a, act in sorted(actions.items()):
+                    dest = src = before.get(a)
                     if src is None:
                         continue
-                    if act.port is None:
-                        dest = src
-                    else:
+                    if act.port is not None:
                         try:
                             dest = snapshot.neighbor(src, act.port)
                         except GraphError:
@@ -244,15 +225,8 @@ def verify_trace(text: str) -> TraceReport:
                     if messages != replayed.messages:
                         note(f"{where}: msgs={messages},"
                              f" recomputed {replayed.messages}")
-            # cooperative moves never create new multinodes; terminal moves
-            # may legally stack agents into the same hole, so skip rounds
-            # that contain a terminate action
-            terminating = {a for a, act in actions.items() if act.terminate}
-            if algorithm in COOPERATIVE and not terminating:
-                if len(after.multinodes()) > len(before.multinodes()):
-                    note(f"{where}: multinode count increased")
-            terminated |= terminating
-        if len(violations) > size:
+            terminated |= {a for a, act in actions.items() if act.terminate}
+        if len(lines) > size:
             failed = idx
         elif transition is None or last <= failed:
             transitions[key] = (states, idx)
@@ -268,58 +242,84 @@ def verify_trace(text: str) -> TraceReport:
             states = starts[idx + 1 - period]
             prev_after = blocks[idx].after
         idx += 1
+    return lines, settled
 
-    decided = outcomes(blocks[:settled + 1], k)
-    index = lambda i: None if i is None else rounds[i][0]
-    dispersed_at, explored_at, all_terminated_at = map(index, decided[:3])
 
-    # per-window hole progress, only meaningful when the trace's own
-    # prefix satisfies t_path at the declared T and agents could actually
-    # learn about holes (global communication, 1-hop visibility)
-    T = header["T"]
-    if (
-        T is not None
-        and len(rounds) >= T
-        and algorithm in COOPERATIVE
-        and header["communication"] == "global"
-        and header["visibility"] == "one"
-    ):
-        prefix = Schedule(block.snapshot for block in blocks[:settled + T - 1])
-        if check_property(prefix, "t_path", T).holds:
-            # alg3 owes no hole progress once every node has been visited
-            explored = decided.explored_at if algorithm == "alg3" else None
-            for r in range(len(rounds) - T + 1):
-                start, end = blocks[r].before, blocks[r + T - 1].after
-                before, after = n - len(start.at), n - len(end.at)
-                excused = explored is not None and explored <= r + T - 1
-                if not (start.is_dispersed() or after < before or excused):
-                    note(f"window [{r}, {r + T - 1}]: started with a multinode"
-                         f" but holes went {before} -> {after}")
+def _multinode_increases(header: dict, rounds: list, blocks: list, settled):
+    """(position, line) for each round whose block adds a multinode,
+    checked once per distinct block.  Terminal moves may legally stack
+    agents into the same hole, so a block with a terminate is skipped."""
+    if header["algorithm"] not in COOPERATIVE:
+        return []
+    broken = lambda some: {
+        key for key, b in dict(zip(map(id, some), some)).items()
+        if not any(act.terminate for act in b.actions.values())
+        and len(b.after.multinodes()) > len(b.before.multinodes())}
+    # each round after settled has the block value of a round before it
+    bad = broken(blocks[:settled + 1]) and broken(blocks)
+    return [(i, f"round {r}: multinode count increased") for i, (r, block)
+            in enumerate(rounds if bad else ()) if id(block) in bad]
 
-    for key, got in (
-        ("rounds", len(rounds)),
-        ("dispersed_at", dispersed_at),
-        ("explored_at", explored_at),
-        ("all_terminated_at", all_terminated_at),
-    ):
-        if trailer[key] != got:
-            note(f"end line says {key}={trailer[key]}, recomputed {got}")
-    if trailer["budget_exhausted"] == (all_terminated_at is not None):
-        note("end line budget_exhausted inconsistent with terminations")
 
-    final = rounds[-1][1].after if rounds else None
-    metrics = RunMetrics(
-        n=n,
-        k=k,
-        rounds=len(rounds),
-        algorithm=algorithm,
-        dispersed_at=dispersed_at,
-        explored_at=explored_at,
-        all_terminated_at=all_terminated_at,
+def _hole_progress(header: dict, blocks: list, settled: int, explored):
+    """A line for each complete T-window that starts with a multinode and
+    fills no hole, when the trace keeps t_path at the declared T and agents
+    can learn about holes (global communication, 1-hop visibility).  From
+    round ``settled`` on each round repeats the round a period before it,
+    so t_path is checked on the rounds up to ``settled`` + T - 1."""
+    n, T, algorithm = header["n"], header["T"], header["algorithm"]
+    if not (T is not None and len(blocks) >= T and algorithm in COOPERATIVE
+            and header["communication"] == "global"
+            and header["visibility"] == "one" and check_property(Schedule(
+                b.snapshot for b in blocks[:settled + T - 1]), "t_path",
+                T).holds):
+        return []
+    # alg3 owes no hole progress once every node has been visited
+    if explored is None or algorithm != "alg3":
+        explored = len(blocks)
+    lines = []
+    for r in range(explored - T + 1):
+        start, end = blocks[r].before, blocks[r + T - 1].after
+        before, after = n - len(start.at), n - len(end.at)
+        if not (start.is_dispersed() or after < before):
+            lines.append(f"window [{r}, {r + T - 1}]: started with a"
+                         f" multinode but holes went {before} -> {after}")
+    return lines
+
+
+def _trailer(header: dict, rounds: list, trailer: dict, decided):
+    """The trace's ``RunMetrics``, and a line for each end line field that
+    differs from what its rounds give."""
+    # the outcome rounds by their recorded index, as the end line names them
+    got = {"rounds": len(rounds)}
+    for key, i in zip(decided._fields[:3], decided):
+        got[key] = None if i is None else rounds[i][0]
+    lines = [f"end line says {key}={trailer[key]}, recomputed {value}"
+             for key, value in got.items() if trailer[key] != value]
+    if trailer["budget_exhausted"] == (got["all_terminated_at"] is not None):
+        lines += ["end line budget_exhausted inconsistent with terminations"]
+    n, final = header["n"], rounds[-1][1].after if rounds else None
+    return RunMetrics(
+        n=n, k=header["k"], algorithm=header["algorithm"], **got,
         budget_exhausted=trailer["budget_exhausted"],
         final_multinodes=len(final.multinodes()) if rounds else 0,
         holes_start=n - len(rounds[0][1].before.at) if rounds else n,
         holes_end=n - len(final.at) if rounds else n,
         max_messages=decided.max_messages,
-    )
-    return TraceReport(metrics=metrics, violations=violations)
+    ), lines
+
+
+def verify_trace(text: str) -> TraceReport:
+    """Re-derive everything a trace claims from its text, in stages."""
+    header, rounds, trailer = parse_trace(text)
+    blocks = [block for _, block in rounds]
+    integrity, settled = _integrity(header, _algorithm(header), rounds, blocks)
+    # the rounds up to settled decide every outcome
+    decided = outcomes(blocks[:settled + 1], header["k"])
+    lemmas = _multinode_increases(header, rounds, blocks, settled)
+    # a stable sort: a round's integrity lines, then its lemma line
+    violations = [line for _, line in sorted(integrity + lemmas,
+                                             key=lambda pair: pair[0])]
+    violations += _hole_progress(header, blocks, settled, decided.explored_at)
+    metrics, lines = _trailer(header, rounds, trailer, decided)
+    return TraceReport(metrics, violations + lines)

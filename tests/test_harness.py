@@ -1038,6 +1038,75 @@ def test_cycling_tail_is_compared_in_linear_time(monkeypatch):
     assert verify_trace(prefix) == oracles.verify_trace_reference(prefix)
 
 
+def _scenario_trace(name):
+    """The trace of the scenario file tests/data/<name>.scn."""
+    return run_scenario(parse_scenario(
+        (Path(__file__).parent / "data" / f"{name}.scn").read_text()
+    )).to_text()
+
+
+def _co_located_trace():
+    """200 rounds of ct_dispersion (n=8, k=5, T=3) from a co-located start
+    under alg1_explicit with T=3."""
+    return run(make_adversary("ct_dispersion", 8, k=5, T=3),
+               {a: 0 for a in range(1, 6)},
+               make_algorithm("alg1_explicit", T=3), max_rounds=200,
+               T=3).to_text()
+
+
+@pytest.mark.parametrize("case, steps", [
+    ("long_cycle", 17),
+    ("long_tpath_cycle", 7),
+    ("co_located", 9),
+    ("long_cycle_forged", 17),
+])
+def test_verify_computes_each_distinct_step_once(case, steps, monkeypatch):
+    # the replay's memo keeps one states dict per value, so a round that
+    # repeats a block from equal states takes its transition: without that
+    # interning the co-located trace computes all 200 steps. A forged round
+    # takes no transition, but its step is a memo hit: with every msgs:
+    # line of long_cycle forged, a replay without the memo computes 20,000
+    if case == "co_located":
+        text = _co_located_trace()
+    else:
+        text = _scenario_trace(case.removesuffix("_forged"))
+    if case.endswith("_forged"):
+        text = re.sub(r"^msgs: \d+$", "msgs: 999", text, flags=re.M)
+    computed = []
+    original = engine._step
+    monkeypatch.setattr(engine, "_step",
+                        lambda *args: computed.append(1) or original(*args))
+    report = verify_trace(text)
+    assert len(computed) == steps
+    rounds = report.metrics.rounds
+    assert len(report.violations) == (rounds if case.endswith("_forged")
+                                      else 0)
+
+
+@pytest.mark.parametrize("r", [7, 10])
+def test_integrity_and_lemma_lines_interleave_in_round_order(r):
+    # alg3 under f2f (sweep_alg3_f2f.scn, seed 0): honest rounds 4, 5, 10
+    # and later raise the multinode count. A msgs: line forged at round 7,
+    # between two flagged rounds, or at the flagged round 10, puts an
+    # integrity line among the lemma lines, before its round's lemma line
+    text = _scenario_trace("sweep_alg3_f2f")
+    flagged = verify_trace(text).violations
+    assert flagged[:3] == [f"round {i}: multinode count increased"
+                           for i in (4, 5, 10)]
+    assert all(v.endswith(": multinode count increased") for v in flagged)
+    forged = _forge_field(text, r, "msgs:")
+    report = verify_trace(forged)
+    assert report == oracles.verify_trace_reference(forged)
+    msgs = next(v for v in report.violations
+                if v.startswith(f"round {r}: msgs=999, recomputed "))
+    assert sorted(report.violations, key=lambda v: int(v.split()[1][:-1])
+                  ) == report.violations
+    assert [v for v in report.violations if v != msgs] == flagged
+    # after round 5's lemma line, and before round 10's
+    i = report.violations.index(msgs)
+    assert report.violations[i - 1:i + 2] == [flagged[1], msgs, flagged[2]]
+
+
 def _set_field(text, r, field, line):
     lines = text.splitlines()
     lines[lines.index(f"round r={r}") + 1 + engine.FIELDS.index(field)] = line

@@ -158,8 +158,11 @@ def _star(nodes) -> set[tuple[int, int]]:
 class Adversary:
     """Base: deterministic function of the configuration history.
 
-    Subclasses implement _emit(r, config, states) and state_key(r), which
-    must cover every attribute that _emit reads or writes.  An adversary
+    Subclasses implement _emit(r, config, states), which may replace
+    ``state``, one hashable value, and may change no other attribute after
+    round 0; ``phase(r)`` is what else, as a function of r alone, the rounds
+    from r on depend on.  So ``state_key(r)``, the two together, covers all
+    that _emit reads besides the configuration and states.  An adversary
     serves one run, which queries rounds in order, at most once each.  A
     graph the adversary emits again is the same Snapshot object, so its
     components are computed once and the round memo finds it by identity.
@@ -167,6 +170,7 @@ class Adversary:
 
     kind = "adversary"
     needs_oracle = False
+    state = ()
 
     def __init__(self, n: int) -> None:
         if n < 1:
@@ -188,6 +192,12 @@ class Adversary:
             )
         self._next_r += 1
         return self._emit(r, config, states)
+
+    def phase(self, r: int):
+        return ()
+
+    def state_key(self, r: int):
+        return self.phase(r), self.state
 
     def _emit(self, r, config, states) -> Snapshot:
         raise NotImplementedError
@@ -213,7 +223,7 @@ class KtLower(Adversary):
             raise AdversaryError(f"kt_lower needs n > k, got n={n} k={k}")
         self.T = T
 
-    def state_key(self, r: int):
+    def phase(self, r: int):
         return min(r, 1), r % (self.T - 1)
 
     def _emit(self, r, config, states) -> Snapshot:
@@ -250,19 +260,20 @@ class CtDispersion(Adversary):
             )
         self.k = k
         self.T = T
-        self._phase_graph: Snapshot | None = None
 
-    def state_key(self, r: int):
-        span = self.T - 1
-        return r % (2 * span), self._phase_graph if r % span else None
+    def phase(self, r: int):
+        return r % (2 * (self.T - 1))
 
     def _emit(self, r, config, states) -> Snapshot:
         span = self.T - 1
-        if r % span == 0:
-            self._phase_graph = self._phase(config, r // span % 2)
-        return self._phase_graph
+        graph = (self._phase_graph(config, r // span % 2) if r % span == 0
+                 else self.state)
+        # the phase's graph is its state up to its last round, so the key at
+        # a phase's start leaves it out
+        self.state = graph if r % span < span - 1 else ()
+        return graph
 
-    def _phase(self, config, parity: int) -> Snapshot:
+    def _phase_graph(self, config, parity: int) -> Snapshot:
         if config.is_dispersed():
             raise AdversaryError(
                 "ct_dispersion needs a non-dispersed configuration"
@@ -308,9 +319,6 @@ class ExplorationStar(Adversary):
             )
         self.target = n - 1
 
-    def state_key(self, r: int):
-        return ()
-
     def _emit(self, r, config, states) -> Snapshot:
         holes = config.holes()
         if self.target not in holes:
@@ -343,22 +351,21 @@ class TwoStarsTime(Adversary):
         self.T = T
         if T > 1:
             self.kind = "two_stars_time_tpath"
-        self._visited: set[int] = set()
 
-    def state_key(self, r: int):
-        return min(r, 1), r % max(self.T - 1, 1), frozenset(self._visited)
+    def phase(self, r: int):
+        return min(r, 1), r % max(self.T - 1, 1)
 
     def _emit(self, r, config, states) -> Snapshot:
         if r == 0 and len(config.at) != 1:
             raise AdversaryError(
                 f"{self.kind} expects all agents co-located at round 0"
             )
-        self._visited |= set(config.at)
-        unvisited = [v for v in range(self.n) if v not in self._visited]
-        pairs = _star(sorted(self._visited)) | _star(unvisited)
+        self.state = visited = frozenset(config.at).union(self.state)
+        unvisited = [v for v in range(self.n) if v not in visited]
+        pairs = _star(sorted(visited)) | _star(unvisited)
         # T = 1 bridges every round, a larger T at multiples of T-1
         if unvisited and (self.T == 1 or r > 0 and r % (self.T - 1) == 0):
-            pairs.add((min(self._visited), min(unvisited)))
+            pairs.add((min(visited), min(unvisited)))
         return self._graph(pairs)
 
 
@@ -386,29 +393,27 @@ class CtExploration(Adversary):
                 f"ct_exploration needs 1 <= k <= 2n-5, got k={k} n={n}"
             )
         self.T = T
-        self.partner: int | None = None
         self.target: int | None = None
-        self._pending: tuple[int, int | None] | None = None
 
-    def state_key(self, r: int):
-        # the pending B-round too: where a multinode can leave its node
-        # whole, one configuration can follow B-rounds at different nodes
-        return min(r, 1), r % self.T, self.partner, self._pending
+    def phase(self, r: int):
+        return min(r, 1), r % self.T
 
     def _emit(self, r, config, states) -> Snapshot:
+        # state (x, pending B-round): where a multinode can leave its node
+        # whole, one configuration can follow B-rounds at different nodes
         if r == 0:
             holes = config.holes()
             if len(holes) < 2:
                 raise AdversaryError(
                     "ct_exploration needs at least two holes at round 0"
                 )
-            self.partner, self.target = holes[0], holes[1]
-        elif r % self.T == 0 and self._pending is not None:
-            w, agent = self._pending
-            if agent is not None and config[agent] == self.partner:
-                self.partner = w  # w's agent stepped onto x; w is the hole now
-            self._pending = None
-        x, y = self.partner, self.target
+            self.target, self.state = holes[1], (holes[0], None)
+        (x, pending), y = self.state, self.target
+        if r % self.T == 0 and pending is not None:
+            w, agent = pending
+            if agent is not None and config[agent] == x:
+                x = w  # w's agent stepped onto x; w is the hole now
+            pending = None
         star_nodes = [u for u in range(self.n) if u not in (x, y)]
         if r % self.T == self.T - 1:
             candidates = [
@@ -418,13 +423,14 @@ class CtExploration(Adversary):
                 raise AdversaryError("ct_exploration found no sparse node")
             w = min(candidates)
             ids = config.ids_at(w)
-            self._pending = (w, ids[0] if ids else None)
+            pending = w, ids[0] if ids else None
             pairs = _star([u for u in star_nodes if u != w])
             pairs.add((w, x))
             pairs.add((x, y))
         else:
             pairs = _star(star_nodes)
             pairs.add((x, y))
+        self.state = x, pending
         return self._graph(pairs)
 
 
@@ -504,9 +510,6 @@ class SortedPath(Adversary):
             return (1, u, 0)
 
         return tuple(sorted(range(self.n), key=key))
-
-    def state_key(self, r: int):
-        return ()
 
     def _straight(self, config) -> tuple[tuple[int, ...], Snapshot]:
         """The path order for ``config`` and its straight layout; the

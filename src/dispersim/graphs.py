@@ -24,6 +24,9 @@ from operator import attrgetter, itemgetter, lshift
 from typing import NamedTuple
 
 PROPERTIES = ("t_interval", "t_path", "connectivity_time")
+# the most nodes a schedule or scenario may name: checks and runs build
+# lists of n entries, so a short text must not ask for more
+MAX_NODES = 10**6
 
 
 class GraphError(ValueError):
@@ -336,8 +339,10 @@ def _bulk_rounds(text: str):
         return None
     ints = Memo(parse_int)
     n, rounds = ints[m[1]], ints[m[2]]
-    # nothing of size rounds is built before the body has as many lines
-    if body.count("\n") != rounds or not body.endswith("\n"):
+    # nothing of size rounds is built before the body has as many lines,
+    # and the line-by-line read names an n over MAX_NODES
+    if (n > MAX_NODES or body.count("\n") != rounds
+            or not body.endswith("\n")):
         return None
     heads, _, fields = zip(*map(str.partition, body[:-1].split("\n"),
                                repeat(" ")))
@@ -467,6 +472,8 @@ class Schedule:
             for name, value in (("n", n), ("rounds", rounds)):
                 if value < 1:
                     raise GraphError(f"{name} must be >= 1, got {value}")
+            if n > MAX_NODES:
+                raise GraphError(f"n must be <= {MAX_NODES}, got {n}")
         except GraphError as exc:
             raise GraphError(f"line {body_start}: {exc}") from None
         body = [

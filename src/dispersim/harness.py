@@ -17,6 +17,7 @@ the windows' and the end line's.
 from __future__ import annotations
 
 from itertools import cycle, islice
+from operator import itemgetter
 from typing import NamedTuple
 
 from .algorithms import make_algorithm
@@ -245,18 +246,23 @@ def _integrity(header: dict, alg, rounds: list, blocks: list):
     return lines, settled
 
 
+def _adding_multinodes(blocks: list) -> set:
+    """The ids of the distinct blocks that add a multinode.  Terminal moves
+    may legally stack agents into the same hole, so a block with a
+    terminate is skipped."""
+    return {key for key, b in dict(zip(map(id, blocks), blocks)).items()
+            if not any(act.terminate for act in b.actions.values())
+            and len(b.after.multinodes()) > len(b.before.multinodes())}
+
+
 def _multinode_increases(header: dict, rounds: list, blocks: list, settled):
     """(position, line) for each round whose block adds a multinode,
-    checked once per distinct block.  Terminal moves may legally stack
-    agents into the same hole, so a block with a terminate is skipped."""
+    checked once per distinct block."""
     if header["algorithm"] not in COOPERATIVE:
         return []
-    broken = lambda some: {
-        key for key, b in dict(zip(map(id, some), some)).items()
-        if not any(act.terminate for act in b.actions.values())
-        and len(b.after.multinodes()) > len(b.before.multinodes())}
     # each round after settled has the block value of a round before it
-    bad = broken(blocks[:settled + 1]) and broken(blocks)
+    bad = (_adding_multinodes(blocks[:settled + 1])
+           and _adding_multinodes(blocks))
     return [(i, f"round {r}: multinode count increased") for i, (r, block)
             in enumerate(rounds if bad else ()) if id(block) in bad]
 
@@ -318,8 +324,8 @@ def verify_trace(text: str) -> TraceReport:
     decided = outcomes(blocks[:settled + 1], header["k"])
     lemmas = _multinode_increases(header, rounds, blocks, settled)
     # a stable sort: a round's integrity lines, then its lemma line
-    violations = [line for _, line in sorted(integrity + lemmas,
-                                             key=lambda pair: pair[0])]
+    violations = list(map(itemgetter(1), sorted(integrity + lemmas,
+                                                key=itemgetter(0))))
     violations += _hole_progress(header, blocks, settled, decided.explored_at)
     metrics, lines = _trailer(header, rounds, trailer, decided)
     return TraceReport(metrics, violations + lines)

@@ -18,7 +18,7 @@ from .adversary import (
 )
 from .algorithms import ALGORITHM_NAMES, make_algorithm
 from .engine import COMMUNICATIONS, VISIBILITIES, RunResult, run
-from .graphs import PROPERTIES, GraphError, Schedule, parse_int
+from .graphs import MAX_NODES, PROPERTIES, GraphError, Schedule, parse_int
 from .harness import RunMetrics, ScenarioError, read_int, verify_trace
 
 # what each schedule kind takes from a scenario: T and the argument after
@@ -108,6 +108,8 @@ def parse_scenario(text: str) -> Scenario:
 
     if sc.n < 1:
         fail("n", f"n must be >= 1, got {sc.n}")
+    if sc.n > MAX_NODES:
+        fail("n", f"n must be <= {MAX_NODES}, got {sc.n}")
     if sc.k < 1:
         fail("k", f"k must be >= 1, got {sc.k}")
     if sc.k > sc.n:

@@ -438,8 +438,8 @@ def test_no_registered_algorithm_refutes_an_impossibility_or_lower_bound():
 # placement, algorithm, communication, rounds between derivations)
 @pytest.mark.parametrize("cls, method, kind, kwargs, placement, alg, comm,"
                          " every", [
-    (CtDispersion, "_phase", "ct_dispersion", dict(k=4, T=3), colocated(4),
-     "alg1_implicit", "global", 2),
+    (CtDispersion, "_phase_graph", "ct_dispersion", dict(k=4, T=3),
+     colocated(4), "alg1_implicit", "global", 2),
     (SortedPath, "_sorted_order", "sorted_path", dict(variant="comm"),
      colocated(6), "alg3", "f2f", 1),
 ])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import importlib.util
 import random
 import sys
@@ -741,7 +742,7 @@ def test_ct_exploration_keys_its_pending_b_round(monkeypatch):
     want = oracles.run_text(make_source(), placement, algorithm, **kwargs)
     assert _run_text(make_source(), placement, algorithm, **kwargs) == want
     monkeypatch.setattr(adversary.CtExploration, "state_key",
-                        lambda self, r: (min(r, 1), r % self.T, self.partner))
+                        lambda self, r: (self.phase(r), self.state[:1]))
     assert _run_text(make_source(), placement, algorithm, **kwargs) != want
 
 
@@ -777,6 +778,77 @@ def test_a_cycling_run_queries_its_source_until_its_state_repeats():
         assert source.queries == queries
         texts.append(res.to_text())
     assert texts[0] == texts[1]
+
+
+ADVERSARY_SOURCES = sorted(
+    name for name, (make_source, _, _) in MEMO_SOURCES.items()
+    if isinstance(make_source(), adversary.Adversary))
+# under alg3 every adversary of MEMO_SOURCES cycles: the cycle's (start,
+# period), and the rounds queried, start + period
+ALG3_CYCLES = {
+    "ct_dispersion": (3, 4),
+    "ct_dispersion:spread": (0, 12),
+    "ct_exploration": (7, 6),
+    "exploration_star": (3, 2),
+    "kt_lower": (9, 4),
+    "sorted_path:comm": (5, 2),
+    "sorted_path:dispersed": (0, 2),
+    "sorted_path:visibility": (5, 2),
+    "two_stars_time": (4, 2),
+    "two_stars_time_tpath": (8, 2),
+}
+
+
+@pytest.mark.parametrize("source", ADVERSARY_SOURCES)
+def test_each_adversary_cycles_where_its_state_first_repeats(source):
+    make_source, placement, rounds = MEMO_SOURCES[source]
+    counted = _counted(make_source())
+    res = run(counted, placement, make_algorithm("alg3", T=3),
+              max_rounds=rounds, T=3)
+    assert res.cycle == ALG3_CYCLES[source]
+    assert counted.queries == sum(res.cycle)
+
+
+def test_no_adversary_writes_its_own_state_key():
+    for cls, _ in adversary.ADVERSARIES.values():
+        assert "state_key" not in vars(cls), cls.kind
+
+
+def _watched(source, case):
+    """``source``, asserting after each round it emits that its ``state``
+    is hashable and that no other attribute but its round counter has
+    changed value since round 0; the graph caches are exempt."""
+    emit, at_round_0 = source.next_snapshot, []
+
+    def attributes():
+        return {name: copy.copy(value) for name, value in vars(source).items()
+                if name not in ("state", "_next_r", "next_snapshot")
+                and not isinstance(value, graphs.Memo)}
+
+    def watching(r, config, states):
+        snapshot = emit(r, config, states)
+        hash(source.state)
+        at_round_0.append(attributes())
+        assert at_round_0[-1] == at_round_0[0], (case, r)
+        return snapshot
+
+    source.next_snapshot = watching
+    return source
+
+
+@pytest.mark.parametrize("source", ADVERSARY_SOURCES)
+def test_an_adversary_changes_only_its_state_after_round_0(source):
+    # the state key is (phase(r), state), so whatever else _emit changed
+    # would be missing from it
+    make_source, placement, rounds = MEMO_SOURCES[source]
+    for name in ALGORITHM_NAMES:
+        for visibility in ("zero", "one"):
+            for communication in ("global", "f2f"):
+                case = (name, visibility, communication)
+                _outcome(lambda: run(
+                    _watched(make_source(), case), placement,
+                    make_algorithm(name, T=3), visibility=visibility,
+                    communication=communication, max_rounds=rounds, T=3))
 
 
 @pytest.mark.parametrize("make_source, k", [

@@ -213,6 +213,28 @@ def test_a_budget_no_trace_can_hold_is_refused_before_a_run(
         "error: line 6: max_rounds must be <= 1000000, got 1000000000000"]
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("classify", "n=1000000000000 rounds=1\nr=0:\n",
+     "line 1: n must be <= 1000000, got 1000000000000"),
+    ("classify", "# read line by line\nn=1000001 rounds=1\nr=0:\n",
+     "line 2: n must be <= 1000000, got 1000001"),
+    ("run", "n = 3000000000\nk = 2\nschedule = kt_lower\nT = 3\n"
+            "algorithm = alg1_implicit\nmax_rounds = 10\n",
+     "line 1: n must be <= 1000000, got 3000000000"),
+])
+def test_a_node_count_no_check_or_run_can_hold_is_refused(
+    tmp_path, capsys, monkeypatch, command, text, message
+):
+    # checks and runs build lists of n entries, so a short text must not
+    # name more nodes than that can hold
+    for where in ("dispersim.scenario.run", "dispersim.cli.minimal_T"):
+        monkeypatch.setattr(where, lambda *args, **kwargs: 1 / 0)
+    path = tmp_path / "huge"
+    path.write_text(text)
+    assert cli.main([command, str(path)], out=lambda *_: None) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def test_demo_schedule_is_drawn_only_as_far_as_the_run_reads_it():
     sc = parse_scenario(
         "n = 4\nk = 3\nschedule = tpath_demo\nT = 3\n"

@@ -203,7 +203,27 @@ class Adversary:
         raise NotImplementedError
 
 
-class KtLower(Adversary):
+class _TwoStars(Adversary):
+    """Stars on the side ``_left`` names and on the rest, bridged at
+    their least nodes if T = 1 or T-1 divides the round r > 0."""
+
+    def phase(self, r: int):
+        return min(r, 1), r % max(self.T - 1, 1)
+
+    def _emit(self, r, config, states) -> Snapshot:
+        if r == 0 and len(config.at) != 1:
+            raise AdversaryError(
+                f"{self.kind} expects all agents co-located at round 0"
+            )
+        left = self._left(config)
+        rest = [v for v in range(self.n) if v not in left]
+        pairs = _star(left) | _star(rest)
+        if rest and (self.T == 1 or r > 0 and r % (self.T - 1) == 0):
+            pairs.add((min(left), min(rest)))
+        return self._graph(pairs)
+
+
+class KtLower(_TwoStars):
     """Two stars (occupied / unoccupied) bridged only at multiples of T-1.
 
     T-Path holds at exactly T; from a co-located start at most one new
@@ -223,20 +243,8 @@ class KtLower(Adversary):
             raise AdversaryError(f"kt_lower needs n > k, got n={n} k={k}")
         self.T = T
 
-    def phase(self, r: int):
-        return min(r, 1), r % (self.T - 1)
-
-    def _emit(self, r, config, states) -> Snapshot:
-        if r == 0 and len(config.at) != 1:
-            raise AdversaryError(
-                "kt_lower expects all agents co-located at round 0"
-            )
-        occupied = sorted(config.at)
-        rest = config.holes()
-        pairs = _star(occupied) | _star(rest)
-        if rest and r > 0 and r % (self.T - 1) == 0:
-            pairs.add((min(occupied), min(rest)))
-        return self._graph(pairs)
+    def _left(self, config):
+        return config.at
 
 
 class CtDispersion(Adversary):
@@ -331,7 +339,7 @@ class ExplorationStar(Adversary):
         return self._graph(pairs)
 
 
-class TwoStarsTime(Adversary):
+class TwoStarsTime(_TwoStars):
     """Visited star + unvisited star + one bridge: exploration costs a
     round per node.
 
@@ -352,21 +360,9 @@ class TwoStarsTime(Adversary):
         if T > 1:
             self.kind = "two_stars_time_tpath"
 
-    def phase(self, r: int):
-        return min(r, 1), r % max(self.T - 1, 1)
-
-    def _emit(self, r, config, states) -> Snapshot:
-        if r == 0 and len(config.at) != 1:
-            raise AdversaryError(
-                f"{self.kind} expects all agents co-located at round 0"
-            )
-        self.state = visited = frozenset(config.at).union(self.state)
-        unvisited = [v for v in range(self.n) if v not in visited]
-        pairs = _star(sorted(visited)) | _star(unvisited)
-        # T = 1 bridges every round, a larger T at multiples of T-1
-        if unvisited and (self.T == 1 or r > 0 and r % (self.T - 1) == 0):
-            pairs.add((min(visited), min(unvisited)))
-        return self._graph(pairs)
+    def _left(self, config):
+        self.state = frozenset(config.at).union(self.state)
+        return self.state
 
 
 class CtExploration(Adversary):

@@ -1,22 +1,21 @@
 """Agent programs: dispersion and exploration on dynamic graphs.
 
 All of them are pure functions of (private state, local view, received
-broadcasts).  The cooperative ones share one subroutine: from the
-broadcasts they stitch the occupied part of their component and compute a
-sliding plan that shifts one agent each along a shortest occupied path
-from the coordinating multinode to the nearest hole, filling exactly one
-hole per executed plan.  Every agent of the component computes the same
-plan from the same broadcasts and moves only if the plan names it.
+broadcasts).  The five in ``COOPERATIVE`` are one step.  While a multinode
+is heard they follow a sliding plan: from the broadcasts they stitch the
+occupied part of their component and shift one agent each along a
+shortest occupied path from the coordinating multinode to the nearest
+hole, filling one hole per executed plan.  Every agent of the component
+computes the same plan and moves only if it names it.  In a quiet round,
+in which no multinode is heard, each follows its own rule.
 
-Registered names:
+Registered names, the first five by their quiet rule:
 
-* ``disp``               execute a sliding plan whenever one exists, else stay
-* ``alg1_explicit``      dispersion that terminates after T quiet rounds
-* ``alg1_implicit``      ``disp``'s rule under its own name: dispersion
-                         without termination
-* ``alg2``               exploration with termination (needs 1-hop views)
-* ``alg3``               perpetual exploration: dispersion plans plus a
-                         least-ID hole walker when no multinode is around
+* ``disp``               stay
+* ``alg1_explicit``      count the quiet rounds in a row, terminate at the T-th
+* ``alg1_implicit``      stay, as ``disp``: dispersion without termination
+* ``alg2``               ``dispersed_one_round`` (needs 1-hop views)
+* ``alg3``               the least-ID agent that sees a hole steps into it
 * ``dispersed_one_round``one-shot exploration from a dispersed start
 * ``greedy_port0``       strawman: always exit through port 0
 * ``stay``               strawman: never move
@@ -99,19 +98,13 @@ def _kept(msgs: tuple[Broadcast, ...], name: str, compute):
     return value
 
 
-def _plan(msgs: tuple[Broadcast, ...]) -> dict[int, Action]:
-    """Each agent's ``Action`` under the sliding plan stitched from the
-    broadcasts, none when there is no plan; ``disp`` and ``alg1_implicit``
-    keep it as ``plan``."""
-    plan = disp_plan(stitch_component(msgs)) or ()
-    return {a: Action(port=p) for a, p in plan}
-
-
 def _plan_actions(msgs: tuple[Broadcast, ...]) -> dict[int, Action] | bool:
-    """``_plan``, or False when no multinode is heard (nothing is then
-    stitched); ``alg1_explicit``, ``alg2`` and ``alg3`` keep it as
-    ``actions``."""
-    return any(len(b.view.colocated) > 1 for b in msgs) and _plan(msgs)
+    """Each agent's ``Action`` under the sliding plan stitched from the
+    broadcasts, none when there is no plan, or False when no multinode is
+    heard (nothing is then stitched); kept as ``actions``."""
+    return any(len(b.view.colocated) > 1 for b in msgs) and {
+        a: Action(port=p)
+        for a, p in disp_plan(stitch_component(msgs)) or ()}
 
 
 def _walker(msgs: tuple[Broadcast, ...]) -> dict[int, Action]:
@@ -124,39 +117,34 @@ def _walker(msgs: tuple[Broadcast, ...]) -> dict[int, Action]:
     return {}
 
 
+def _cooperative(name: str, quiet) -> Algorithm:
+    """The step that follows the kept sliding plan while a multinode is
+    heard, resetting a quiet count, and is ``quiet`` otherwise."""
+    def step(state: AgentState, view: LocalView, msgs):
+        actions = _kept(msgs, "actions", _plan_actions)
+        if actions is False:
+            return quiet(state, view, msgs)
+        if state.t:
+            state = AgentState(state.id, 0)
+        return actions.get(state.id, STAY), state
+
+    return Algorithm(name, step)
+
+
 def _make_alg1(T: int | None) -> Algorithm:
     if T is None or T < 1:
         raise ValueError("alg1_explicit needs the window length T >= 1")
 
-    def step(state: AgentState, view: LocalView, msgs):
-        actions = _kept(msgs, "actions", _plan_actions)
-        if actions is not False:
-            if state.t:
-                state = AgentState(state.id, 0)
-            return actions.get(state.id, STAY), state
+    def count(state: AgentState, view: LocalView, msgs):
         t = state.t + 1
         return (Action(terminate=True) if t >= T else STAY,
                 AgentState(state.id, t))
 
-    return Algorithm("alg1_explicit", step)
+    return _cooperative("alg1_explicit", count)
 
 
-def _alg2_step(state: AgentState, view: LocalView, msgs):
-    actions = _kept(msgs, "actions", _plan_actions)
-    if actions is False:
-        return _one_round_step(state, view, msgs)
-    return actions.get(state.id, STAY), state
-
-
-def _alg3_step(state: AgentState, view: LocalView, msgs):
-    actions = _kept(msgs, "actions", _plan_actions)
-    if actions is False:
-        actions = _kept(msgs, "walker", _walker)
-    return actions.get(state.id, STAY), state
-
-
-def _disp_step(state: AgentState, view: LocalView, msgs):
-    return _kept(msgs, "plan", _plan).get(state.id, STAY), state
+def _walk_step(state: AgentState, view: LocalView, msgs):
+    return _kept(msgs, "walker", _walker).get(state.id, STAY), state
 
 
 def _one_round_step(state: AgentState, view: LocalView, msgs):
@@ -178,16 +166,19 @@ def _stay_step(state: AgentState, view: LocalView, msgs):
 
 # each name's builder of the window length T; only alg1_explicit needs it
 ALGORITHMS = {
-    "disp": lambda T: Algorithm("disp", _disp_step),
+    "disp": lambda T: _cooperative("disp", _stay_step),
     "alg1_explicit": _make_alg1,
-    "alg1_implicit": lambda T: Algorithm("alg1_implicit", _disp_step),
-    "alg2": lambda T: Algorithm("alg2", _alg2_step),
-    "alg3": lambda T: Algorithm("alg3", _alg3_step),
+    "alg1_implicit": lambda T: _cooperative("alg1_implicit", _stay_step),
+    "alg2": lambda T: _cooperative("alg2", _one_round_step),
+    "alg3": lambda T: _cooperative("alg3", _walk_step),
     "dispersed_one_round": lambda T: Algorithm(
         "dispersed_one_round", _one_round_step),
     "greedy_port0": lambda T: Algorithm("greedy_port0", _greedy_step),
     "stay": lambda T: Algorithm("stay", _stay_step),
 }
+# built by _cooperative; the verifier's lemma stages hold their traces to
+# multinode counts that never rise and hole progress in each T-window
+COOPERATIVE = ("disp", "alg1_explicit", "alg1_implicit", "alg2", "alg3")
 ALGORITHM_NAMES = tuple(ALGORITHMS)
 
 

@@ -188,11 +188,9 @@ def node_views(
 
 class Bundle(tuple):
     """Broadcasts heard together, by sender.  ``deliver`` hands every agent
-    of a component (of a node, under ``f2f``) the same Bundle, so the
-    algorithms keep on it each agent's move under its sliding plan, as
-    ``plan`` (``disp`` and ``alg1_implicit``, which stitch every bundle)
-    or as ``actions`` (False when no multinode is heard), and a quiet
-    bundle's walker as ``walker``."""
+    of a component (of a node, under ``f2f``) the same Bundle, so an
+    algorithm can keep on it, as an attribute, what it derives from the
+    broadcasts alone, computed once for all of them."""
 
 
 def deliver(

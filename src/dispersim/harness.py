@@ -20,16 +20,12 @@ from itertools import cycle, islice
 from operator import itemgetter
 from typing import NamedTuple
 
-from .algorithms import make_algorithm
+from .algorithms import COOPERATIVE, make_algorithm
 from .engine import (
     COMMUNICATIONS, VISIBILITIES, AgentState, EngineError, outcomes,
     parse_trace, round_step,
 )
 from .graphs import GraphError, Schedule, check_property
-
-# algorithms whose traces must keep multinode counts non-increasing and
-# fill a hole within every complete T-window that starts with a multinode
-COOPERATIVE = ("disp", "alg1_explicit", "alg1_implicit", "alg2", "alg3")
 
 
 class ScenarioError(ValueError):

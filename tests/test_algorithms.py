@@ -8,11 +8,11 @@ import pytest
 
 from dispersim import algorithms
 from dispersim.adversary import gen_random_with_property
-from dispersim.algorithms import disp_plan, make_algorithm
+from dispersim.algorithms import COOPERATIVE, disp_plan, make_algorithm
 from dispersim.engine import (
     COMMUNICATIONS, STAY, VISIBILITIES, Action, AgentState, Broadcast, Bundle,
     Configuration, EngineError, LocalView, NodeKnowledge, deliver,
-    node_views, run,
+    node_views, run, stitch_component,
 )
 from dispersim.graphs import PROPERTIES, Schedule, Snapshot
 
@@ -110,14 +110,68 @@ def test_a_bundle_keeps_whether_it_hears_a_multinode(monkeypatch):
                             algorithms._plan_actions) == inbox[1].actions
 
 
-def test_disp_stitches_a_quiet_bundle():
-    # disp stitches every bundle, so conflicting views are an engine fault
-    # even where no multinode is heard
+def test_no_cooperative_algorithm_stitches_a_quiet_bundle(monkeypatch):
+    # conflicting views are an engine fault: a quiet bundle is not stitched,
+    # so no step finds them there, and the plan of a bundle that hears a
+    # multinode still does
+    stitches = []
+    stitch = algorithms.stitch_component
+    monkeypatch.setattr(algorithms, "stitch_component",
+                        lambda m: stitches.append(1) or stitch(m))
     a = LocalView(degree=1, colocated=(1,), per_port=((),))
     b = LocalView(degree=2, colocated=(1,), per_port=((), ()))
-    bundle = Bundle((Broadcast(1, a), Broadcast(2, b)))
+    for name in COOPERATIVE:
+        make_algorithm(name, T=1).step(
+            AgentState(1), a, Bundle((Broadcast(1, a), Broadcast(2, b))))
+    assert stitches == []
+    a, b = (LocalView(degree=d, colocated=(1, 2), per_port=((),) * d)
+            for d in (1, 2))
     with pytest.raises(EngineError, match="conflicting views"):
-        make_algorithm("disp").step(AgentState(1), a, bundle)
+        make_algorithm("disp").step(
+            AgentState(1), a, Bundle((Broadcast(1, a), Broadcast(2, b))))
+    assert stitches == [1]
+
+
+def test_a_cooperative_step_is_the_plan_or_its_quiet_rule():
+    # a bundle that hears a multinode gets the sliding plan, and a quiet
+    # count goes back to 0; a quiet one gets each algorithm's own rule
+    quiet_rules = {"disp": "stay", "alg1_implicit": "stay",
+                   "alg2": "dispersed_one_round"}
+    heard = set()
+    for placement in ({1: 0, 2: 2}, {1: 1, 2: 3, 3: 0}, {1: 0, 2: 0, 3: 2},
+                      {1: 1, 2: 1, 3: 1, 4: 2}, {1: 3, 2: 0, 3: 0}):
+        c = Configuration(4, placement)
+        views = node_views(path4(), c, "one")
+        for mode in COMMUNICATIONS:
+            for a, bundle in deliver(path4(), c, mode, views=views).items():
+                # a plain tuple keeps nothing, so each step computes afresh
+                msgs, view = tuple(bundle), views[c[a]]
+                multi = any(len(b.view.colocated) > 1 for b in msgs)
+                heard.add(multi)
+                plan = dict(disp_plan(stitch_component(msgs)) or ())
+                walkers = [(b.sender, b.view.hole_ports()[0]) for b in msgs
+                           if b.view.hole_ports()]
+                for name in COOPERATIVE:
+                    alg = make_algorithm(name, T=2)
+                    for t in (0, 1):
+                        if name != "alg1_explicit" and t:
+                            continue
+                        got = alg.step(AgentState(a, t), view, msgs)
+                        if multi:
+                            want = (Action(port=plan[a]) if a in plan
+                                    else STAY), AgentState(a)
+                        elif name == "alg1_explicit":
+                            want = (Action(terminate=True) if t else STAY,
+                                    AgentState(a, t + 1))
+                        elif name == "alg3":
+                            want = (Action(port=walkers[0][1])
+                                    if walkers and walkers[0][0] == a
+                                    else STAY), AgentState(a)
+                        else:
+                            want = make_algorithm(quiet_rules[name]).step(
+                                AgentState(a), view, msgs)
+                        assert got == want, (name, placement, mode, a, t)
+    assert heard == {False, True}
 
 
 def test_alg1_implicit_is_disp_under_another_name():

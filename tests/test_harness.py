@@ -26,6 +26,7 @@ from dispersim.algorithms import ALGORITHM_NAMES, make_algorithm
 from dispersim.graphs import Schedule, Snapshot
 from dispersim.harness import ScenarioError, verify_trace
 from dispersim.scenario import (
+    MAX_RANDOM_NODES,
     PLACEMENTS,
     build_placement,
     build_source,
@@ -233,6 +234,27 @@ def test_a_node_count_no_check_or_run_can_hold_is_refused(
     path.write_text(text)
     assert cli.main([command, str(path)], out=lambda *_: None) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("command, options", [
+    ("run", []), ("sweep", ["--seeds", "0..1"])])
+def test_a_random_schedule_on_too_many_nodes_is_refused(
+    tmp_path, capsys, monkeypatch, command, options
+):
+    # a random round draws all n(n-1)/2 node pairs, so n is bounded far
+    # below MAX_NODES for a random schedule, and at the bound it parses
+    text = ("n = {}\nk = 1\nschedule = random:t_path\nT = 1\n"
+            "algorithm = stay\nmax_rounds = 1\n")
+    parse_scenario(text.format(MAX_RANDOM_NODES))
+    monkeypatch.setattr("dispersim.scenario.run",
+                        lambda *args, **kwargs: 1 / 0)
+    path = tmp_path / "random.scn"
+    path.write_text(text.format(20000))
+    assert cli.main([command, str(path), *options],
+                    out=lambda *_: None) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: line 1: a random schedule needs n <= {MAX_RANDOM_NODES},"
+        " got 20000"]
 
 
 def test_demo_schedule_is_drawn_only_as_far_as_the_run_reads_it():

@@ -20,7 +20,7 @@ import math
 import re
 from functools import partial
 from itertools import repeat
-from operator import attrgetter, itemgetter, lshift
+from operator import attrgetter, itemgetter, lshift, mul
 from typing import NamedTuple
 
 PROPERTIES = ("t_interval", "t_path", "connectivity_time")
@@ -107,6 +107,7 @@ class Snapshot:
         ports: dict[int, dict[int, int]] = {}
         # a map is made with its first port, so an empty one is never found
         get, new = ports.get, ports.setdefault
+        total = low = 0
         for u, v, pu, pv in edges:
             if u < v:
                 add((u, v))
@@ -114,18 +115,22 @@ class Snapshot:
                 add((v, u))
             (get(u) or new(u, {}))[pu] = v
             (get(v) or new(v, {}))[pv] = u
+            total += pu + pv
+            low |= pu | pv
         # A self-loop adds no pair and a repeated pair none either, so the
-        # first test finds both.  Every endpoint keys a port map, and a
-        # reused port overwrites, so full maps on keys in range are the
-        # rest.  The ports at a node are distinct and at least 0, so their
-        # greatest is at least d - 1, and the sums pin it to d - 1 at every
-        # node: the ports there are 0..d-1.
-        maps = ports.values()
+        # first test finds both; every endpoint keys a port map, so keys in
+        # range are the next.  An OR of ints is negative only if one of
+        # them is, so low >= 0 rules out a negative port.  d distinct ports
+        # from 0 up sum to at least d(d-1)/2, and to that only when they
+        # are 0..d-1.  A reused port overwrites, so its map holds fewer
+        # entries than its node has edges, yet total still counts the
+        # port.  So total, every port written, equals the sum of d(d-1)/2
+        # over the maps of d entries, taking 2m for the sum of the d, only
+        # when every map holds two entries an edge and ports 0..d-1.
+        lens = list(map(len, ports.values()))
         if len(pairs) != len(edges) or ports and not (
-            0 <= min(ports) and max(ports) < n
-            and sum(map(len, maps)) == 2 * len(edges)
-            and min(map(min, maps)) == 0
-            and sum(map(max, maps)) == 2 * len(edges) - len(ports)
+            0 <= min(ports) and max(ports) < n and low >= 0
+            and 2 * total == sum(map(mul, lens, lens)) - 2 * len(edges)
         ):
             pairs, ports = _checked(n, edges)
         self.n = n
@@ -150,7 +155,7 @@ class Snapshot:
                 raise GraphError(f"pair {u}-{v} out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at node {u}")
-            key = (min(u, v), max(u, v))
+            key = (u, v) if u < v else (v, u)
             if key in seen:
                 continue
             seen.add(key)

@@ -8,6 +8,7 @@ trace.  Only the ``run`` and ``sweep`` commands import this module.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from typing import NamedTuple
@@ -34,6 +35,13 @@ SCHEDULE_KINDS = tuple(SCHEDULE_PARAMS)
 # round takes about 0.2 s on a 2-core x86 host with Python 3.11, at 1,000
 # about 1.2 s and at 2,000 about 5.6 s and 0.5 GB
 MAX_RANDOM_NODES = 500
+# a random run keeps every round's snapshot, and random rounds never
+# repeat, so max_rounds times the edges a round can keep, density *
+# n(n-1)/2 plus the n-1 of a spanning tree, is bounded: at n = 500 a whole
+# run at this bound peaked at 712 MiB RSS with density 0 (t_interval, whose
+# rounds keep two trees, 500 agents on alg3) and 184 MiB with density 1,
+# on a 2-core x86 host with Python 3.11
+MAX_RANDOM_EDGES = 500_000
 # the values each argument may take; a path is any text but the empty one
 _ARGUMENTS = {"path": None, "property": PROPERTIES, "variant": SORTED_PATH_VARIANTS}
 
@@ -161,6 +169,12 @@ def parse_scenario(text: str) -> Scenario:
              + (f" in {values}" if values else "") + f", got {arg!r}")
     if not 0.0 <= sc.density <= 1.0:
         fail("density", f"density must be in [0, 1], got {sc.density}")
+    if kind == "random":
+        edges = sc.max_rounds * (sc.density * sc.n * (sc.n - 1) / 2 + sc.n - 1)
+        if edges > MAX_RANDOM_EDGES:
+            fail("max_rounds", "a random schedule keeps every round, so"
+                 " max_rounds * (density * n(n-1)/2 + n-1) must be <="
+                 f" {MAX_RANDOM_EDGES}, got {math.ceil(edges)}")
     try:
         build_placement(sc)
     except (ScenarioError, GraphError) as exc:

@@ -65,6 +65,17 @@ def test_snapshot_rejects_bad_ports():
         Snapshot(2, [(0, 2, 0, 0)])  # out of range
 
 
+def test_the_port_sum_guards_name_their_fault():
+    # each of these sums its ports as 0..d-1 would: a negative port that a
+    # gap balances, which only the sign check finds, and port 0 reused at a
+    # node, whose map then holds one entry for two edges
+    with pytest.raises(GraphError,
+                       match=r"^node 0 ports \[-1, 2\] are not 0\.\.1$"):
+        Snapshot(3, [(0, 1, -1, 0), (0, 2, 2, 0)])
+    with pytest.raises(GraphError, match="^node 0 uses port 0 twice$"):
+        Snapshot(3, [(0, 1, 0, 0), (0, 2, 0, 0)])
+
+
 def _random_edges(rng, n, density):
     """A valid edge list: random pairs, a random port permutation at every
     node, each edge written from either end, in random order."""

@@ -26,6 +26,7 @@ from dispersim.algorithms import ALGORITHM_NAMES, make_algorithm
 from dispersim.graphs import Schedule, Snapshot
 from dispersim.harness import ScenarioError, verify_trace
 from dispersim.scenario import (
+    MAX_RANDOM_EDGES,
     MAX_RANDOM_NODES,
     PLACEMENTS,
     build_placement,
@@ -255,6 +256,32 @@ def test_a_random_schedule_on_too_many_nodes_is_refused(
     assert capsys.readouterr().err.splitlines() == [
         f"error: line 1: a random schedule needs n <= {MAX_RANDOM_NODES},"
         " got 20000"]
+
+
+@pytest.mark.parametrize("command, options", [
+    ("run", []), ("sweep", ["--seeds", "0..1"])])
+def test_a_random_run_that_would_keep_too_many_edges_is_refused(
+    tmp_path, capsys, monkeypatch, command, options
+):
+    # a random run keeps every round's snapshot, so max_rounds times the
+    # edges a round can keep (density * n(n-1)/2 plus a tree's n-1) is
+    # bounded, at the dense corner and at the sparse one alike
+    text = ("n = 500\nk = 1\nschedule = random:t_path\nT = 1\n"
+            "density = {}\nalgorithm = stay\nmax_rounds = {}\n")
+    for density, per_round in ((1, 500 * 499 // 2 + 499), (0, 499)):
+        rounds = MAX_RANDOM_EDGES // per_round
+        assert parse_scenario(text.format(density, rounds)).max_rounds == rounds
+        with pytest.raises(ScenarioError, match="^line 7: a random schedule"):
+            parse_scenario(text.format(density, rounds + 1))
+    monkeypatch.setattr("dispersim.scenario.run",
+                        lambda *args, **kwargs: 1 / 0)
+    path = tmp_path / "random.scn"
+    path.write_text(text.format(1, 10**6))
+    assert cli.main([command, str(path), *options],
+                    out=lambda *_: None) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line 7: a random schedule keeps every round, so max_rounds"
+        " * (density * n(n-1)/2 + n-1) must be <= 500000, got 125249000000"]
 
 
 def test_demo_schedule_is_drawn_only_as_far_as_the_run_reads_it():

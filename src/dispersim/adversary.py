@@ -294,7 +294,7 @@ class CtDispersion(Adversary):
                     f"ct_dispersion expected >= {p} holes, found {len(holes)}"
                 )
             side = holes[:p]
-            rest = [v for v in range(self.n) if v not in side]
+            rest = set(range(self.n)).difference(side)
             return self._graph(_star(side) | _star(rest))
         multis = config.multinodes()
         if not multis:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from functools import partial
-from itertools import repeat
+from itertools import islice, repeat
 from operator import attrgetter, itemgetter, lshift, mul
 from typing import NamedTuple
 
@@ -43,13 +43,13 @@ _ENDPOINTS = itemgetter(0, 1)
 _PAIRS = attrgetter("pairs")
 
 
-def _checked(n: int, edges) -> tuple[set, dict]:
+def _checked(n: int, edges) -> dict:
     """Check edges one by one and raise the GraphError of the first fault:
     range and self-loop faults in input order, then duplicate edges and
     reused ports in (u, v) order, then port gaps by node.  ``Snapshot``
     runs it only on edges that fail its aggregate checks, so one error
-    text names a fault however it was found; valid edges give their pair
-    set and port maps."""
+    text names a fault however it was found; valid edges give their port
+    maps."""
     normalized = []
     for u, v, pu, pv in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -76,7 +76,7 @@ def _checked(n: int, edges) -> tuple[set, dict]:
             raise GraphError(
                 f"node {v} ports {sorted(pmap)} are not 0..{len(pmap) - 1}"
             )
-    return pairs, ports
+    return ports
 
 
 class Snapshot:
@@ -85,58 +85,56 @@ class Snapshot:
 
     Validates on construction that endpoints are in range, there are no
     self-loops or duplicate edges, and the ports at every node are exactly
-    a permutation of 0..deg-1.  It keeps its pair set and its port maps;
-    ``ports`` maps only the nodes that have edges, so a node it lacks has
-    degree 0.
+    a permutation of 0..deg-1.  It keeps its port maps; ``ports`` maps
+    only the nodes that have edges, so a node it lacks has degree 0.
 
     A snapshot is shared by every round that repeats it, so it keeps what
-    is derived from it, each computed at its first use: ``comps`` by
-    ``components``, ``text`` by ``format_edges`` and ``table`` by
-    ``check_property``.
+    is derived from it, each computed at its first use: ``pairs`` when
+    read, ``comps`` by ``components``, ``text`` by ``format_edges`` and
+    ``table`` by ``check_property``.
     """
 
-    __slots__ = ("n", "pairs", "ports", "comps", "text", "table")
+    __slots__ = ("n", "ports", "_pairs", "comps", "text", "table")
 
     def __init__(self, n: int, edges) -> None:
         if n < 1:
             raise GraphError(f"snapshot needs at least one node, got n={n}")
         edges = list(edges)
-        pairs = set()
-        add = pairs.add
+        # a pair's key is the int u*n + v, u < v, which the collector does
+        # not track as it would a tuple, and a self-loop's key is -1
+        keys = set()
+        add = keys.add
         # only nodes with edges get a port map, so memory follows the edges
         ports: dict[int, dict[int, int]] = {}
         # a map is made with its first port, so an empty one is never found
         get, new = ports.get, ports.setdefault
         total = low = 0
         for u, v, pu, pv in edges:
-            if u < v:
-                add((u, v))
-            elif v < u:
-                add((v, u))
+            add(u * n + v if u < v else v * n + u if v < u else -1)
             (get(u) or new(u, {}))[pu] = v
             (get(v) or new(v, {}))[pv] = u
             total += pu + pv
             low |= pu | pv
-        # A self-loop adds no pair and a repeated pair none either, so the
-        # first test finds both; every endpoint keys a port map, so keys in
-        # range are the next.  An OR of ints is negative only if one of
-        # them is, so low >= 0 rules out a negative port.  d distinct ports
-        # from 0 up sum to at least d(d-1)/2, and to that only when they
-        # are 0..d-1.  A reused port overwrites, so its map holds fewer
-        # entries than its node has edges, yet total still counts the
-        # port.  So total, every port written, equals the sum of d(d-1)/2
-        # over the maps of d entries, taking 2m for the sum of the d, only
-        # when every map holds two entries an edge and ports 0..d-1.
+        # Keys name pairs one to one where every endpoint is in range, so
+        # a repeated key or a -1 there is a repeated pair or a self-loop;
+        # every endpoint keys a port map, so keys in range are the next
+        # test.  An OR of ints is negative only if one of them is, so
+        # low >= 0 rules out a negative port.  d distinct ports from 0 up
+        # sum to at least d(d-1)/2, and to that only when they are 0..d-1.
+        # A reused port overwrites, so its map holds fewer entries than its
+        # node has edges, yet total still counts the port.  So total, every
+        # port written, equals the sum of d(d-1)/2 over the maps of d
+        # entries, taking 2m for the sum of the d, only when every map
+        # holds two entries an edge and ports 0..d-1.
         lens = list(map(len, ports.values()))
-        if len(pairs) != len(edges) or ports and not (
+        if len(keys) != len(edges) or -1 in keys or ports and not (
             0 <= min(ports) and max(ports) < n and low >= 0
             and 2 * total == sum(map(mul, lens, lens)) - 2 * len(edges)
         ):
-            pairs, ports = _checked(n, edges)
+            ports = _checked(n, edges)
         self.n = n
-        self.pairs = frozenset(pairs)
         self.ports = ports
-        self.comps = self.text = self.table = None
+        self._pairs = self.comps = self.text = self.table = None
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Snapshot":
@@ -148,24 +146,27 @@ class Snapshot:
         """
         if n < 1:
             raise GraphError(f"snapshot needs at least one node, got n={n}")
-        nbrs: dict[int, list[int]] = {}
-        seen = set()
+        nbrs: dict[int, set[int]] = {}
         for u, v in pairs:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"pair {u}-{v} out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at node {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                continue
-            seen.add(key)
-            nbrs.setdefault(u, []).append(v)
-            nbrs.setdefault(v, []).append(u)
+            nbrs.setdefault(u, set()).add(v)
+            nbrs.setdefault(v, set()).add(u)
         snap = cls.__new__(cls)
-        snap.n, snap.pairs = n, frozenset(seen)
-        snap.comps = snap.text = snap.table = None
+        snap.n = n
+        snap._pairs = snap.comps = snap.text = snap.table = None
         snap.ports = {v: dict(enumerate(sorted(ws))) for v, ws in nbrs.items()}
         return snap
+
+    @property
+    def pairs(self) -> frozenset:
+        """The edges as (u, v), u < v, derived from the ports at first use."""
+        if self._pairs is None:
+            self._pairs = frozenset((u, v) for u, pmap in self.ports.items()
+                                    for v in pmap.values() if u < v)
+        return self._pairs
 
     def neighbor(self, v: int, port: int) -> int:
         """Node reached from v through the given port."""
@@ -182,9 +183,8 @@ class Snapshot:
         )
 
     def __hash__(self) -> int:
-        # equal snapshots have equal pairs, and a frozenset hashes in C and
-        # keeps its hash, so dynamic_diameter's set of snapshots (and a
-        # test's) never hashes the port maps
+        # equal snapshots have equal pairs, derived once as a frozenset,
+        # which hashes in C and keeps its hash: no port map is hashed
         return hash((self.n, self.pairs))
 
     def __repr__(self) -> str:
@@ -299,8 +299,9 @@ def format_edges(snapshot: Snapshot) -> str:
     if snapshot.text is None:
         port_of = {v: {w: p for p, w in pmap.items()}
                    for v, pmap in snapshot.ports.items()}
-        snapshot.text = "".join(f" {u}-{v}:{port_of[u][v]},{port_of[v][u]}"
-                                for u, v in sorted(snapshot.pairs))
+        snapshot.text = "".join(
+            f" {u}-{v}:{port_of[u][v]},{port_of[v][u]}" for u, v in sorted(
+                [(u, v) for u, ws in port_of.items() for v in ws if u < v]))
     return snapshot.text
 
 
@@ -335,9 +336,10 @@ def _bulk_rounds(text: str):
     writes, or None where the text departs from it: the header, then one
     line ``r=<r>:`` per round, in order, each edge token after one space,
     every line ended by "\\n", no comment and no blank line.  The distinct
-    edge fields are checked and their numbers converted at once, and a
-    repeated field shares one Snapshot.  A GraphError here only means the
-    text needs the line-by-line read, which names the fault."""
+    edge fields are checked at once, each Snapshot converts its numbers
+    as it reads its edges, and a repeated field shares one Snapshot.  A
+    GraphError here only means the text needs the line-by-line read,
+    which names the fault."""
     head, _, body = text.partition("\n")
     m = _HEADER_LINE.fullmatch(head)
     if not m:
@@ -368,12 +370,9 @@ def _bulk_rounds(text: str):
             ["-:,"] * (len(numbers) // 4)):
         return None
     numbers = map(ints.__getitem__, numbers)
-    edges = list(zip(numbers, numbers, numbers, numbers))
-    at = 0
+    edges = zip(numbers, numbers, numbers, numbers)
     for field in distinct:
-        end = at + field.count(" ") + 1
-        distinct[field] = Snapshot(n, edges[at:end])
-        at = end
+        distinct[field] = Snapshot(n, islice(edges, field.count(" ") + 1))
     # Snapshot checks n, also where every round is empty
     distinct[""] = Snapshot(n, ())
     return map(distinct.__getitem__, fields)

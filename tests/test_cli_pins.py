@@ -52,6 +52,9 @@ def forged(path, line: int, was: str, text: str):
     ("long_tpath_cycle",
      "87e980e1f77d3556fa9eb86f0ee229895e479b611dbe82b5d5398015948aad78",
      "0ae64781a68365e669f4348cb760ad905975796ee989d5532cf9d5373bbb8ee7"),
+    ("wide_ct",
+     "6885ffe2282c41b0179b6e1cc8f1af84b15b82b87c1f67cfa7b83289097370e0",
+     "a5b20c6429beac3dca6adf6409576b44c77ae1c756ff2f79de7daee67384cd4f"),
 ))
 def test_a_run_and_its_verify_keep_their_bytes(tmp_path, name, trace, verify):
     path = tmp_path / f"{name}.trace"

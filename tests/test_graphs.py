@@ -162,6 +162,70 @@ def test_snapshot_validation_matches_the_edge_by_edge_reference():
     assert seen == {*SNAPSHOT_ERRORS, True, False}
 
 
+@pytest.mark.parametrize("n, edges, error", [
+    # the port maps look valid; only the repeated pair key shows the fault
+    pytest.param(3, [(0, 1, 0, 0), (1, 0, 1, 1)], "duplicate edge 0-1",
+                 id="reversed duplicate"),
+    # the ports sum as 0..1 would; only the self-loop key shows the fault
+    pytest.param(2, [(0, 0, 0, 1)], "self-loop at node 0",
+                 id="self-loop with distinct ports"),
+    pytest.param(2, [(1, 1, 0, 0)], "self-loop at node 1",
+                 id="self-loop with equal ports"),
+    pytest.param(3, [(0, 1, 0, 0), (2, 2, 0, 1), (1, 1, 1, 2)],
+                 "self-loop at node 2", id="two self-loops"),
+    # -1*3 + 4 is the key of 0-1, and -1*3 + 2 a self-loop's
+    pytest.param(3, [(0, 1, 0, 0), (-1, 4, 1, 0)],
+                 "edge -1-4 out of range for n=3",
+                 id="out of range, key of a valid pair"),
+    pytest.param(3, [(0, 1, 0, 0), (2, -1, 0, 1)],
+                 "edge 2--1 out of range for n=3",
+                 id="out of range, key of a self-loop"),
+    pytest.param(3, [(0, 1, 0, 0), (1, 2, -1, 0)],
+                 "node 1 ports [-1, 0] are not 0..1", id="negative port"),
+])
+def test_each_fault_of_a_pair_key_gets_the_reference_error(n, edges, error):
+    want = _snapshot_outcome(lambda: oracles.snapshot_reference(n, edges))
+    assert want == error
+    assert _snapshot_outcome(lambda: Snapshot(n, edges)) == want
+    assert _snapshot_outcome(lambda: Snapshot(n, iter(edges))) == want
+
+
+def test_derived_pairs_match_the_reference():
+    # pairs is derived from the port maps at its first read: for every
+    # round of every committed schedule, and for from_pairs, whose input
+    # may name a pair twice, from either end
+    for path in sorted(DATA.glob("*.sched")):
+        text = path.read_text()
+        want = [pairs for _, pairs, _ in
+                oracles.schedule_from_text_reference(text)]
+        assert [s.pairs for s in Schedule.from_text(text).snapshots] == want
+    rng = random.Random("derived-pairs")
+    for _ in range(200):
+        n = rng.randrange(1, 9)
+        given = random_pairs(rng, n, rng.random())
+        fast = Snapshot.from_pairs(
+            n, [*given, *((v, u) for u, v in given if rng.random() < 0.5)])
+        slow = Snapshot(n, oracles.edges_of(fast))
+        # hashing derives each pair set, which the reads below then find
+        assert fast == slow and hash(slow) == hash(fast)
+        assert fast.pairs == slow.pairs == frozenset(given) == (
+            oracles.snapshot_reference(n, oracles.edges_of(fast))[1])
+
+
+def test_a_read_schedule_keeps_only_its_port_maps():
+    # the 120 distinct rounds of this file (3,710 edges, n=30) keep about
+    # 835 KiB of port maps; a pair set each would add about 500 KiB
+    text = (DATA / "random_tpath.sched").read_text()
+    tracemalloc.start()
+    try:
+        sch = Schedule.from_text(text)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 900 * 1024
+    assert all(s._pairs is None for s in sch.snapshots)
+
+
 def test_snapshot_accepts_any_port_permutation():
     s = Snapshot(3, [(0, 1, 1, 0), (0, 2, 0, 0)])
     assert s.neighbor(0, 1) == 1
